@@ -5,6 +5,14 @@ integer bounds: pure difference logic.  Satisfiability goes through DNF
 expansion and shortest-path closure of a bound matrix over the clocks plus
 a zero reference; a negative cycle means UNSAT.  SMT-LIB export is kept for
 differential testing against an external solver.
+
+The matrix holds each bound as one Python int, ``(c * scale) << 1 | weak``
+(the raw encoding of the UPPAAL DBM library), so closure does integer
+additions and comparisons only.  ``scale`` is a per-system multiplier that
+keeps the exact ``Fraction`` timestamps of trace probes integral.  A closed
+satisfiable matrix absorbs each further constraint with an O(n^2) update
+instead of a new O(n^3) closure (Bengtsson & Yi, *Timed Automata:
+Semantics, Algorithms and Tools*, 2004).
 """
 
 from __future__ import annotations
@@ -12,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -63,25 +72,17 @@ def complement_guard(g: Guard) -> Guard:
 
 
 # ---------------------------------------------------------------------------
-# bounds: (value, strict) with None meaning +infinity
+# bounds: raw ints (c * scale) << 1 | weak, with None meaning +infinity
 
 
-Bound = Optional[tuple[Fraction, bool]]  # None = unbounded
+Bound = Optional[tuple[Fraction, bool]]  # decoded (value, strict); None = unbounded
+
+_RAW_ZERO = 1  # raw "<= 0"; a diagonal entry below it is a negative cycle
 
 
-def bound_add(b1: Bound, b2: Bound) -> Bound:
-    if b1 is None or b2 is None:
-        return None
-    return (b1[0] + b2[0], b1[1] or b2[1])
-
-
-def bound_lt(b1: Bound, b2: Bound) -> bool:
-    """Strictly tighter-than for upper bounds on a difference."""
-    if b2 is None:
-        return b1 is not None
-    if b1 is None:
-        return False
-    return b1[0] < b2[0] or (b1[0] == b2[0] and b1[1] and not b2[1])
+def _raw_add(a: int, b: int) -> int:
+    """Sum of two raw bounds: values add, the sum is weak iff both are."""
+    return a + b - ((a | b) & 1)
 
 
 ZERO_VAR = Clock("__zero__")
@@ -90,36 +91,98 @@ ZERO_VAR = Clock("__zero__")
 class DifferenceSystem:
     """Bound matrix on pairwise differences of clocks (plus a zero var).
 
-    ``bound(u, v)`` is the tightest known upper bound on u - v.  After
-    :meth:`close`, the matrix satisfies the triangle inequality under
-    strictness-aware addition; an entry ``d(u, u) < 0`` (or strict 0)
-    witnesses a negative cycle, i.e. unsatisfiability.
+    Entry ``m[i][j]`` bounds ``vars[i] - vars[j]`` from above as a raw int
+    ``(c * scale) << 1 | weak``, where ``weak`` is 1 for ``<=`` and 0 for
+    ``<``, or is None for +infinity.  On raw entries a plain ``<`` compares
+    tightness and :func:`_raw_add` adds two bounds.  Model bounds are
+    integers; the only other values are exact ``Fraction`` timestamps.
+    A value whose denominator does not divide ``scale`` rescales the whole
+    matrix to the least common multiple, so every entry stays an exact
+    integer.  :meth:`bound` decodes an entry to ``(Fraction, strict)``.
+
+    :meth:`close` is the full O(n^3) shortest-path closure; a diagonal
+    entry below raw ``<= 0`` witnesses a negative cycle, i.e.
+    unsatisfiability.  A closed satisfiable matrix stays closed:
+    :meth:`add_difference` folds a tightened entry in place in O(n^2) and
+    finds any negative cycle through it, so ``copy()``, a few atoms and
+    :meth:`is_satisfiable` need no further full closure.
     """
 
     def __init__(self, variables: Iterable[Clock]):
         self.vars: list[Clock] = [ZERO_VAR] + sorted(set(variables) - {ZERO_VAR})
         self._index = {v: i for i, v in enumerate(self.vars)}
         n = len(self.vars)
-        self.m: list[list[Bound]] = [[None] * n for _ in range(n)]
+        self.m: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
         for i in range(n):
-            self.m[i][i] = (Fraction(0), False)
+            self.m[i][i] = _RAW_ZERO
+        self.scale = 1
         self._closed = False
+        self._sat = True  # meaningful once closed
 
     def copy(self) -> "DifferenceSystem":
-        out = DifferenceSystem([])
-        out.vars = list(self.vars)
-        out._index = dict(self._index)
+        out = DifferenceSystem.__new__(DifferenceSystem)
+        out.vars = self.vars  # vars and index are never mutated: shared
+        out._index = self._index
         out.m = [row[:] for row in self.m]
+        out.scale = self.scale
         out._closed = self._closed
+        out._sat = self._sat
         return out
 
     def add_difference(self, u: Clock, v: Clock, value, strict: bool) -> None:
         """Constrain u - v <= value (strict: <)."""
         i, j = self._index[u], self._index[v]
-        nb: Bound = (Fraction(value), strict)
-        if bound_lt(nb, self.m[i][j]):
-            self.m[i][j] = nb
-            self._closed = False
+        if type(value) is int:
+            value *= self.scale
+        else:
+            value = Fraction(value)
+            den = value.denominator
+            if self.scale % den:
+                self._rescale(den // gcd(self.scale, den))
+            value = value.numerator * (self.scale // den)
+        b = value << 1 if strict else (value << 1) | 1
+        old = self.m[i][j]
+        if old is not None and old <= b:
+            return
+        if self._closed and self._sat:
+            self._tighten(i, j, b)
+        else:
+            self.m[i][j] = b
+
+    def _rescale(self, factor: int) -> None:
+        """Multiply ``scale`` and every finite bound by ``factor``."""
+        self.scale *= factor
+        for row in self.m:
+            for j, d in enumerate(row):
+                if d is not None:
+                    row[j] = d * factor - (d & 1) * (factor - 1)
+
+    def _tighten(self, i: int, j: int, b: int) -> None:
+        """Set ``m[i][j] = b`` in a closed satisfiable matrix, keeping it closed.
+
+        Every path that gets shorter runs through the new edge, so one
+        pass ``m[k][l] = min(m[k][l], m[k][i] + b + m[j][l])`` over the
+        old entries restores closure (Bengtsson & Yi 2004), unless the
+        edge closes a negative cycle with ``m[j][i]``.
+        """
+        m = self.m
+        back = m[j][i]
+        if back is not None and _raw_add(back, b) < _RAW_ZERO:
+            m[i][j] = b
+            self._sat = False
+            return
+        # row j and column i do not change: m[j][i] + b is not negative
+        cols = [(l, d) for l, d in enumerate(m[j]) if d is not None]
+        for row in m:
+            dki = row[i]
+            if dki is None:
+                continue
+            via_i = dki + b - ((dki | b) & 1)
+            for l, djl in cols:
+                via = via_i + djl - ((via_i | djl) & 1)
+                dkl = row[l]
+                if dkl is None or via < dkl:
+                    row[l] = via
 
     def add_atom(self, a: Atom) -> None:
         left, right = a.left, a.right if a.right is not None else ZERO_VAR
@@ -137,45 +200,54 @@ class DifferenceSystem:
                 self.add_difference(ZERO_VAR, c, 0, False)
 
     def close(self) -> None:
-        n = len(self.vars)
+        """Floyd-Warshall closure; stops at the first negative cycle."""
         m = self.m
-        for k in range(n):
-            rowk = m[k]
-            for i in range(n):
-                dik = m[i][k]
-                if dik is None:
-                    continue
-                rowi = m[i]
-                for j in range(n):
-                    via = bound_add(dik, rowk[j])
-                    if bound_lt(via, rowi[j]):
-                        rowi[j] = via
         self._closed = True
+        self._sat = False
+        if any(row[i] < _RAW_ZERO for i, row in enumerate(m)):
+            return
+        for k, rowk in enumerate(m):
+            cols = [(j, d) for j, d in enumerate(rowk) if d is not None]
+            for i, rowi in enumerate(m):
+                dik = rowi[k]
+                if dik is None or i == k:
+                    continue
+                for j, dkj in cols:
+                    via = dik + dkj - ((dik | dkj) & 1)
+                    dij = rowi[j]
+                    if dij is None or via < dij:
+                        rowi[j] = via
+                if rowi[i] < _RAW_ZERO:
+                    return
+        self._sat = True
 
     def is_satisfiable(self) -> bool:
         if not self._closed:
             self.close()
-        for i in range(len(self.vars)):
-            d = self.m[i][i]
-            if d is not None and (d[0] < 0 or (d[0] == 0 and d[1])):
-                return False
-        return True
+        return self._sat
 
     def bound(self, u: Clock, v: Clock) -> Bound:
-        return self.m[self._index[u]][self._index[v]]
+        """The upper bound on u - v as ``(value, strict)``; None if unbounded."""
+        d = self.m[self._index[u]][self._index[v]]
+        return None if d is None else (Fraction(d >> 1, self.scale), not d & 1)
 
     def project_out(self, var: Clock) -> "DifferenceSystem":
-        """Existentially eliminate ``var``; exact for difference systems."""
+        """Existentially eliminate ``var``; exact for difference systems.
+
+        The closed matrix already holds every bound that a path through
+        ``var`` implies, so dropping its row and column leaves the closed
+        matrix of the projection.
+        """
         if not self._closed:
             self.close()
-        keep = [v for v in self.vars if v != var]
-        out = DifferenceSystem(keep)
-        for u in keep:
-            for v in keep:
-                b = self.bound(u, v)
-                if b is not None:
-                    out.add_difference(u, v, b[0], b[1])
-        out.close()
+        k = self._index[var]
+        out = DifferenceSystem.__new__(DifferenceSystem)
+        out.vars = self.vars[:k] + self.vars[k + 1:]
+        out._index = {v: i for i, v in enumerate(out.vars)}
+        out.m = [row[:k] + row[k + 1:] for i, row in enumerate(self.m) if i != k]
+        out.scale = self.scale
+        out._closed = True
+        out._sat = self._sat
         return out
 
     def reduced_atoms(self, skip_nonneg: bool = True) -> list[Atom]:
@@ -188,106 +260,104 @@ class DifferenceSystem:
         cycles).  With ``skip_nonneg`` the plain x >= 0 entries are omitted
         and must be supplied as ambient constraints by the caller.
         """
-        if not self._closed:
-            self.close()
         if not self.is_satisfiable():
             raise ValueError("system is unsatisfiable")
+        m, scale, vs = self.m, self.scale, self.vars
 
-        def fixed(u: Clock, v: Clock) -> Optional[Fraction]:
-            duv, dvu = self.bound(u, v), self.bound(v, u)
-            if duv is not None and dvu is not None and not duv[1] and not dvu[1] \
-                    and duv[0] == -dvu[0]:
-                return duv[0]
+        def fixed(u: int, v: int) -> Optional[Fraction]:
+            duv, dvu = m[u][v], m[v][u]
+            # both weak and opposite: raw (2c + 1) + (-2c + 1) == 2
+            if duv is not None and dvu is not None and duv & dvu & 1 and duv + dvu == 2:
+                return Fraction(duv >> 1, scale)
             return None
 
-        rep: dict[Clock, Clock] = {}
-        for v in self.vars:
-            for r in rep.values():
-                if r is not v and fixed(v, r) is not None:
-                    rep[v] = r
+        rep: list[int] = []
+        for v in range(len(vs)):
+            for r in rep:
+                if r != v and fixed(v, r) is not None:
+                    rep.append(r)
                     break
             else:
-                rep[v] = v
+                rep.append(v)
 
         atoms: list[Atom] = []
-        for v, r in rep.items():
-            if v is r:
+        for v, r in enumerate(rep):
+            if v == r:
                 continue
             off = fixed(v, r)
-            if r == ZERO_VAR:
-                atoms.append(Atom(v, "=", off))
-            elif v == ZERO_VAR:
-                atoms.append(Atom(r, "=", -off))
+            if r == 0:
+                atoms.append(Atom(vs[v], "=", off))
+            elif v == 0:
+                atoms.append(Atom(vs[r], "=", -off))
             else:
-                atoms.append(Atom(v, "=", off, r))
+                atoms.append(Atom(vs[v], "=", off, vs[r]))
 
-        reps = [v for v in self.vars if rep[v] is v]
+        reps = [v for v, r in enumerate(rep) if v == r]
         for u in reps:
             for v in reps:
-                if u is v:
+                if u == v:
                     continue
-                d = self.bound(u, v)
+                d = m[u][v]
                 if d is None:
                     continue
-                if skip_nonneg and v == ZERO_VAR and d == (Fraction(0), False):
+                if skip_nonneg and v == 0 and d == _RAW_ZERO:
                     continue
                 redundant = any(
-                    w is not u and w is not v
-                    and bound_add(self.bound(u, w), self.bound(w, v)) == d
+                    w != u and w != v and m[u][w] is not None and m[w][v] is not None
+                    and _raw_add(m[u][w], m[w][v]) == d
                     for w in reps
                 )
                 if redundant:
                     continue
-                rel = "<" if d[1] else "<="
-                if v == ZERO_VAR:
-                    atoms.append(Atom(u, rel, d[0]))
-                elif u == ZERO_VAR:
-                    atoms.append(Atom(v, ">" if d[1] else ">=", -d[0]))
+                value, strict = Fraction(d >> 1, scale), not d & 1
+                if v == 0:
+                    atoms.append(Atom(vs[u], "<" if strict else "<=", value))
+                elif u == 0:
+                    atoms.append(Atom(vs[v], ">" if strict else ">=", -value))
                 else:
-                    atoms.append(Atom(u, rel, d[0], v))
+                    atoms.append(Atom(vs[u], "<" if strict else "<=", value, vs[v]))
         return atoms
 
     def witness(self) -> dict[Clock, Fraction]:
         """One satisfying assignment (zero var pinned to 0).
 
-        Assigns variables sequentially; the closed matrix guarantees each
-        interval is non-empty.  Requires satisfiability.
+        Fixes the variables in order, each to a point of the interval that
+        the closed matrix leaves it once the earlier ones are fixed; every
+        value is pinned with two weak bounds on a copy, which stays closed,
+        so the interval is non-empty.  Requires satisfiability.
         """
         if not self.is_satisfiable():
             raise ValueError("system is unsatisfiable")
-        assign: dict[Clock, Fraction] = {ZERO_VAR: Fraction(0)}
-        for v in self.vars[1:]:
-            lo: Bound = None  # lower bound as (value, strict)
-            hi: Bound = None
-            for u, val in assign.items():
-                # v - u <= d(v,u)  =>  v <= val + d
-                d = self.bound(v, u)
-                cand = None if d is None else (val + d[0], d[1])
-                if hi is None or (cand is not None and (cand[0] < hi[0] or (cand[0] == hi[0] and cand[1]))):
-                    hi = cand
-                # u - v <= d(u,v)  =>  v >= val - d
-                d2 = self.bound(u, v)
-                cand2 = None if d2 is None else (val - d2[0], d2[1])
-                if lo is None or (cand2 is not None and (cand2[0] > lo[0] or (cand2[0] == lo[0] and cand2[1]))):
-                    lo = cand2
-            assign[v] = _pick(lo, hi)
-        del assign[ZERO_VAR]
+        probe = self.copy()
+        assign: dict[Clock, Fraction] = {}
+        for i, v in enumerate(self.vars[1:], start=1):
+            value = _pick(probe.m[0][i], probe.m[i][0], probe.scale)
+            probe.add_difference(v, ZERO_VAR, value, False)
+            probe.add_difference(ZERO_VAR, v, -value, False)
+            assign[v] = value
         return assign
 
 
-def _pick(lo: Bound, hi: Bound) -> Fraction:
-    if lo is None and hi is None:
-        return Fraction(0)
-    if lo is None:
-        return hi[0] - 1 if hi[1] else hi[0]
+def _pick(lo: Optional[int], hi: Optional[int], scale: int) -> Fraction:
+    """A value x with raw bounds ``lo`` on -x and ``hi`` on x.
+
+    A weak end of the interval is preferred (the lower one first), then
+    the midpoint; with one end unbounded, the finite end or, if strict,
+    one time unit inside it.
+    """
     if hi is None:
-        return lo[0] + 1 if lo[1] else lo[0]
-    if not lo[1] and lo[0] <= hi[0]:
-        if not (lo[0] == hi[0] and hi[1]):
-            return lo[0]
-    if not hi[1] and lo[0] <= hi[0]:
-        return hi[0]
-    return (lo[0] + hi[0]) / 2
+        if lo is None:
+            return Fraction(0)
+        return Fraction(-(lo >> 1) + (0 if lo & 1 else scale), scale)
+    h = hi >> 1
+    if lo is None:
+        return Fraction(h - (0 if hi & 1 else scale), scale)
+    low = -(lo >> 1)
+    if lo & 1 and low <= h and not (low == h and not hi & 1):
+        return Fraction(low, scale)
+    if hi & 1 and low <= h:
+        return Fraction(h, scale)
+    return Fraction(low + h, 2 * scale)
 
 
 # ---------------------------------------------------------------------------

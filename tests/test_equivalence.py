@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from tadet.core import Atom, Clock, TRUE, Transition, conj, make_automaton, timed_trace
-from tadet.corpus import coffee_machine, nondet_silent_a
+from tadet.corpus import coffee_machine, nondet_plain_c, nondet_silent_a
+from tadet.determinize import determinize_guard_oriented
 from tadet.equivalence import (
     language_equal,
     obs_var,
@@ -100,3 +101,10 @@ def test_sampling_matches_across_equal_automata():
 def test_obs_vars_are_stable():
     assert obs_var(1).name == "t1"
     assert obs_var(2) == obs_var(2)
+
+
+def test_plain_c_depth_8_guard_oriented_output_is_language_equal():
+    # regression: this check branched over thousands of difference systems
+    # inside difference_witness, each closed from scratch, and ran for minutes
+    tree = tree_of(nondet_plain_c(), 8)
+    assert language_equal(tree, determinize_guard_oriented(tree)).equal
