@@ -28,7 +28,6 @@ from .core import (
     guard_clocks,
 )
 from .determinize import (
-    DeterminizeConfig,
     determinize_guard_oriented,
     determinize_standard,
     pipeline_on_the_fly,
@@ -48,6 +47,7 @@ EXIT_RESOURCE = 4
 EXIT_NOT_EQUIVALENT = 5
 
 VARIANTS = ("std", "new", "otf")
+_PRUNE_OTF_MESSAGE = "--prune-leaves cannot be combined with --variant otf"
 
 
 @dataclass
@@ -104,6 +104,8 @@ def run_pipeline(
     """Unfold, rename, remove silent steps and determinize; timed stages."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant: {variant}")
+    if variant == "otf" and prune_leaves:
+        raise ValueError(_PRUNE_OTF_MESSAGE)
     report = PipelineReport(variant=variant, depth=depth)
 
     def staged(name: str, f, *args):
@@ -164,7 +166,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--depth", type=int, required=True, help="unfolding depth k >= 1")
     parser.add_argument("--variant", choices=VARIANTS, default="new")
     parser.add_argument("--prune-leaves", action="store_true",
-                        help="drop non-accepting unfolding leaves")
+                        help="drop non-accepting unfolding leaves "
+                             "(std and new only; rejected with --variant otf)")
     parser.add_argument("--emit", choices=("json", "dot", "smt2"),
                         help="write the determinized automaton to stdout")
     parser.add_argument("--check-equiv", action="store_true",
@@ -177,6 +180,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE if e.code else EXIT_OK
     if args.depth < 1:
         return _fail(EXIT_USAGE, "usage", "--depth must be at least 1")
+    if args.variant == "otf" and args.prune_leaves:
+        return _fail(EXIT_USAGE, "usage", _PRUNE_OTF_MESSAGE)
 
     try:
         model = _load(args.input)

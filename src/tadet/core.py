@@ -7,9 +7,9 @@ that guard evaluation at integer bounds is never subject to rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Hashable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Hashable, Iterable, Mapping, Optional, Union
 
 Rational = Union[int, Fraction]
 LocId = Hashable
@@ -516,15 +516,8 @@ def check_run(a: TimedAutomaton, r: Run, require_well_behaving: bool = True) -> 
     return True
 
 
-def final_location(a: TimedAutomaton, r: Run) -> LocId:
-    loc = a.initial
-    for _, t in r.steps:
-        loc = t.target
-    return loc
-
-
 # ---------------------------------------------------------------------------
-# structural checks and stats
+# structural checks
 
 
 def check_strong_responsiveness(a: TimedAutomaton) -> bool:
@@ -547,30 +540,3 @@ def check_strong_responsiveness(a: TimedAutomaton) -> bool:
         return True
 
     return all(dfs(u) for u in list(adj) if color.get(u, WHITE) == WHITE)
-
-
-@dataclass(frozen=True)
-class AutomatonStats:
-    locations: int
-    transitions: int
-    silent: int
-    max_out_degree: int
-    avg_out_degree: float
-
-
-def observable_out_degree_stats(a: TimedAutomaton) -> AutomatonStats:
-    degree: dict[LocId, int] = {q: 0 for q in a.locations}
-    silent = 0
-    for t in a.transitions:
-        degree[t.source] += 1
-        if t.is_silent:
-            silent += 1
-    n = len(a.locations)
-    m = len(a.transitions)
-    return AutomatonStats(
-        locations=n,
-        transitions=m,
-        silent=silent,
-        max_out_degree=max(degree.values(), default=0),
-        avg_out_degree=(m / n) if n else 0.0,
-    )

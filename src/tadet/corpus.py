@@ -7,7 +7,6 @@ generator of strongly responsive automata.
 from __future__ import annotations
 
 import random
-from typing import Optional
 
 from .core import (
     TRUE,

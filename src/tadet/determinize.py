@@ -4,39 +4,31 @@ Two constructions are provided.  The guard-oriented one merges all
 same-action edges of a location into at most two target locations (one
 accepting, one not), pushing each edge's guard onto the subtree below it
 as a diagonal constraint relative to the merge reset; the accepting and
-non-accepting targets share their subtrees, so the result is a DAG.  The
-standard one is a subset construction over guard regions and always
+non-accepting targets share their subtrees, so the result is a DAG.  Its
+on-the-fly variant also shares locations with identical pending content.
+The standard one is a subset construction over guard regions and always
 yields a tree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import (
-    TRUE,
     Atom,
     Clock,
-    FalseGuard,
     Guard,
     StructuralError,
     Transition,
     canonical_guard,
     conj,
     disj,
-    guard_atoms,
     level_clock,
     map_atoms,
 )
-from .unfold import Tree, TreeNode
+from .silent import remove_all_silent
+from .unfold import Tree, TreeNode, rename_clocks, unfold
 from . import solver
-
-
-@dataclass
-class DeterminizeConfig:
-    prune_unsat_edges: bool = True
-    dnf_limit: int = 10**6
 
 
 def rebase_guard(g: Guard, anchor: Clock) -> Guard:
@@ -76,50 +68,80 @@ def _group_by_action(edges: list[_Edge]) -> list[tuple[str, list[_Edge]]]:
     return [(a, groups[a]) for a in order]
 
 
-def determinize_guard_oriented(tree: Tree, config: Optional[DeterminizeConfig] = None) -> Tree:
+def _merge(tree: Tree, share: bool) -> Tree:
     """Merge same-action edges per location into accepting/non-accepting pairs.
 
     The two merged locations have identical outgoing behaviour, so they
     share one jointly constructed subtree; the output is a DAG over fresh
-    location ids.
+    location ids.  With ``share``, locations and their out-edges are also
+    memoized on (level, acceptance, pending out-edges up to subtree
+    identity), so a location reached along different traces with the same
+    pending content is built once.
     """
-    cfg = config or DeterminizeConfig()
     if not tree.renamed:
         raise StructuralError("determinization requires a renamed tree")
     children = tree.build_children_index()
     out = Tree(root=0, depth=tree.depth, renamed=True)
-    out.nodes[0] = TreeNode(0, tree.nodes[tree.root].origin, 0,
-                            accepting=tree.nodes[tree.root].accepting)
-    counter = [1]
+    node_memo: dict = {}
+    edge_memo: dict = {}
 
-    def fresh(origin, level: int, accepting: bool) -> int:
-        nid = counter[0]
-        counter[0] += 1
+    # structural signature of an input subtree, interned to small ints
+    sig_ids: dict = {}
+    sig: dict[int, int] = {}
+
+    def signature(nid: int) -> int:
+        if nid in sig:
+            return sig[nid]
+        entry = (
+            tree.nodes[nid].accepting,
+            tuple(sorted(
+                ((t.action, canonical_guard(t.guard),
+                  tuple(sorted(c.name for c in t.resets)), signature(t.target))
+                 for t in children[nid]),
+                key=repr,
+            )),
+        )
+        sid = sig_ids.setdefault(entry, len(sig_ids))
+        sig[nid] = sid
+        return sid
+
+    def content(edges: list[_Edge]) -> tuple:
+        return tuple(sorted(
+            ((a, canonical_guard(g), signature(t)) for a, g, t in edges), key=repr
+        ))
+
+    def pending(t: int) -> list[_Edge]:
+        return [(c.action, c.guard, c.target) for c in children[t]]
+
+    def node(edges: list[_Edge], level: int, accepting: bool, origin, sub=None) -> int:
+        """A location at ``level`` with ``edges`` pending; ``sub``: its out-edges."""
+        if share:
+            key = (level, accepting, content(edges))
+            if key in node_memo:
+                return node_memo[key]
+        nid = len(out.nodes)
         out.nodes[nid] = TreeNode(nid, origin, level, accepting=accepting)
+        if share:
+            node_memo[key] = nid
+        resets = frozenset((level_clock(level + 1),))
+        for (a, g, t) in expand(edges, level) if sub is None else sub:
+            out.transitions.append(Transition(nid, t, a, g, resets))
         return nid
 
-    def sat(g: Guard) -> bool:
-        if not cfg.prune_unsat_edges:
-            return not isinstance(g, FalseGuard)
-        return solver.is_satisfiable(g, dnf_limit=cfg.dnf_limit)
-
     def expand(edges: list[_Edge], level: int) -> list[tuple[str, Guard, int]]:
-        """Build the subtree for a merged location; returns its out-edges."""
+        """Out-edges of the (merged) location at ``level`` with ``edges`` pending."""
+        if share:
+            key = (level, content(edges))
+            if key in edge_memo:
+                return edge_memo[key]
         result: list[tuple[str, Guard, int]] = []
         for action, group in _group_by_action(edges):
             if len(group) == 1:
                 _, g, t = group[0]
-                if not sat(g):
-                    continue
-                child_edges: list[_Edge] = [
-                    (c.action, c.guard, c.target) for c in children[t]
-                ]
-                nid = fresh(tree.nodes[t].origin, level + 1, tree.nodes[t].accepting)
-                for (ca, cg, ct) in expand(child_edges, level + 1):
-                    out.transitions.append(
-                        Transition(nid, ct, ca, cg, frozenset((level_clock(level + 2),)))
-                    )
-                result.append((action, g, nid))
+                if solver.is_satisfiable(g):
+                    src = tree.nodes[t]
+                    nid = node(pending(t), level + 1, src.accepting, src.origin)
+                    result.append((action, g, nid))
                 continue
 
             anchor = level_clock(level + 1)
@@ -127,7 +149,7 @@ def determinize_guard_oriented(tree: Tree, config: Optional[DeterminizeConfig] =
             nacc_guards: list[Guard] = []
             merged_child: list[_Edge] = []
             for _, g, t in group:
-                if not sat(g):
+                if not solver.is_satisfiable(g):
                     continue
                 if tree.nodes[t].accepting:
                     acc_guards.append(g)
@@ -136,42 +158,38 @@ def determinize_guard_oriented(tree: Tree, config: Optional[DeterminizeConfig] =
                 push = rebase_guard(g, anchor)
                 for c in children[t]:
                     cg = conj(c.guard, push)
-                    if sat(cg):
+                    if solver.is_satisfiable(cg):
                         merged_child.append((c.action, cg, c.target))
 
             sub = expand(merged_child, level + 1)
             origins = tuple(sorted(str(tree.nodes[t].origin) for _, _, t in group))
-
-            def attach(nid: int) -> None:
-                for (ca, cg, ct) in sub:
-                    out.transitions.append(
-                        Transition(nid, ct, ca, cg, frozenset((level_clock(level + 2),)))
-                    )
-
-            g_acc = disj(*acc_guards)
-            if acc_guards and sat(g_acc):
-                nid_acc = fresh(origins, level + 1, True)
-                attach(nid_acc)
-                result.append((action, g_acc, nid_acc))
+            # each accepting guard is satisfiable, hence so is their disjunction
+            if acc_guards:
+                g_acc = disj(*acc_guards)
+                nid = node(merged_child, level + 1, True, origins, sub)
+                result.append((action, g_acc, nid))
             if nacc_guards:
                 g_nacc = disj(*nacc_guards)
                 if acc_guards:
                     g_nacc = conj(g_nacc, solver.complement_guard(g_acc))
-                if sat(g_nacc):
-                    nid_nacc = fresh(origins, level + 1, False)
-                    attach(nid_nacc)
-                    result.append((action, g_nacc, nid_nacc))
+                if solver.is_satisfiable(g_nacc):
+                    nid = node(merged_child, level + 1, False, origins, sub)
+                    result.append((action, g_nacc, nid))
+        if share:
+            edge_memo[key] = result
         return result
 
-    root_edges: list[_Edge] = [
-        (c.action, c.guard, c.target) for c in children[tree.root]
-    ]
-    for (ca, cg, ct) in expand(root_edges, 0):
-        out.transitions.append(Transition(0, ct, ca, cg, frozenset((level_clock(1),))))
+    root = tree.nodes[tree.root]
+    node(pending(tree.root), 0, root.accepting, root.origin)
     return out
 
 
-def determinize_standard(tree: Tree, config: Optional[DeterminizeConfig] = None) -> Tree:
+def determinize_guard_oriented(tree: Tree) -> Tree:
+    """The guard-oriented merge; the output is a DAG over fresh location ids."""
+    return _merge(tree, share=False)
+
+
+def determinize_standard(tree: Tree) -> Tree:
     """Subset construction over guard regions.
 
     For each location and action with edges guarded g_1..g_m, every
@@ -179,7 +197,6 @@ def determinize_standard(tree: Tree, config: Optional[DeterminizeConfig] = None)
     conjoined with the complements of the rest; its target merges the
     member targets.  The output is a tree.
     """
-    cfg = config or DeterminizeConfig()
     if not tree.renamed:
         raise StructuralError("determinization requires a renamed tree")
     children = tree.build_children_index()
@@ -187,11 +204,6 @@ def determinize_standard(tree: Tree, config: Optional[DeterminizeConfig] = None)
     out.nodes[0] = TreeNode(0, tree.nodes[tree.root].origin, 0,
                             accepting=tree.nodes[tree.root].accepting)
     counter = [1]
-
-    def sat(g: Guard) -> bool:
-        if not cfg.prune_unsat_edges:
-            return not isinstance(g, FalseGuard)
-        return solver.is_satisfiable(g, dnf_limit=cfg.dnf_limit)
 
     def build(members: frozenset[int], nid: int, level: int) -> None:
         edges: list[_Edge] = []
@@ -206,7 +218,7 @@ def determinize_standard(tree: Tree, config: Optional[DeterminizeConfig] = None)
                     *(g for _, g, _ in sel),
                     *(solver.complement_guard(g) for _, g, _ in rest),
                 )
-                if not sat(guard):
+                if not solver.is_satisfiable(guard):
                     continue
                 targets = frozenset(t for _, _, t in sel)
                 accepting = any(tree.nodes[t].accepting for t in targets)
@@ -223,132 +235,17 @@ def determinize_standard(tree: Tree, config: Optional[DeterminizeConfig] = None)
     return out
 
 
-def pipeline_on_the_fly(a, k: int, config: Optional[DeterminizeConfig] = None) -> Tree:
-    """Unfold, rename, remove silent steps and determinize in one pass.
+def pipeline_on_the_fly(a, k: int) -> Tree:
+    """The staged pipeline, then the guard-oriented merge with sharing.
 
-    Same merge rule as :func:`determinize_guard_oriented`, but merged
-    locations are memoized on their structural content (level, acceptance,
-    pending out-edges up to subtree identity), so a location reached along
-    different traces with the same clock resets is processed once and the
-    output DAG stays small where the staged construction copies subtrees.
+    Runs ``remove_all_silent(rename_clocks(unfold(a, k)))`` and merges as
+    :func:`determinize_guard_oriented` does, but builds a location only
+    once per (level, acceptance, pending out-edges up to subtree identity):
+    a location reached along different traces with the same clock resets
+    is shared, so the output DAG stays small where the guard-oriented
+    construction copies subtrees.
     """
-    from .silent import remove_all_silent
-    from .unfold import rename_clocks, unfold
-
-    cfg = config or DeterminizeConfig()
-    tree = remove_all_silent(rename_clocks(unfold(a, k)))
-    children = tree.build_children_index()
-
-    # structural signature of an input subtree, interned to small ints
-    sig_ids: dict = {}
-    sig: dict[int, int] = {}
-
-    def signature(nid: int) -> int:
-        if nid in sig:
-            return sig[nid]
-        node = tree.nodes[nid]
-        entry = (
-            node.accepting,
-            tuple(sorted(
-                ((t.action, canonical_guard(t.guard),
-                  tuple(sorted(c.name for c in t.resets)), signature(t.target))
-                 for t in children[nid]),
-                key=repr,
-            )),
-        )
-        sid = sig_ids.setdefault(entry, len(sig_ids))
-        sig[nid] = sid
-        return sid
-
-    out = Tree(root=0, depth=tree.depth, renamed=True)
-    out.nodes[0] = TreeNode(0, tree.nodes[tree.root].origin, 0,
-                            accepting=tree.nodes[tree.root].accepting)
-    counter = [1]
-    node_memo: dict = {}
-    edge_memo: dict = {}
-
-    def sat(g: Guard) -> bool:
-        if not cfg.prune_unsat_edges:
-            return not isinstance(g, FalseGuard)
-        return solver.is_satisfiable(g, dnf_limit=cfg.dnf_limit)
-
-    def edge_key(e: _Edge):
-        action, g, t = e
-        return (action, canonical_guard(g), signature(t))
-
-    def node_for(edges: list[_Edge], level: int, accepting: bool, origin) -> int:
-        key = (level, accepting, tuple(sorted(map(edge_key, edges), key=repr)))
-        if key in node_memo:
-            return node_memo[key]
-        nid = counter[0]
-        counter[0] += 1
-        out.nodes[nid] = TreeNode(nid, origin, level, accepting=accepting)
-        node_memo[key] = nid
-        for (ca, cg, ct) in expand(edges, level):
-            out.transitions.append(
-                Transition(nid, ct, ca, cg, frozenset((level_clock(level + 1),)))
-            )
-        return nid
-
-    def expand(edges: list[_Edge], level: int) -> list[tuple[str, Guard, int]]:
-        """Out-edges of the (merged) location at ``level`` with ``edges`` pending."""
-        key = (level, tuple(sorted(map(edge_key, edges), key=repr)))
-        if key in edge_memo:
-            return edge_memo[key]
-        result: list[tuple[str, Guard, int]] = []
-        for action, group in _group_by_action(edges):
-            if len(group) == 1:
-                _, g, t = group[0]
-                if not sat(g):
-                    continue
-                child_edges: list[_Edge] = [
-                    (c.action, c.guard, c.target) for c in children[t]
-                ]
-                nid = node_for(child_edges, level + 1,
-                               tree.nodes[t].accepting, tree.nodes[t].origin)
-                result.append((action, g, nid))
-                continue
-
-            anchor = level_clock(level + 1)
-            acc_guards: list[Guard] = []
-            nacc_guards: list[Guard] = []
-            merged_child: list[_Edge] = []
-            for _, g, t in group:
-                if not sat(g):
-                    continue
-                if tree.nodes[t].accepting:
-                    acc_guards.append(g)
-                else:
-                    nacc_guards.append(g)
-                push = rebase_guard(g, anchor)
-                for c in children[t]:
-                    cg = conj(c.guard, push)
-                    if sat(cg):
-                        merged_child.append((c.action, cg, c.target))
-
-            origins = tuple(sorted(str(tree.nodes[t].origin) for _, _, t in group))
-            g_acc = disj(*acc_guards)
-            if acc_guards and sat(g_acc):
-                result.append(
-                    (action, g_acc, node_for(merged_child, level + 1, True, origins))
-                )
-            if nacc_guards:
-                g_nacc = disj(*nacc_guards)
-                if acc_guards:
-                    g_nacc = conj(g_nacc, solver.complement_guard(g_acc))
-                if sat(g_nacc):
-                    result.append(
-                        (action, g_nacc, node_for(merged_child, level + 1, False, origins))
-                    )
-        edge_memo[key] = result
-        return result
-
-    root_edges: list[_Edge] = [
-        (c.action, c.guard, c.target) for c in children[tree.root]
-    ]
-    for (ca, cg, ct) in expand(root_edges, 0):
-        out.transitions.append(Transition(0, ct, ca, cg, frozenset((level_clock(1),))))
-    return out
+    return _merge(remove_all_silent(rename_clocks(unfold(a, k))), share=True)
 
 
 def check_deterministic(tree: Tree) -> bool:

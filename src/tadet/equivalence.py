@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 from .core import (
     FALSE,
@@ -21,7 +21,6 @@ from .core import (
     Clock,
     FalseGuard,
     Guard,
-    StructuralError,
     TimedTrace,
     conj,
     disj,

@@ -15,7 +15,6 @@ from typing import Optional
 
 from .core import (
     FALSE,
-    TRUE,
     And,
     Atom,
     Clock,
@@ -27,8 +26,6 @@ from .core import (
     UnsupportedInputError,
     X0,
     conj,
-    guard_atoms,
-    guard_clocks,
     simplify_conjunction,
 )
 from .unfold import Tree
@@ -103,11 +100,6 @@ def build_context(tree: Tree, silent: Transition) -> SilentContext:
         reset_clock=x_s,
         augmented_guard=g_aug,
     )
-
-
-def set_lower_bound(ctx: SilentContext) -> Guard:
-    """g'_{s,0}: the silent guard with the always-true floor 0 <= x_s."""
-    return ctx.augmented_guard
 
 
 def enabling_guard(ctx: SilentContext) -> Guard:

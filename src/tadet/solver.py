@@ -1,10 +1,10 @@
 """Satisfiability of clock guards via strictness-aware difference systems.
 
 Guards are conjunctions/disjunctions of unary and diagonal atoms with
-integer bounds: pure difference logic.  Satisfiability goes through DNF
-expansion and shortest-path closure of a bound matrix over the clocks plus
-a zero reference; a negative cycle means UNSAT.  SMT-LIB export is kept for
-differential testing against an external solver.
+integer bounds: pure difference logic.  Satisfiability branches over the
+disjunctions lazily and closes a bound matrix over the clocks plus a zero
+reference by shortest paths; a negative cycle means UNSAT.  SMT-LIB export
+is kept for differential testing against an external solver.
 
 The matrix holds each bound as one Python int, ``(c * scale) << 1 | weak``
 (the raw encoding of the UPPAAL DBM library), so closure does integer
@@ -17,9 +17,7 @@ Semantics, Algorithms and Tools*, 2004).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -37,7 +35,6 @@ from .core import (
     conj,
     disj,
     guard_clocks,
-    map_atoms,
 )
 
 _REL_COMPLEMENT = {"<": ">=", "<=": ">", ">=": "<", ">": "<="}
@@ -257,8 +254,9 @@ class DifferenceSystem:
         collapsed onto one representative and chained with equalities; among
         representatives an entry is dropped when it is the exact sum of two
         others (minimal-form argument for closed matrices without zero
-        cycles).  With ``skip_nonneg`` the plain x >= 0 entries are omitted
-        and must be supplied as ambient constraints by the caller.
+        cycles).  With ``skip_nonneg`` the plain x >= 0 entries (raw ``<= 0``
+        on 0 - x) are omitted and must be supplied as ambient constraints by
+        the caller.
         """
         if not self.is_satisfiable():
             raise ValueError("system is unsatisfiable")
@@ -300,7 +298,7 @@ class DifferenceSystem:
                 d = m[u][v]
                 if d is None:
                     continue
-                if skip_nonneg and v == 0 and d == _RAW_ZERO:
+                if skip_nonneg and u == 0 and d == _RAW_ZERO:
                     continue
                 redundant = any(
                     w != u and w != v and m[u][w] is not None and m[w][v] is not None
@@ -358,43 +356,6 @@ def _pick(lo: Optional[int], hi: Optional[int], scale: int) -> Fraction:
     if hi & 1 and low <= h:
         return Fraction(h, scale)
     return Fraction(low + h, 2 * scale)
-
-
-# ---------------------------------------------------------------------------
-# DNF
-
-
-def dnf(g: Guard, limit: int = DEFAULT_DNF_LIMIT) -> list[tuple[Atom, ...]]:
-    """Disjunctive normal form as a list of atom conjunctions.
-
-    An empty list is False; a list containing an empty tuple covers True.
-    Raises :class:`ResourceLimitError` when the expansion would exceed
-    ``limit`` conjuncts.
-    """
-    if isinstance(g, TrueGuard):
-        return [()]
-    if isinstance(g, FalseGuard):
-        return []
-    if isinstance(g, Atom):
-        return [(g,)]
-    if isinstance(g, Or):
-        out: list[tuple[Atom, ...]] = []
-        for p in g.parts:
-            out.extend(dnf(p, limit))
-            if len(out) > limit:
-                raise ResourceLimitError(f"DNF exceeds {limit} conjuncts")
-        return out
-    if isinstance(g, And):
-        acc: list[tuple[Atom, ...]] = [()]
-        for p in g.parts:
-            branch = dnf(p, limit)
-            if len(acc) * max(len(branch), 1) > limit:
-                raise ResourceLimitError(f"DNF exceeds {limit} conjuncts")
-            acc = [c1 + c2 for c1 in acc for c2 in branch]
-            if not acc:
-                return []
-        return acc
-    raise TypeError(f"not a guard: {g!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -572,9 +533,8 @@ def difference_witness(
 
 
 def implies(g1: Guard, g2: Guard, nonneg: Optional[Iterable[Clock]] = None) -> bool:
-    """g1 => g2, i.e. g1 & ~g2 is unsatisfiable."""
-    nn = guard_clocks(g1) | guard_clocks(g2) if nonneg is None else frozenset(nonneg)
-    return not is_satisfiable(conj(g1, complement_guard(g2)), nonneg=nn)
+    """g1 => g2, i.e. no point satisfies g1 but not g2."""
+    return difference_witness(g1, g2, nonneg) is None
 
 
 def equivalent(g1: Guard, g2: Guard, nonneg: Optional[Iterable[Clock]] = None) -> bool:

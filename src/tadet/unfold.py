@@ -16,12 +16,10 @@ from .core import (
     TRUE,
     Clock,
     Guard,
-    LocId,
     StructuralError,
     TimedAutomaton,
     Transition,
     TrueGuard,
-    UnsupportedInputError,
     X0,
     check_strong_responsiveness,
     guard_clocks,
@@ -53,9 +51,6 @@ class Tree:
     renamed: bool = False
 
     # -- structure ---------------------------------------------------------
-
-    def out_edges(self, nid: int) -> list[Transition]:
-        return [t for t in self.transitions if t.source == nid]
 
     def build_children_index(self) -> dict[int, list[Transition]]:
         idx: dict[int, list[Transition]] = {n: [] for n in self.nodes}

@@ -53,6 +53,18 @@ def test_depth_zero_is_usage_error():
     assert main(["--input", COFFEE, "--depth", "0"]) == EXIT_USAGE
 
 
+def test_prune_leaves_with_otf_is_usage_error(capsys):
+    # the on-the-fly pipeline unfolds without pruning, so the flag would be
+    # ignored while --check-equiv built a pruned reference
+    argv = ["--input", COFFEE, "--depth", "3", "--variant", "otf", "--prune-leaves"]
+    assert main(argv) == EXIT_USAGE
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["code"] == "usage" and "--prune-leaves" in error["message"]
+    with pytest.raises(ValueError):
+        run_pipeline(coffee_machine(), 3, "otf", prune_leaves=True)
+    assert main(argv[:-1]) == EXIT_OK
+
+
 def test_missing_input_is_usage_error(tmp_path):
     assert main(["--input", str(tmp_path / "nope.json"), "--depth", "2"]) == EXIT_USAGE
 

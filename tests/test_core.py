@@ -12,7 +12,6 @@ from tadet.core import (
     Clock,
     FalseGuard,
     StructuralError,
-    TrueGuard,
     canonical_guard,
     check_run,
     check_strong_responsiveness,
@@ -23,7 +22,6 @@ from tadet.core import (
     guard_clocks,
     level_clock,
     make_automaton,
-    observable_out_degree_stats,
     run_of,
     silent_clock,
     simplify_conjunction,
@@ -154,10 +152,3 @@ def test_strong_responsiveness():
         ],
     )
     assert not check_strong_responsiveness(looped)
-
-
-def test_out_degree_stats():
-    s = observable_out_degree_stats(coffee_machine())
-    assert (s.locations, s.transitions, s.silent) == (5, 6, 1)
-    assert s.max_out_degree == 2
-    assert s.avg_out_degree == pytest.approx(6 / 5)

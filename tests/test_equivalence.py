@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from tadet.core import Atom, Clock, TRUE, Transition, conj, make_automaton, timed_trace
+from tadet.core import (
+    Atom, Clock, TRUE, Transition, conj, guard_atoms, make_automaton, timed_trace,
+)
 from tadet.corpus import coffee_machine, nondet_plain_c, nondet_silent_a
 from tadet.determinize import determinize_guard_oriented
 from tadet.equivalence import (
@@ -41,6 +43,16 @@ def test_path_constraints_words():
     assert () in words  # accepting root
     assert ("coin", "beep", "refund") in words
     assert ("coin", "beep", "coffee") in words
+
+
+def test_projected_path_constraints_omit_nonnegativity():
+    # coin.beep.coffee passes the silent brew step, so its formula is the
+    # projection written by reduced_atoms, which leaves every t >= 0 to the
+    # callers (they all impose it)
+    f = path_constraints(tree_of(coffee_machine(), 4))[("coin", "beep", "coffee")]
+    atoms = guard_atoms(f)
+    assert atoms
+    assert not [a for a in atoms if a.right is None and a.rel == ">=" and a.bound == 0]
 
 
 def test_equal_automata_report_equal():

@@ -1,4 +1,4 @@
-"""Difference-system solver: complements, DNF, satisfiability, witnesses."""
+"""Difference-system solver: complements, satisfiability, witnesses."""
 
 from fractions import Fraction
 from itertools import product
@@ -20,7 +20,6 @@ from tadet.solver import (
     complement_atom,
     complement_guard,
     difference_witness,
-    dnf,
     feasible_systems,
     implies,
     is_satisfiable,
@@ -74,12 +73,6 @@ def test_complement_atom_is_semantic_negation(a, v):
 @given(guards(), st.dictionaries(clocks_st, st.integers(0, 16).map(lambda n: Fraction(n, 4)), min_size=3))
 def test_complement_guard_is_semantic_negation(g, v):
     assert eval_guard(complement_guard(g), v) == (not eval_guard(g, v))
-
-
-@given(guards(), st.dictionaries(clocks_st, st.integers(0, 16).map(lambda n: Fraction(n, 4)), min_size=3))
-def test_dnf_preserves_semantics(g, v):
-    expanded = disj(*(conj(*c) for c in dnf(g)))
-    assert eval_guard(expanded, v) == eval_guard(g, v)
 
 
 @settings(max_examples=200)

@@ -92,7 +92,7 @@ def test_rename_gives_one_fresh_reset_per_edge():
 
 def test_renamed_guards_use_most_recent_reset():
     t = rename_clocks(unfold(nondet_silent_a(), 3))
-    root_edges = t.out_edges(t.root)
+    root_edges = t.build_children_index()[t.root]
     for tr in root_edges:
         if not isinstance(tr.guard, TrueGuard):
             assert guard_clocks(tr.guard) == frozenset((X0,))
