@@ -302,36 +302,30 @@ def simplify_conjunction(g: Guard) -> Guard:
     else:
         return g
 
-    # key -> (value, strict) tightest bound on (left - right)
-    uppers: dict[tuple[Clock, Optional[Clock]], tuple[Rational, bool]] = {}
-    lowers: dict[tuple[Clock, Optional[Clock]], tuple[Rational, bool]] = {}
-
-    def put(table, key, value, strict, tighter):
-        cur = table.get(key)
-        if cur is None or tighter((value, strict), cur):
-            table[key] = (value, strict)
-
-    def tighter_upper(a, b):  # smaller value, or same value but strict
-        return a[0] < b[0] or (a[0] == b[0] and a[1] and not b[1])
-
-    def tighter_lower(a, b):
-        return a[0] > b[0] or (a[0] == b[0] and a[1] and not b[1])
-
+    # (left, right) -> [tightest lower, tightest upper] bound on left - right,
+    # each (value, strict) or None
+    bounds: dict[tuple[Clock, Optional[Clock]], list] = {}
     for a in atoms:
         key = (a.left, a.right)
-        if a.rel in ("<", "<="):
-            put(uppers, key, a.bound, a.rel == "<", tighter_upper)
-        elif a.rel in (">", ">="):
-            put(lowers, key, a.bound, a.rel == ">", tighter_lower)
-        else:  # '='
-            put(uppers, key, a.bound, False, tighter_upper)
-            put(lowers, key, a.bound, False, tighter_lower)
+        b = bounds.get(key)
+        if b is None:
+            b = bounds[key] = [None, None]
+        rel, value = a.rel, a.bound
+        if rel != "<" and rel != "<=":  # a lower bound ('=' is both)
+            strict = rel == ">"
+            lo = b[0]
+            if lo is None or value > lo[0] or (value == lo[0] and strict and not lo[1]):
+                b[0] = (value, strict)
+        if rel != ">" and rel != ">=":  # an upper bound
+            strict = rel == "<"
+            up = b[1]
+            if up is None or value < up[0] or (value == up[0] and strict and not up[1]):
+                b[1] = (value, strict)
 
     out: list[Guard] = []
-    for key in sorted(set(uppers) | set(lowers), key=lambda k: (k[0].name, k[1].name if k[1] else "")):
-        left, right = key
-        up = uppers.get(key)
-        lo = lowers.get(key)
+    for (left, right), (lo, up) in sorted(
+        bounds.items(), key=lambda kv: (kv[0][0].name, kv[0][1].name if kv[0][1] else "")
+    ):
         if up is not None and lo is not None:
             if lo[0] > up[0] or (lo[0] == up[0] and (lo[1] or up[1])):
                 return FALSE
@@ -398,9 +392,6 @@ class TimedAutomaton:
             for c in guard_clocks(t.guard) | t.resets:
                 if c not in self.clocks:
                     raise StructuralError(f"transition {i} references undeclared clock {c.name}")
-
-    def out_transitions(self, q: LocId) -> list[Transition]:
-        return [t for t in self.transitions if t.source == q]
 
     def invariant(self, q: LocId) -> Guard:
         return self.invariants.get(q, TRUE)

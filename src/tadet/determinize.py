@@ -181,6 +181,9 @@ def _merge(tree: Tree, share: bool) -> Tree:
 
     root = tree.nodes[tree.root]
     node(pending(tree.root), 0, root.accepting, root.origin)
+    # the nested functions reach each other through their closures; drop
+    # them so that the memos are freed on return, not at the next collection
+    signature = node = expand = None
     return out
 
 
@@ -232,6 +235,7 @@ def determinize_standard(tree: Tree) -> Tree:
                 build(targets, cid, level + 1)
 
     build(frozenset((tree.root,)), 0, 0)
+    build = None  # its closure refers to itself; free the index on return
     return out
 
 

@@ -22,8 +22,10 @@ from .core import (
     FalseGuard,
     Guard,
     TimedTrace,
+    Transition,
     conj,
     disj,
+    eval_guard,
     guard_atoms,
     map_atoms,
 )
@@ -106,24 +108,39 @@ def _zero_holds(rel: str, bound) -> bool:
     return 0 > bound
 
 
-def _accepting_paths(tree: Tree):
-    """All root paths ending at an accepting node (DAG-safe)."""
+def _accepting_paths(tree: Tree, word: Optional[tuple[str, ...]] = None):
+    """All root paths ending at an accepting node (DAG-safe), depth-first;
+    with ``word``, only those whose observable word is ``word``, leaving a
+    branch as soon as its actions stop being a prefix of it.
+    """
     children = tree.build_children_index()
-    path: list = []
-
-    def walk(nid: int):
-        if tree.nodes[nid].accepting:
+    path: list[Transition] = []
+    # (edge into the node or None at the root, path length above the edge,
+    # observable events on the path including the edge)
+    stack: list[tuple[Optional[Transition], int, int]] = [(None, 0, 0)]
+    while stack:
+        edge, depth, seen = stack.pop()
+        del path[depth:]
+        if edge is None:
+            nid = tree.root
+        else:
+            path.append(edge)
+            nid = edge.target
+        if tree.nodes[nid].accepting and (word is None or seen == len(word)):
             yield tuple(path)
-        for t in children[nid]:
-            path.append(t)
-            yield from walk(t.target)
-            path.pop()
-
-    yield from walk(tree.root)
+        for t in reversed(children[nid]):
+            if t.is_silent:
+                stack.append((t, len(path), seen))
+            elif word is None or (seen < len(word) and t.action == word[seen]):
+                stack.append((t, len(path), seen + 1))
 
 
 def _path_formula(tree: Tree, path) -> PathConstraint:
-    """Constraint over observable timestamps for one accepting path."""
+    """Constraint over observable timestamps for one accepting path.
+
+    Timestamps are non-decreasing along the path; that they are
+    non-negative is left to the consumers, which all impose it.
+    """
     word: list[str] = []
     step_vars: list[Clock] = []
     silent_vars: list[Clock] = []
@@ -138,7 +155,8 @@ def _path_formula(tree: Tree, path) -> PathConstraint:
             word.append(t.action)
             var = obs_var(len(word))
         step_vars.append(var)
-        parts.append(Atom(var, ">=", 0, prev) if prev is not None else Atom(var, ">=", 0))
+        if prev is not None:
+            parts.append(Atom(var, ">=", 0, prev))
         parts.append(_translate_guard(t.guard, var, reset_at))
         for c in t.resets:
             reset_at[c] = var
@@ -192,14 +210,11 @@ def language_equal(t1: Tree, t2: Tree, k: Optional[int] = None) -> EquivalenceRe
 
 def trace_in_language(t: Tree, trace: TimedTrace) -> bool:
     """Exact membership of a concrete timed trace (silent times solved for)."""
-    m = path_constraints(t)
-    f = m.get(trace.word)
-    if f is None:
-        return False
     valuation = {obs_var(j + 1): ts for j, (ts, _) in enumerate(trace.events)}
-    from .core import eval_guard
-
-    return eval_guard(f, valuation)
+    return any(
+        eval_guard(_path_formula(t, path).formula, valuation)
+        for path in _accepting_paths(t, trace.word)
+    )
 
 
 def sample_traces(

@@ -6,6 +6,11 @@ guard onto the silent target's successors, rewriting every future guard
 that refers to the silent transition's reset clock, and adding
 synchronization constraints between such future guards on the same path.
 The output accepts exactly the same observable timed traces.
+
+The rounds share one index of the tree's edges (each node's out-edges and
+incoming edge, and the list order as a linked list) that is updated in
+place as edges move, so a round costs the size of the silent target's
+subtree, not of the whole tree.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .core import (
     conj,
     simplify_conjunction,
 )
-from .unfold import Tree
+from .unfold import Tree, TreeNode
 
 
 @dataclass
@@ -81,11 +86,11 @@ def _unary_conjunction_atoms(g: Guard) -> list[Atom]:
 
 
 def build_context(tree: Tree, silent: Transition) -> SilentContext:
-    pred = None
-    for t in tree.transitions:
-        if t.target == silent.source:
-            pred = t
-            break
+    pred = next((t for t in tree.transitions if t.target == silent.source), None)
+    return _context(silent, pred)
+
+
+def _context(silent: Transition, pred: Optional[Transition]) -> SilentContext:
     if pred is not None and pred.is_silent:
         raise StructuralError("not a first-from-root silent transition")
     x_s = next(iter(pred.resets)) if pred is not None else X0
@@ -213,114 +218,110 @@ def _guard_split_on(g: Guard, clock: Clock) -> tuple[list[Atom], list[Guard]]:
     return on, rest
 
 
-def build_bypass(ctx: SilentContext, tree: Tree) -> Tree:
-    """Insert the bypass transition that replaces taking the silent step.
+class _Edges:
+    """The edges of a tree under removal, by slot, with the structural
+    indexes kept up to date as edges move.
 
-    The bypass copies the observable predecessor's action and reset and
-    conjoins the enabling guard, targeting the silent transition's target
-    directly.  Requires a non-root silent source.
+    The input edges take slots 0..m-1 in list order; a bypass takes the
+    next free slot and is linked into the list order right after its
+    predecessor.
     """
-    if ctx.predecessor is None:
-        raise StructuralError("root-silent case needs no bypass")
-    pred = ctx.predecessor
-    bypass = Transition(
-        pred.source,
-        ctx.target,
-        pred.action,
-        simplify_conjunction(conj(pred.guard, enabling_guard(ctx))),
-        frozenset((ctx.reset_clock,)),
-    )
-    pos = next(i for i, t in enumerate(tree.transitions) if id(t) == id(pred))
-    tree.transitions.insert(pos + 1, bypass)
-    return tree
+
+    def __init__(self, tree: Tree) -> None:
+        self.edge: list[Optional[Transition]] = list(tree.transitions)  # None once removed
+        self.after: list[int] = [*range(1, len(self.edge)), -1]  # next slot in list order
+        self.out: dict[int, list[int]] = {n: [] for n in tree.nodes}  # in list order
+        self.into: dict[int, int] = {}
+        for s, t in enumerate(self.edge):
+            self.out[t.source].append(s)
+            self.into[t.target] = s
+
+    def replace(self, s: int, source: int, guard: Guard) -> None:
+        t = self.edge[s]
+        self.edge[s] = Transition(source, t.target, t.action, guard, t.resets)
+
+    def insert_after(self, pred: int, t: Transition) -> None:
+        s = len(self.edge)
+        self.edge.append(t)
+        self.after.append(self.after[pred])
+        self.after[pred] = s
+        siblings = self.out[t.source]
+        siblings.insert(siblings.index(pred) + 1, s)
+        self.into[t.target] = s
+
+    def remove(self, s: int) -> None:
+        self.out[self.edge[s].source].remove(s)
+        self.edge[s] = None
+
+    def prune(self, s: int, nodes: dict[int, TreeNode]) -> None:
+        """Drop an edge that can never fire, together with everything below it."""
+        stack = [self.edge[s].target]
+        self.remove(s)
+        while stack:
+            n = stack.pop()
+            del nodes[n], self.into[n]
+            for c in self.out.pop(n):
+                stack.append(self.edge[c].target)
+                self.edge[c] = None
+
+    def transitions(self) -> list[Transition]:
+        out: list[Transition] = []
+        s = 0 if self.edge else -1
+        while s != -1:
+            if self.edge[s] is not None:
+                out.append(self.edge[s])
+            s = self.after[s]
+        return out
 
 
-def _apply_taken_guard(ctx: SilentContext, tree: Tree) -> None:
-    tg = taken_guard(ctx)
-    for i, t in enumerate(tree.transitions):
-        if t.source == ctx.target:
-            tree.transitions[i] = Transition(
-                t.source, t.target, t.action, conj(t.guard, tg), t.resets
-            )
-
-
-def update_future_guards(ctx: SilentContext, tree: Tree) -> Tree:
-    """Rewrite every guard below the silent target that reads its clock,
-    synchronize pairs of such guards on a common path, and drop the
-    silent transition.
+def _update_future_guards(ctx: SilentContext, edges: _Edges) -> None:
+    """Conjoin the taken guard onto the silent target's out-edges, rewrite
+    every guard below the target that reads the silent clock, and
+    synchronize pairs of such guards on a common path.
     """
     x_s0 = ctx.silent_clock
     atoms = _unary_conjunction_atoms(ctx.augmented_guard)
     silent_lowers, silent_uppers = _split_bounds(atoms)
-    exact: Optional[tuple[Clock, int]] = None
-    for a in atoms:
-        if a.rel == "=":
-            exact = (a.left, a.bound)
-            break
+    exact = next(((a.left, a.bound) for a in atoms if a.rel == "="), None)
 
-    children = tree.build_children_index()
-    index_of = {id(t): i for i, t in enumerate(tree.transitions)}
+    tg = taken_guard(ctx)
+    for s in edges.out[ctx.target]:
+        edges.replace(s, ctx.target, conj(edges.edge[s].guard, tg))
 
-    def walk(nid: int, placed: list[tuple[Clock, list[Atom]]]) -> None:
-        for t in children[nid]:
-            on, rest = _guard_split_on(t.guard, x_s0)
-            if on:
-                if isinstance(simplify_conjunction(conj(*on)), FalseGuard):
-                    # contradictory constraints on the silent clock
-                    new_guard: Guard = FALSE
-                else:
-                    replaced = _updated_atoms(ctx, on, silent_lowers, silent_uppers, exact)
-                    sync: list[Atom] = []
-                    for earlier_reset, earlier_atoms in placed:
-                        sync.extend(_sync_atoms(earlier_atoms, earlier_reset, on))
-                    new_guard = simplify_conjunction(conj(*rest, *replaced, *sync))
-                tree.transitions[index_of[id(t)]] = Transition(
-                    t.source, t.target, t.action, new_guard, t.resets
-                )
-                (own_reset,) = t.resets
-                walk(t.target, placed + [(own_reset, on)])
-            else:
-                walk(t.target, placed)
-
-    walk(ctx.target, [])
-    tree.transitions = [t for t in tree.transitions if id(t) != id(ctx.silent)]
-    return tree
-
-
-def remove_one(tree: Tree, ctx: SilentContext) -> None:
-    """One round of removal: bypass, taken guard, future update, cleanup."""
-    if ctx.predecessor is not None:
-        build_bypass(ctx, tree)
-    elif isinstance(enabling_guard(ctx), FalseGuard):
-        # a root silent transition that can never fire
-        _prune_subtree(tree, ctx.silent)
-        return
-    _apply_taken_guard(ctx, tree)
-    update_future_guards(ctx, tree)
-    if ctx.predecessor is None:
-        # silent from the root: attach the target's subtree to the root
-        for i, t in enumerate(tree.transitions):
-            if t.source == ctx.target:
-                tree.transitions[i] = Transition(ctx.source, t.target, t.action, t.guard, t.resets)
-        del tree.nodes[ctx.target]
-
-
-def _first_silent(tree: Tree) -> Optional[Transition]:
-    """First silent transition in depth-first (transition list) order."""
-    children = tree.build_children_index()
-    stack = [tree.root]
+    # depth-first over edges; ``placed`` holds the rewritten ancestors'
+    # resets and original atoms on the silent clock
+    stack: list[tuple[int, list[tuple[Clock, list[Atom]]]]] = [
+        (s, []) for s in reversed(edges.out[ctx.target])
+    ]
     while stack:
-        nid = stack.pop()
-        kids = children[nid]
-        for t in kids:
-            if t.is_silent:
-                return t
-        stack.extend(t.target for t in reversed(kids))
-    return None
+        s, placed = stack.pop()
+        t = edges.edge[s]
+        on, rest = _guard_split_on(t.guard, x_s0)
+        if on:
+            if isinstance(simplify_conjunction(conj(*on)), FalseGuard):
+                # contradictory constraints on the silent clock
+                new_guard: Guard = FALSE
+            else:
+                replaced = _updated_atoms(ctx, on, silent_lowers, silent_uppers, exact)
+                sync: list[Atom] = []
+                for earlier_reset, earlier_atoms in placed:
+                    sync.extend(_sync_atoms(earlier_atoms, earlier_reset, on))
+                new_guard = simplify_conjunction(conj(*rest, *replaced, *sync))
+            edges.replace(s, t.source, new_guard)
+            (own_reset,) = t.resets
+            placed = placed + [(own_reset, on)]
+        stack.extend((c, placed) for c in reversed(edges.out[t.target]))
 
 
 def remove_all_silent(t: Tree) -> Tree:
-    """Iterate Algorithm 1 until no silent transitions remain."""
+    """Iterate Algorithm 1 until no silent transitions remain.
+
+    Each round removes the first silent transition in depth-first
+    (transition-list) order.  The search resumes after each round instead
+    of restarting from the root: a round leaves everything before the
+    popped node unchanged, so the search goes on at that node, and after a
+    bypass at the silent target, now the node's next sibling.
+    """
     if not t.renamed:
         raise StructuralError("silent removal requires a renamed tree")
     for info in t.nodes.values():
@@ -329,32 +330,48 @@ def remove_all_silent(t: Tree) -> Tree:
                 "transformation pipeline supports only trivial location invariants"
             )
     out = t.copy()
-    while True:
-        silent = _first_silent(out)
-        if silent is None:
-            break
-        if isinstance(simplify_conjunction(silent.guard), FalseGuard):
-            _prune_subtree(out, silent)
-            continue
-        ctx = build_context(out, silent)
-        if isinstance(simplify_conjunction(ctx.augmented_guard), FalseGuard):
-            _prune_subtree(out, silent)
-            continue
-        remove_one(out, ctx)
-    return out
-
-
-def _prune_subtree(tree: Tree, edge: Transition) -> None:
-    """Drop an edge that can never fire, together with everything below it."""
-    children = tree.build_children_index()
-    doomed = {edge.target}
-    stack = [edge.target]
+    edges = _Edges(out)
+    stack = [out.root]
     while stack:
-        for t in children[stack.pop()]:
-            doomed.add(t.target)
-            stack.append(t.target)
-    tree.transitions = [
-        t for t in tree.transitions
-        if id(t) != id(edge) and t.source not in doomed
-    ]
-    tree.nodes = {n: i for n, i in tree.nodes.items() if n not in doomed}
+        n = stack.pop()
+        if n not in out.nodes:
+            continue  # pruned
+        s = next((s for s in edges.out[n] if edges.edge[s].is_silent), None)
+        if s is None:
+            stack.extend(edges.edge[c].target for c in reversed(edges.out[n]))
+            continue
+        silent = edges.edge[s]
+        p = edges.into.get(n)
+        # an unsatisfiable silent guard leaves the augmented guard unsatisfiable
+        ctx = _context(silent, None if p is None else edges.edge[p])
+        if (isinstance(simplify_conjunction(ctx.augmented_guard), FalseGuard)
+                or (p is None and isinstance(enabling_guard(ctx), FalseGuard))):
+            edges.prune(s, out.nodes)
+            stack.append(n)
+            continue
+        edges.remove(s)
+        if p is not None:
+            pred = ctx.predecessor
+            edges.insert_after(p, Transition(
+                pred.source,
+                ctx.target,
+                pred.action,
+                simplify_conjunction(conj(pred.guard, enabling_guard(ctx))),
+                frozenset((ctx.reset_clock,)),
+            ))
+        _update_future_guards(ctx, edges)
+        if p is None:
+            # silent from the root: attach the target's subtree to the root.
+            # Root rounds all come before the first bypass (the root is
+            # searched first and never gets a silent edge back), so slot
+            # numbers are still list positions here.
+            moved = edges.out.pop(ctx.target)
+            for c in moved:
+                edges.replace(c, n, edges.edge[c].guard)
+            edges.out[n] = sorted(edges.out[n] + moved)
+            del out.nodes[ctx.target], edges.into[ctx.target]
+            stack.append(n)
+        else:
+            stack += [ctx.target, n]
+    out.transitions = edges.transitions()
+    return out

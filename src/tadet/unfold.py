@@ -126,6 +126,10 @@ def unfold(a: TimedAutomaton, k: int, prune_nonaccepting_leaves: bool = False) -
     if not check_strong_responsiveness(a):
         raise StructuralError("automaton contains a silent loop (not strongly responsive)")
 
+    out_edges: dict[Hashable, list[Transition]] = {}
+    for t in a.transitions:
+        out_edges.setdefault(t.source, []).append(t)
+
     tree = Tree(root=0, depth=k)
     tree.nodes[0] = TreeNode(
         nid=0,
@@ -143,7 +147,7 @@ def unfold(a: TimedAutomaton, k: int, prune_nonaccepting_leaves: bool = False) -
         if info.obs_level >= k:
             continue
         children: list[int] = []
-        for t in a.out_transitions(info.origin):
+        for t in out_edges.get(info.origin, ()):
             if t.is_silent:
                 cid = next_id
                 next_id += 1
@@ -179,19 +183,13 @@ def unfold(a: TimedAutomaton, k: int, prune_nonaccepting_leaves: bool = False) -
 
 def _prune_nonaccepting(tree: Tree) -> None:
     children = tree.build_children_index()
-    keep: set[int] = set()
-
-    def visit(nid: int) -> bool:
-        useful = tree.nodes[nid].accepting
-        for t in children[nid]:
-            if visit(t.target):
-                useful = True
-        if useful:
+    order = [tree.root]  # every node after its parent
+    for nid in order:
+        order.extend(t.target for t in children[nid])
+    keep: set[int] = {tree.root}
+    for nid in reversed(order):
+        if tree.nodes[nid].accepting or any(t.target in keep for t in children[nid]):
             keep.add(nid)
-        return useful
-
-    visit(tree.root)
-    keep.add(tree.root)
     tree.nodes = {n: i for n, i in tree.nodes.items() if n in keep}
     tree.transitions = [t for t in tree.transitions if t.source in keep and t.target in keep]
 
@@ -216,13 +214,18 @@ def rename_clocks(t: Tree) -> Tree:
         out.nodes[nid] = TreeNode(nid, info.origin, info.obs_level, info.silent_index,
                                   info.accepting, info.invariant)
 
-    children = t.build_children_index()
-    order: dict[int, int] = {id(tr): i for i, tr in enumerate(t.transitions)}
-    new_edges: list[tuple[int, Transition]] = []
+    out_edges: dict[int, list[int]] = {n: [] for n in t.nodes}
+    for i, tr in enumerate(t.transitions):
+        out_edges[tr.source].append(i)
+    renamed: list[Optional[Transition]] = [None] * len(t.transitions)
 
-    def walk(nid: int, subst: dict[Clock, Clock]) -> None:
+    root_subst = {c: X0 for tr in t.transitions for c in guard_clocks(tr.guard) | set(tr.resets)}
+    stack: list[tuple[int, dict[Clock, Clock]]] = [(t.root, root_subst)]
+    while stack:
+        nid, subst = stack.pop()
         info = t.nodes[nid]
-        for tr in children[nid]:
+        for i in out_edges[nid]:
+            tr = t.transitions[i]
             if tr.is_silent:
                 j = t.nodes[tr.target].silent_index
                 fresh = silent_clock(info.obs_level, j if j is not None else 0)
@@ -232,13 +235,7 @@ def rename_clocks(t: Tree) -> Tree:
             sub2 = dict(subst)
             for c in tr.resets:
                 sub2[c] = fresh
-            new_edges.append(
-                (order[id(tr)], Transition(tr.source, tr.target, tr.action, guard, frozenset((fresh,))))
-            )
-            walk(tr.target, sub2)
-
-    root_subst = {c: X0 for tr in t.transitions for c in guard_clocks(tr.guard) | set(tr.resets)}
-    walk(t.root, root_subst)
-    new_edges.sort(key=lambda e: e[0])
-    out.transitions = [tr for _, tr in new_edges]
+            renamed[i] = Transition(tr.source, tr.target, tr.action, guard, frozenset((fresh,)))
+            stack.append((tr.target, sub2))
+    out.transitions = [tr for tr in renamed if tr is not None]
     return out

@@ -1,11 +1,14 @@
 """Bounded language comparison and the sampling cross-check."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from tadet.core import (
-    Atom, Clock, TRUE, Transition, conj, guard_atoms, make_automaton, timed_trace,
+    Atom, Clock, TRUE, Transition, conj, eval_guard, guard_atoms, make_automaton,
+    timed_trace,
 )
 from tadet.corpus import coffee_machine, nondet_plain_c, nondet_silent_a
 from tadet.determinize import determinize_guard_oriented
@@ -46,13 +49,16 @@ def test_path_constraints_words():
 
 
 def test_projected_path_constraints_omit_nonnegativity():
-    # coin.beep.coffee passes the silent brew step, so its formula is the
-    # projection written by reduced_atoms, which leaves every t >= 0 to the
-    # callers (they all impose it)
-    f = path_constraints(tree_of(coffee_machine(), 4))[("coin", "beep", "coffee")]
-    atoms = guard_atoms(f)
-    assert atoms
-    assert not [a for a in atoms if a.right is None and a.rel == ">=" and a.bound == 0]
+    # on the unfolded tree coin.beep.coffee passes the silent brew step, so
+    # its formula is the projection written by reduced_atoms; on the removed
+    # tree it is the path formula as written.  Both leave every t >= 0 to
+    # the callers (they all impose it)
+    tree = tree_of(coffee_machine(), 4)
+    for t in (tree, remove_all_silent(tree)):
+        f = path_constraints(t)[("coin", "beep", "coffee")]
+        atoms = guard_atoms(f)
+        assert atoms
+        assert not [a for a in atoms if a.right is None and a.rel == ">=" and a.bound == 0]
 
 
 def test_equal_automata_report_equal():
@@ -81,6 +87,26 @@ def test_trace_membership_solves_silent_times():
     assert trace_in_language(t, ok)
     late = timed_trace((1, "coin"), (Fraction(5, 2), "beep"), (6, "coffee"))
     assert not trace_in_language(t, late)
+
+
+def test_trace_membership_matches_path_constraints():
+    # membership builds only the trace word's paths; its verdicts are those
+    # of that word's formula in the full path constraints
+    t = tree_of(nondet_silent_a(), 5)
+    pc = path_constraints(t)
+    rng = random.Random(5)
+    accepted = rejected = 0
+    for n in range(6):
+        for word in itertools.product(("alpha", "beta"), repeat=n):
+            for _ in range(3):
+                times = list(itertools.accumulate(Fraction(rng.randrange(4), 2) for _ in word))
+                valuation = {obs_var(j): ts for j, ts in enumerate(times, start=1)}
+                expected = word in pc and eval_guard(pc[word], valuation)
+                assert trace_in_language(t, timed_trace(*zip(times, word))) == expected
+                if word:
+                    accepted += expected
+                    rejected += not expected
+    assert accepted and rejected
 
 
 def test_bound_k_restricts_word_length():

@@ -1,18 +1,23 @@
 """Silent-transition removal: bypass, taken guard, future updates."""
 
+import hashlib
 import pytest
 from fractions import Fraction
 
 from tadet import solver
 from tadet.core import (
     Atom,
+    Clock,
     StructuralError,
+    Transition,
     conj,
     level_clock,
+    make_automaton,
     silent_clock,
     timed_trace,
 )
-from tadet.corpus import NAMED_MODELS, coffee_machine, sync_chain
+from tadet.corpus import NAMED_MODELS, coffee_machine, random_automaton, sync_chain
+from tadet.modelio import serialize_model
 from tadet.equivalence import language_equal, trace_in_language
 from tadet.silent import build_context, enabling_guard, remove_all_silent, taken_guard
 from tadet.unfold import rename_clocks, unfold
@@ -109,3 +114,62 @@ def test_leading_silent_reattaches_children_to_root():
     assert t.silent_count() == 0
     assert all(tr.source != t.root or not tr.is_silent for tr in t.transitions)
     assert any(tr.source == t.root and tr.action == "alpha" for tr in t.transitions)
+
+
+# serialize_model digests of the removed trees, one configuration per
+# removal path; each round removes the first silent edge in depth-first
+# order, so the digests also pin that order
+@pytest.mark.parametrize("make,k,digest", [
+    pytest.param(
+        NAMED_MODELS["nondet-silent-a"], 6,
+        "f239ba1f4c5386f1636b69a8f305c896c763570753f77e8f38d6ef80efa13d08",
+        id="bypass-chain-silent-a-6"),
+    pytest.param(
+        sync_chain, 3,
+        "2b6c93307c0f0656a38bc49db56a76964237a76a2444d382331ce6ee51bcac8c",
+        id="root-sync-chain-3"),
+    pytest.param(
+        lambda: random_automaton(18), 2,
+        "5842fdf93c701cb1592127421450bd76a0c346fa6e5627522c627d9dd63c5547",
+        id="root-random-18-2"),
+    pytest.param(
+        lambda: random_automaton(12), 2,
+        "ada093727fa99c492e6bc27dc1e293ae33c7dc269b12cd93fd07c6c9be96f7c7",
+        id="pruned-random-12-2"),
+    pytest.param(
+        lambda: random_automaton(16), 3,
+        "008ccbdeaf5494378df9a7ab99e7be5352c79771282c6fad681e8bd2283e2538",
+        id="pruned-random-16-3"),
+    pytest.param(
+        lambda: random_automaton(27), 2,
+        "32a13f4e08fd1a4230cfc1d038dd27097ba87b01194d957c1aeb68081cfd21d6",
+        id="pruned-random-27-2"),
+    pytest.param(
+        lambda: random_automaton(17), 4,
+        "fa5572a993e0dd643e3ea5cfe71520e249e3c2a229b432a025ffda55d359b789",
+        id="two-silent-from-one-node-random-17-4"),
+])
+def test_pinned_removal_outputs(make, k, digest):
+    t = remove_all_silent(rename_clocks(unfold(make(), k)))
+    text = serialize_model(t.to_automaton())
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_removal_on_a_deep_tree():
+    # 2200 edges deep, beyond the interpreter's recursion limit: every walk
+    # over the tree has to be iterative
+    x = Clock("x")
+    loop = make_automaton(
+        locations=["q0", "q1"], initial="q0", accepting=["q0"], clocks=[x],
+        transitions=[
+            Transition("q0", "q1", None, Atom(x, "<=", 1), frozenset((x,))),
+            Transition("q1", "q0", "a"),
+        ],
+    )
+    t = remove_all_silent(rename_clocks(unfold(loop, 1100)))
+    assert t.silent_count() == 0
+    children = t.build_children_index()
+    reached = [t.root]
+    for nid in reached:
+        reached.extend(tr.target for tr in children[nid])
+    assert sorted(reached) == sorted(t.nodes)

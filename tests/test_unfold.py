@@ -2,7 +2,10 @@
 
 import pytest
 
-from tadet.core import StructuralError, TrueGuard, guard_clocks, level_clock
+from tadet.core import (
+    Atom, Clock, StructuralError, Transition, TrueGuard, guard_clocks, level_clock,
+    make_automaton,
+)
 from tadet.corpus import (
     NAMED_MODELS,
     coffee_machine,
@@ -59,6 +62,22 @@ def test_prune_nonaccepting_leaves():
     for nid, node in pruned.nodes.items():
         if not children[nid]:
             assert node.accepting
+
+
+def test_deep_tree_is_pruned_and_renamed_iteratively():
+    # 2200 edges deep, beyond the interpreter's recursion limit; every
+    # level also has a non-accepting "b" leaf for the pruning to drop
+    x = Clock("x")
+    a = make_automaton(["q0", "q1", "q2"], "q0", ["q0"], [x], [
+        Transition("q0", "q1", None, Atom(x, "<=", 1), frozenset((x,))),
+        Transition("q1", "q0", "a"),
+        Transition("q0", "q2", "b"),
+    ])
+    assert unfold(a, 1100).location_count() == 3301
+    t = rename_clocks(unfold(a, 1100, prune_nonaccepting_leaves=True))
+    assert t.location_count() == 2201
+    assert {tr.action for tr in t.transitions} == {None, "a"}
+    assert t.transitions[-1].resets == frozenset((level_clock(1100),))
 
 
 def test_silent_loop_is_rejected():
