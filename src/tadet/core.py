@@ -215,19 +215,6 @@ def map_atoms(g: Guard, fn) -> Guard:
     return g
 
 
-def substitute_clock(g: Guard, old: Clock, new: Clock) -> Guard:
-    def sub(a: Atom) -> Guard:
-        left = new if a.left == old else a.left
-        right = new if a.right == old else a.right
-        if right is not None and left == right:
-            # x - x rel n collapses to 0 rel n
-            sat = _compare(0, a.rel, a.bound)
-            return TRUE if sat else FALSE
-        return Atom(left, a.rel, a.bound, right)
-
-    return map_atoms(g, sub)
-
-
 def rename_guard(g: Guard, mapping: Mapping[Clock, Clock]) -> Guard:
     def sub(a: Atom) -> Guard:
         left = mapping.get(a.left, a.left)
@@ -268,34 +255,15 @@ def eval_guard(g: Guard, valuation: Mapping[Clock, Rational]) -> bool:
     raise TypeError(f"not a guard: {g!r}")
 
 
-def _atom_key(a: Atom):
-    return (a.left.name, a.right.name if a.right else "", a.rel, a.bound)
-
-
-def canonical_guard(g: Guard) -> Guard:
-    """Sorted, deduplicated form usable as a dictionary key.
-
-    Purely syntactic; two semantically equal guards need not canonicalize
-    to the same value.
-    """
-    if isinstance(g, Atom) or isinstance(g, (TrueGuard, FalseGuard)):
-        return g
-    parts = tuple(canonical_guard(p) for p in g.parts)
-    seen = []
-    for p in sorted(set(parts), key=repr):
-        seen.append(p)
-    if isinstance(g, And):
-        return conj(*seen)
-    return disj(*seen)
-
-
 def simplify_conjunction(g: Guard) -> Guard:
     """Keep only the tightest lower/upper bound per clock (or clock pair).
 
-    Only applies when ``g`` is a conjunction of atoms; anything containing a
-    disjunction is returned unchanged.  Semantics-preserving.
+    Only applies when ``g`` is a conjunction of atoms; ``false`` and anything
+    containing a disjunction are returned unchanged.  Semantics-preserving.
     """
-    if isinstance(g, (TrueGuard, FalseGuard, Atom)):
+    if isinstance(g, FalseGuard):
+        return g
+    if isinstance(g, (TrueGuard, Atom)):
         atoms = guard_atoms(g)
     elif isinstance(g, And) and all(isinstance(p, Atom) for p in g.parts):
         atoms = list(g.parts)
@@ -395,9 +363,6 @@ class TimedAutomaton:
 
     def invariant(self, q: LocId) -> Guard:
         return self.invariants.get(q, TRUE)
-
-    def has_trivial_invariants(self) -> bool:
-        return all(isinstance(self.invariant(q), TrueGuard) for q in self.locations)
 
     def silent_transitions(self) -> list[Transition]:
         return [t for t in self.transitions if t.is_silent]
@@ -513,21 +478,20 @@ def check_run(a: TimedAutomaton, r: Run, require_well_behaving: bool = True) -> 
 
 def check_strong_responsiveness(a: TimedAutomaton) -> bool:
     """True iff the silent-transition subgraph is acyclic (no silent loops)."""
+    silent = a.silent_transitions()
     adj: dict[LocId, list[LocId]] = {}
-    for t in a.silent_transitions():
+    indegree: dict[LocId, int] = {}
+    for t in silent:
         adj.setdefault(t.source, []).append(t.target)
-    WHITE, GREY, BLACK = 0, 1, 2
-    color: dict[LocId, int] = {}
-
-    def dfs(u: LocId) -> bool:
-        color[u] = GREY
-        for v in adj.get(u, ()):
-            c = color.get(v, WHITE)
-            if c == GREY:
-                return False
-            if c == WHITE and not dfs(v):
-                return False
-        color[u] = BLACK
-        return True
-
-    return all(dfs(u) for u in list(adj) if color.get(u, WHITE) == WHITE)
+        indegree[t.target] = indegree.get(t.target, 0) + 1
+    # peel off locations that no remaining silent edge enters (Kahn's
+    # algorithm, with an explicit stack); the edges of a loop are never peeled
+    ready = [u for u in adj if u not in indegree]
+    peeled = 0
+    while ready:
+        for v in adj.get(ready.pop(), ()):
+            peeled += 1
+            indegree[v] -= 1
+            if not indegree[v]:
+                ready.append(v)
+    return peeled == len(silent)

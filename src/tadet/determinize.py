@@ -12,15 +12,18 @@ yields a tree.
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import cache
 from typing import Optional
 
 from .core import (
+    And,
     Atom,
     Clock,
     Guard,
+    Or,
     StructuralError,
     Transition,
-    canonical_guard,
     conj,
     disj,
     level_clock,
@@ -68,6 +71,18 @@ def _group_by_action(edges: list[_Edge]) -> list[tuple[str, list[_Edge]]]:
     return [(a, groups[a]) for a in order]
 
 
+def _guard_key(g: Guard):
+    """Sharing key of a guard that ignores the order of its parts: the atom
+    or constant itself, else (is a conjunction, frozenset of the part keys),
+    with a single distinct part collapsed to that part's key."""
+    if isinstance(g, (And, Or)):
+        keys = frozenset(_guard_key(p) for p in g.parts)
+        if len(keys) == 1:
+            return next(iter(keys))
+        return (isinstance(g, And), keys)
+    return g
+
+
 def _merge(tree: Tree, share: bool) -> Tree:
     """Merge same-action edges per location into accepting/non-accepting pairs.
 
@@ -84,8 +99,11 @@ def _merge(tree: Tree, share: bool) -> Tree:
     out = Tree(root=0, depth=tree.depth, renamed=True)
     node_memo: dict = {}
     edge_memo: dict = {}
+    # the same guards are tested many times over; the memo lives for this call
+    sat = cache(solver.is_satisfiable)
 
-    # structural signature of an input subtree, interned to small ints
+    # structural signature of an input subtree, interned to small ints;
+    # the entries are multisets, so equal out-edges in any order match
     sig_ids: dict = {}
     sig: dict[int, int] = {}
 
@@ -94,53 +112,58 @@ def _merge(tree: Tree, share: bool) -> Tree:
             return sig[nid]
         entry = (
             tree.nodes[nid].accepting,
-            tuple(sorted(
-                ((t.action, canonical_guard(t.guard),
-                  tuple(sorted(c.name for c in t.resets)), signature(t.target))
-                 for t in children[nid]),
-                key=repr,
-            )),
+            frozenset(Counter(
+                (t.action, _guard_key(t.guard), t.resets, signature(t.target))
+                for t in children[nid]
+            ).items()),
         )
         sid = sig_ids.setdefault(entry, len(sig_ids))
         sig[nid] = sid
         return sid
 
-    def content(edges: list[_Edge]) -> tuple:
-        return tuple(sorted(
-            ((a, canonical_guard(g), signature(t)) for a, g, t in edges), key=repr
-        ))
+    def content(edges: list[_Edge]):
+        """Memo key of the pending ``edges``; None without sharing."""
+        if not share:
+            return None
+        return frozenset(Counter(
+            (a, _guard_key(g), signature(t)) for a, g, t in edges
+        ).items())
 
-    def pending(t: int) -> list[_Edge]:
-        return [(c.action, c.guard, c.target) for c in children[t]]
+    def pending(t: int) -> tuple[list[_Edge], object]:
+        """The out-edges of input node ``t`` and their content."""
+        edges = [(c.action, c.guard, c.target) for c in children[t]]
+        return edges, content(edges)
 
-    def node(edges: list[_Edge], level: int, accepting: bool, origin, sub=None) -> int:
-        """A location at ``level`` with ``edges`` pending; ``sub``: its out-edges."""
+    def node(edges: list[_Edge], key, level: int, accepting: bool, origin, sub=None) -> int:
+        """A location at ``level`` with ``edges`` (content ``key``) pending;
+        ``sub``: its out-edges."""
         if share:
-            key = (level, accepting, content(edges))
-            if key in node_memo:
-                return node_memo[key]
+            memo_key = (level, accepting, key)
+            if memo_key in node_memo:
+                return node_memo[memo_key]
         nid = len(out.nodes)
         out.nodes[nid] = TreeNode(nid, origin, level, accepting=accepting)
         if share:
-            node_memo[key] = nid
+            node_memo[memo_key] = nid
         resets = frozenset((level_clock(level + 1),))
-        for (a, g, t) in expand(edges, level) if sub is None else sub:
+        for (a, g, t) in expand(edges, level, key) if sub is None else sub:
             out.transitions.append(Transition(nid, t, a, g, resets))
         return nid
 
-    def expand(edges: list[_Edge], level: int) -> list[tuple[str, Guard, int]]:
-        """Out-edges of the (merged) location at ``level`` with ``edges`` pending."""
+    def expand(edges: list[_Edge], level: int, key) -> list[tuple[str, Guard, int]]:
+        """Out-edges of the (merged) location at ``level`` with ``edges``
+        pending, whose content is ``key``."""
         if share:
-            key = (level, content(edges))
-            if key in edge_memo:
-                return edge_memo[key]
+            memo_key = (level, key)
+            if memo_key in edge_memo:
+                return edge_memo[memo_key]
         result: list[tuple[str, Guard, int]] = []
         for action, group in _group_by_action(edges):
             if len(group) == 1:
                 _, g, t = group[0]
-                if solver.is_satisfiable(g):
+                if sat(g):
                     src = tree.nodes[t]
-                    nid = node(pending(t), level + 1, src.accepting, src.origin)
+                    nid = node(*pending(t), level + 1, src.accepting, src.origin)
                     result.append((action, g, nid))
                 continue
 
@@ -149,7 +172,7 @@ def _merge(tree: Tree, share: bool) -> Tree:
             nacc_guards: list[Guard] = []
             merged_child: list[_Edge] = []
             for _, g, t in group:
-                if not solver.is_satisfiable(g):
+                if not sat(g):
                     continue
                 if tree.nodes[t].accepting:
                     acc_guards.append(g)
@@ -158,29 +181,30 @@ def _merge(tree: Tree, share: bool) -> Tree:
                 push = rebase_guard(g, anchor)
                 for c in children[t]:
                     cg = conj(c.guard, push)
-                    if solver.is_satisfiable(cg):
+                    if sat(cg):
                         merged_child.append((c.action, cg, c.target))
 
-            sub = expand(merged_child, level + 1)
+            child_key = content(merged_child)
+            sub = expand(merged_child, level + 1, child_key)
             origins = tuple(sorted(str(tree.nodes[t].origin) for _, _, t in group))
             # each accepting guard is satisfiable, hence so is their disjunction
             if acc_guards:
                 g_acc = disj(*acc_guards)
-                nid = node(merged_child, level + 1, True, origins, sub)
+                nid = node(merged_child, child_key, level + 1, True, origins, sub)
                 result.append((action, g_acc, nid))
             if nacc_guards:
                 g_nacc = disj(*nacc_guards)
                 if acc_guards:
                     g_nacc = conj(g_nacc, solver.complement_guard(g_acc))
-                if solver.is_satisfiable(g_nacc):
-                    nid = node(merged_child, level + 1, False, origins, sub)
+                if sat(g_nacc):
+                    nid = node(merged_child, child_key, level + 1, False, origins, sub)
                     result.append((action, g_nacc, nid))
         if share:
-            edge_memo[key] = result
+            edge_memo[memo_key] = result
         return result
 
     root = tree.nodes[tree.root]
-    node(pending(tree.root), 0, root.accepting, root.origin)
+    node(*pending(tree.root), 0, root.accepting, root.origin)
     # the nested functions reach each other through their closures; drop
     # them so that the memos are freed on return, not at the next collection
     signature = node = expand = None

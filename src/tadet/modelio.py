@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import re
 import xml.etree.ElementTree as ET
+from functools import cache
 from typing import Optional
 
 from .core import (
@@ -185,64 +186,73 @@ def parse_model(text: str) -> TimedAutomaton:
 # JSON writing
 
 
-def _atom_to_json(a: Atom) -> dict:
-    out = {"left": a.left.name, "rel": a.rel, "const": int(a.bound)}
-    if a.right is not None:
-        out["right"] = a.right.name
-    return out
-
-
-def _guard_node_to_json(g: Guard):
-    if isinstance(g, Atom):
-        return _atom_to_json(g)
-    if isinstance(g, And):
-        return {"all": [_guard_node_to_json(p) for p in g.parts]}
-    if isinstance(g, Or):
-        return {"any": [_guard_node_to_json(p) for p in g.parts]}
-    raise ValueError(f"guard constant cannot nest: {g}")
-
-
-def _guard_to_json(g: Guard) -> list:
-    if isinstance(g, TrueGuard):
-        return []
-    if isinstance(g, FalseGuard):
-        # empty disjunction: unsatisfiable
-        return [{"any": []}]
-    if isinstance(g, And):
-        return [_guard_node_to_json(p) for p in g.parts]
-    return [_guard_node_to_json(g)]
+_EMPTY_OR = Or(())  # how an unsatisfiable guard is written
 
 
 def serialize_model(a: TimedAutomaton) -> str:
-    """Canonical "ta/1" text: stable key order, locations and clocks sorted."""
-    doc = {
-        "format": FORMAT_TAG,
-        "clocks": sorted(c.name for c in a.clocks),
-        "locations": [
-            {
-                "id": str(q),
-                "accepting": q in a.accepting,
-                **(
-                    {"invariant": _guard_to_json(a.invariants[q])}
-                    if not isinstance(a.invariants.get(q, TRUE), TrueGuard)
-                    else {}
-                ),
-            }
-            for q in sorted(a.locations, key=str)
-        ],
-        "initial": str(a.initial),
-        "transitions": [
-            {
-                "source": str(t.source),
-                "target": str(t.target),
-                "action": "eps" if t.is_silent else t.action,
-                "guard": _guard_to_json(t.guard),
-                "resets": sorted(c.name for c in t.resets),
-            }
-            for t in a.transitions
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """Canonical "ta/1" text: stable key order, locations and clocks sorted.
+
+    The text is what ``json.dumps(doc, indent=2)`` gives for the document,
+    written directly: strings go through ``json.dumps``, so escaping is the
+    encoder's, and each guard node is written once per indentation (the
+    memo keys on object ids, which stay valid while ``a`` is alive).
+    """
+    q = cache(json.dumps)
+    nodes: dict[tuple[int, int], str] = {}
+
+    def items(texts: list[str], indent: int) -> str:
+        """A list of values already written, its brackets at ``indent``."""
+        if not texts:
+            return "[]"
+        pad = " " * (indent + 2)
+        return "[\n" + ",\n".join(pad + t for t in texts) + "\n" + " " * indent + "]"
+
+    def node(g: Guard, indent: int) -> str:
+        out = nodes.get((id(g), indent))
+        if out is None:
+            pad = "\n" + " " * (indent + 2)
+            if isinstance(g, Atom):
+                body = (f'"left": {q(g.left.name)},{pad}"rel": {q(g.rel)},'
+                        f'{pad}"const": {int(g.bound)}')
+                if g.right is not None:
+                    body += f',{pad}"right": {q(g.right.name)}'
+            elif isinstance(g, (And, Or)):
+                tag = "all" if isinstance(g, And) else "any"
+                body = f'"{tag}": ' + items([node(p, indent + 4) for p in g.parts], indent + 2)
+            else:
+                raise ValueError(f"guard constant cannot nest: {g}")
+            out = nodes[(id(g), indent)] = "{" + pad + body + "\n" + " " * indent + "}"
+        return out
+
+    def guard(g: Guard) -> str:
+        """A guard as the list of its conjuncts; every guard sits at indent 6."""
+        if isinstance(g, TrueGuard):
+            return "[]"
+        if isinstance(g, FalseGuard):
+            g = _EMPTY_OR
+        return items([node(p, 8) for p in (g.parts if isinstance(g, And) else (g,))], 6)
+
+    locations = []
+    for loc in sorted(a.locations, key=str):
+        accepting = "true" if loc in a.accepting else "false"
+        text = f'{{\n      "id": {q(str(loc))},\n      "accepting": {accepting}'
+        inv = a.invariants.get(loc, TRUE)
+        if not isinstance(inv, TrueGuard):
+            text += f',\n      "invariant": {guard(inv)}'
+        locations.append(text + "\n    }")
+    transitions = [
+        f'{{\n      "source": {q(str(t.source))},\n      "target": {q(str(t.target))},'
+        f'\n      "action": {q("eps" if t.is_silent else t.action)},'
+        f'\n      "guard": {guard(t.guard)},'
+        f'\n      "resets": {items([q(c) for c in sorted(c.name for c in t.resets)], 6)}\n    }}'
+        for t in a.transitions
+    ]
+    clocks = items([q(c) for c in sorted(c.name for c in a.clocks)], 2)
+    return (
+        f'{{\n  "format": {q(FORMAT_TAG)},\n  "clocks": {clocks},'
+        f'\n  "locations": {items(locations, 2)},\n  "initial": {q(str(a.initial))},'
+        f'\n  "transitions": {items(transitions, 2)}\n}}\n'
+    )
 
 
 # ---------------------------------------------------------------------------

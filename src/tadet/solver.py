@@ -471,13 +471,6 @@ def is_satisfiable(
     return next(feasible_systems(g, nonneg, limit=dnf_limit), None) is not None
 
 
-def satisfying_assignment(
-    g: Guard, nonneg: Optional[Iterable[Clock]] = None
-) -> Optional[dict[Clock, Fraction]]:
-    sys = next(feasible_systems(g, nonneg), None)
-    return None if sys is None else sys.witness()
-
-
 def _complement_branches(a: Atom) -> list[Atom]:
     if a.rel == "=":
         return [Atom(a.left, "<", a.bound, a.right), Atom(a.left, ">", a.bound, a.right)]

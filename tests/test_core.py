@@ -12,7 +12,6 @@ from tadet.core import (
     Clock,
     FalseGuard,
     StructuralError,
-    canonical_guard,
     check_run,
     check_strong_responsiveness,
     conj,
@@ -25,7 +24,6 @@ from tadet.core import (
     run_of,
     silent_clock,
     simplify_conjunction,
-    substitute_clock,
     timed_trace,
     Transition,
 )
@@ -79,24 +77,17 @@ def test_guard_clocks_and_atoms():
     assert len(guard_atoms(g)) == 3
 
 
-def test_substitute_clock():
-    z = Clock("z")
-    g = conj(Atom(X, "<", 2), Atom(X, ">", 0, Y))
-    h = substitute_clock(g, X, z)
-    assert guard_clocks(h) == frozenset((z, Y))
-    # a diagonal collapsing onto itself becomes a constant verdict
-    assert isinstance(substitute_clock(Atom(X, ">", 0, Y), X, Y), FalseGuard)
-
-
-@given(guards(), valuations)
-def test_canonical_guard_preserves_semantics(g, v):
-    assert eval_guard(canonical_guard(g), v) == eval_guard(g, v)
-
-
 @given(st.lists(atoms(), min_size=1, max_size=4), valuations)
 def test_simplify_conjunction_preserves_semantics(parts, v):
     g = conj(*parts)
     assert eval_guard(simplify_conjunction(g), v) == eval_guard(g, v)
+
+
+@given(st.one_of(st.just(FALSE), st.just(TRUE), st.lists(atoms(), min_size=1, max_size=4).map(
+    lambda ps: conj(*ps))), valuations)
+def test_simplify_conjunction_is_idempotent(g, v):
+    # contradictory inputs simplify to FALSE, which must simplify to itself
+    assert eval_guard(simplify_conjunction(simplify_conjunction(g)), v) == eval_guard(g, v)
 
 
 def test_simplify_conjunction_detects_contradiction():
@@ -152,3 +143,13 @@ def test_strong_responsiveness():
         ],
     )
     assert not check_strong_responsiveness(looped)
+
+
+def test_strong_responsiveness_on_a_long_silent_chain():
+    # 3000 silent edges, beyond the interpreter's recursion limit
+    n = 3000
+    chain = [Transition(f"q{i}", f"q{i + 1}", None, TRUE, frozenset((X,))) for i in range(n)]
+    locs = [f"q{i}" for i in range(n + 1)]
+    assert check_strong_responsiveness(make_automaton(locs, "q0", [f"q{n}"], [X], chain))
+    back = Transition(f"q{n}", "q0", None, TRUE, frozenset((X,)))
+    assert not check_strong_responsiveness(make_automaton(locs, "q0", [f"q{n}"], [X], chain + [back]))

@@ -1,5 +1,7 @@
 """Determinization variants and their agreement."""
 
+import hashlib
+
 import pytest
 
 from tadet import solver
@@ -13,6 +15,7 @@ from tadet.determinize import (
     rebase_guard,
 )
 from tadet.equivalence import language_equal
+from tadet.modelio import serialize_model
 from tadet.silent import remove_all_silent
 from tadet.unfold import rename_clocks, unfold
 
@@ -105,3 +108,32 @@ def test_silent_edge_rejected():
     t = rename_clocks(unfold(coffee_machine(), 3))
     with pytest.raises(StructuralError):
         determinize_guard_oriented(t)
+
+
+# serialize_model digests of merge outputs where same-action edges are
+# merged and, with otf, locations are shared; they pin the sharing keys
+# and the location numbering
+@pytest.mark.parametrize("make,k,new_digest,otf_digest", [
+    pytest.param(
+        NAMED_MODELS["nondet-silent-b"], 4,
+        "a44578dfb16fd521aabd8123e0ac6449318f55008cb47da61bb63ffdfe3545ac",
+        "3bc45d3be73a40987bde98d4e83be1fe0f90622b42f757d79b0b20c9a0d7fde9",
+        id="silent-b-4"),
+    pytest.param(
+        NAMED_MODELS["nondet-silent-a"], 5,
+        "a6158401481881d131bb30b14b07ce6f8ffaa1dbf7e2937ed9caf083d5870af1",
+        "5c62b0bd98e3ec58c5c1d75d0db6a7bf23d5c2a10a9a9234bafb4e956e412590",
+        id="silent-a-5"),
+    pytest.param(
+        lambda: random_automaton(17), 4,
+        "faae981998101672968e43ef87e01cd28abc9230085b7308137aadc85853dbbc",
+        "092bc758740f4d6eb4221539cd7f86b46edafc01cde818194716877b6e876729",
+        id="random-17-4"),
+])
+def test_pinned_merge_outputs(make, k, new_digest, otf_digest):
+    def digest(t):
+        return hashlib.sha256(serialize_model(t.to_automaton()).encode()).hexdigest()
+
+    new = determinize_guard_oriented(remove_all_silent(rename_clocks(unfold(make(), k))))
+    assert digest(new) == new_digest
+    assert digest(pipeline_on_the_fly(make(), k)) == otf_digest

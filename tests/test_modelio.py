@@ -5,8 +5,26 @@ from pathlib import Path
 
 import pytest
 
-from tadet.corpus import NAMED_MODELS, coffee_machine
-from tadet.determinize import determinize_guard_oriented
+from tadet.core import (
+    FALSE,
+    TRUE,
+    And,
+    Atom,
+    Clock,
+    FalseGuard,
+    Or,
+    Transition,
+    TrueGuard,
+    conj,
+    disj,
+    make_automaton,
+)
+from tadet.corpus import NAMED_MODELS, coffee_machine, random_automaton
+from tadet.determinize import (
+    determinize_guard_oriented,
+    determinize_standard,
+    pipeline_on_the_fly,
+)
 from tadet.modelio import (
     ParseError,
     UnsupportedXmlError,
@@ -46,6 +64,116 @@ def test_pipeline_output_round_trips():
     text = serialize_model(d.to_automaton())
     assert serialize_model(parse_model(text)) == text
     assert '"any"' in text  # merged guards carry disjunction
+
+
+# reference for serialize_model: the document as nested dicts and lists,
+# encoded by json.dumps(indent=2)
+
+
+def _ref_node(g):
+    if isinstance(g, Atom):
+        out = {"left": g.left.name, "rel": g.rel, "const": int(g.bound)}
+        if g.right is not None:
+            out["right"] = g.right.name
+        return out
+    if isinstance(g, And):
+        return {"all": [_ref_node(p) for p in g.parts]}
+    if isinstance(g, Or):
+        return {"any": [_ref_node(p) for p in g.parts]}
+    raise ValueError(f"guard constant cannot nest: {g}")
+
+
+def _ref_guard(g):
+    if isinstance(g, TrueGuard):
+        return []
+    if isinstance(g, FalseGuard):
+        return [{"any": []}]
+    if isinstance(g, And):
+        return [_ref_node(p) for p in g.parts]
+    return [_ref_node(g)]
+
+
+def reference_text(a):
+    doc = {
+        "format": "ta/1",
+        "clocks": sorted(c.name for c in a.clocks),
+        "locations": [
+            {
+                "id": str(q),
+                "accepting": q in a.accepting,
+                **(
+                    {"invariant": _ref_guard(a.invariants[q])}
+                    if not isinstance(a.invariants.get(q, TRUE), TrueGuard)
+                    else {}
+                ),
+            }
+            for q in sorted(a.locations, key=str)
+        ],
+        "initial": str(a.initial),
+        "transitions": [
+            {
+                "source": str(t.source),
+                "target": str(t.target),
+                "action": "eps" if t.is_silent else t.action,
+                "guard": _ref_guard(t.guard),
+                "resets": sorted(c.name for c in t.resets),
+            }
+            for t in a.transitions
+        ],
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def _pipeline_outputs():
+    for name in sorted(NAMED_MODELS):
+        for k in (2, 3):
+            tree = rename_clocks(unfold(NAMED_MODELS[name](), k))
+            removed = remove_all_silent(tree)
+            yield f"{name}-{k}-tree", tree.to_automaton()
+            yield f"{name}-{k}-new", determinize_guard_oriented(removed).to_automaton()
+            yield f"{name}-{k}-otf", pipeline_on_the_fly(NAMED_MODELS[name](), k).to_automaton()
+        removed = remove_all_silent(rename_clocks(unfold(NAMED_MODELS[name](), 2)))
+        yield f"{name}-2-std", determinize_standard(removed).to_automaton()
+    for seed in range(12, 24):
+        yield f"random-{seed}", random_automaton(seed)
+        yield f"random-{seed}-3-otf", pipeline_on_the_fly(random_automaton(seed), 3).to_automaton()
+
+
+def test_writer_matches_reference_on_models_and_outputs():
+    for name in sorted(NAMED_MODELS):
+        a = NAMED_MODELS[name]()
+        assert serialize_model(a) == reference_text(a), name
+    for label, a in _pipeline_outputs():
+        assert serialize_model(a) == reference_text(a), label
+
+
+def test_writer_matches_reference_on_hand_built_cases():
+    x, y, z = Clock("x"), Clock("y"), Clock("z")
+    quoted = 'q"1'
+    slashed = "q\\2"
+    accented = "q\u00e93"
+    nested = conj(
+        Atom(x, "<", 3),
+        disj(Atom(y, ">=", 1), conj(Atom(x, "=", 2, y), Atom(z, ">", 0))),
+    )
+    shared = Atom(z, "<=", 4)
+    a = make_automaton(
+        locations=["q0", quoted, slashed, accented],
+        initial="q0",
+        accepting=[quoted, accented],
+        clocks=[x, y, z],
+        transitions=[
+            Transition("q0", quoted, "a", FALSE),
+            Transition(quoted, slashed, None, nested, frozenset((x, y, z))),
+            Transition(slashed, accented, "b\\c", disj(shared, Atom(x, ">", 1, z))),
+            Transition(accented, "q0", "\u00e9", shared, frozenset((y,))),
+            Transition("q0", "q0", "d", TRUE),
+        ],
+        invariants={quoted: Atom(x, "<=", 5), accented: nested, slashed: FALSE},
+    )
+    assert serialize_model(a) == reference_text(a)
+    bare = make_automaton(["only"], "only", [], [], [])
+    assert serialize_model(bare) == reference_text(bare)
 
 
 def test_missing_field_diagnostic():

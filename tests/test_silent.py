@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from tadet import solver
 from tadet.core import (
+    TRUE,
     Atom,
     Clock,
     StructuralError,
@@ -107,6 +108,46 @@ def test_sync_chain_couples_both_future_guards():
 def test_removal_preserves_bounded_language(name):
     tree = rename_clocks(unfold(NAMED_MODELS[name](), 3))
     assert language_equal(tree, remove_all_silent(tree)).equal
+
+
+def three_edge_example():
+    # the second silent edge can never fire (x < 0 after a reset), so
+    # neither can b
+    x = Clock("x")
+    return make_automaton(
+        locations=["q0", "q1", "q2", "q3", "q4"], initial="q0", accepting=["q4"],
+        clocks=[x],
+        transitions=[
+            Transition("q0", "q1", "a", TRUE, frozenset((x,))),
+            Transition("q1", "q2", None, TRUE, frozenset((x,))),
+            Transition("q2", "q3", None, Atom(x, "<", 0)),
+            Transition("q3", "q4", "b"),
+        ],
+    )
+
+
+# configurations where an earlier round rewrites a silent guard to false;
+# the removed tree must keep that edge impossible, not make it always enabled
+@pytest.mark.parametrize("make,k", [
+    pytest.param(lambda: random_automaton(302), 2, id="random-302-2"),
+    pytest.param(lambda: random_automaton(317), 2, id="random-317-2"),
+    pytest.param(lambda: random_automaton(476), 2, id="random-476-2"),
+    pytest.param(lambda: random_automaton(109), 3, id="random-109-3"),
+    pytest.param(three_edge_example, 2, id="three-edge-example-2"),
+])
+def test_removal_keeps_false_guards_false(make, k):
+    tree = rename_clocks(unfold(make(), k))
+    assert language_equal(tree, remove_all_silent(tree)).equal
+
+
+def test_removal_preserves_language_on_random_sweep():
+    unequal = []
+    for k in (2, 3):
+        for seed in range(100, 1100):
+            tree = rename_clocks(unfold(random_automaton(seed), k))
+            if not language_equal(tree, remove_all_silent(tree)).equal:
+                unequal.append((seed, k))
+    assert unequal == []
 
 
 def test_leading_silent_reattaches_children_to_root():

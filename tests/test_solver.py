@@ -23,7 +23,6 @@ from tadet.solver import (
     feasible_systems,
     implies,
     is_satisfiable,
-    satisfying_assignment,
     to_smtlib,
 )
 
@@ -85,18 +84,6 @@ def test_satisfiability_agrees_with_grid(g):
     # inside hypothesis's deadline
     if not is_satisfiable(g):
         assert not grid_satisfiable(g)
-
-
-@settings(max_examples=200)
-@given(guards())
-def test_satisfying_assignment_satisfies(g):
-    w = satisfying_assignment(g)
-    if w is None:
-        assert not is_satisfiable(g)
-    else:
-        full = {c: w.get(c, Fraction(0)) for c in (X, Y, Z)}
-        assert eval_guard(g, full)
-        assert all(v >= 0 for v in full.values())
 
 
 @settings(max_examples=100)
