@@ -28,6 +28,7 @@ from tadet.core import (
     Transition,
 )
 from tadet.corpus import coffee_machine
+from tadet.unfold import unfold
 
 X = Clock("x")
 Y = Clock("y")
@@ -146,10 +147,14 @@ def test_strong_responsiveness():
 
 
 def test_strong_responsiveness_on_a_long_silent_chain():
-    # 3000 silent edges, beyond the interpreter's recursion limit
+    # 3000 silent edges, beyond the interpreter's recursion limit; unfold
+    # checks strong responsiveness first
     n = 3000
     chain = [Transition(f"q{i}", f"q{i + 1}", None, TRUE, frozenset((X,))) for i in range(n)]
-    locs = [f"q{i}" for i in range(n + 1)]
-    assert check_strong_responsiveness(make_automaton(locs, "q0", [f"q{n}"], [X], chain))
+    chain.append(Transition(f"q{n}", "end", "a"))
+    locs = [f"q{i}" for i in range(n + 1)] + ["end"]
+    a = make_automaton(locs, "q0", ["end"], [X], chain)
+    assert check_strong_responsiveness(a)
+    assert unfold(a, 1).location_count() == n + 2
     back = Transition(f"q{n}", "q0", None, TRUE, frozenset((X,)))
-    assert not check_strong_responsiveness(make_automaton(locs, "q0", [f"q{n}"], [X], chain + [back]))
+    assert not check_strong_responsiveness(make_automaton(locs, "q0", ["end"], [X], chain + [back]))
