@@ -119,9 +119,9 @@ def run_pipeline(
 
     if variant == "otf":
         final = staged("on-the-fly", pipeline_on_the_fly, a, depth)
+        tree = None
     else:
-        tree = staged("unfold", unfold, a, depth, prune_leaves)
-        tree = rename_clocks(tree)
+        tree = rename_clocks(staged("unfold", unfold, a, depth, prune_leaves))
         removed = staged("remove-silent", remove_all_silent, tree)
         if variant == "new":
             final = staged("determinize-new", determinize_guard_oriented, removed)
@@ -130,7 +130,8 @@ def run_pipeline(
 
     counterexample = None
     if check_equiv:
-        reference = rename_clocks(unfold(a, depth, prune_leaves))
+        # removal copies its input, so the staged tree is still the reference
+        reference = tree if tree is not None else rename_clocks(unfold(a, depth))
         verdict = language_equal(reference, final)
         if not verdict.equal:
             counterexample = {

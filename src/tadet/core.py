@@ -15,10 +15,10 @@ Rational = Union[int, Fraction]
 LocId = Hashable
 
 RELS = ("<", "<=", "=", ">=", ">")
-
-# complement of each relation; '=' needs a disjunction and is handled separately
-_REL_COMPLEMENT = {"<": ">=", "<=": ">", ">=": "<", ">": "<="}
-_REL_SWAP = {"<": ">", "<=": ">=", "=": "=", ">=": "<=", ">": "<"}
+# the relation of the complement ('=' splits in two and has none) and the
+# relation read from the other side (a rel b iff b SWAP[rel] a)
+REL_COMPLEMENT = {"<": ">=", "<=": ">", ">=": "<", ">": "<="}
+REL_SWAP = {"<": ">", "<=": ">=", "=": "=", ">=": "<=", ">": "<"}
 
 
 class StructuralError(ValueError):
@@ -220,13 +220,13 @@ def rename_guard(g: Guard, mapping: Mapping[Clock, Clock]) -> Guard:
         left = mapping.get(a.left, a.left)
         right = mapping.get(a.right, a.right) if a.right is not None else None
         if right is not None and left == right:
-            return TRUE if _compare(0, a.rel, a.bound) else FALSE
+            return TRUE if compare(0, a.rel, a.bound) else FALSE
         return Atom(left, a.rel, a.bound, right)
 
     return map_atoms(g, sub)
 
 
-def _compare(value: Rational, rel: str, bound: Rational) -> bool:
+def compare(value: Rational, rel: str, bound: Rational) -> bool:
     if rel == "<":
         return value < bound
     if rel == "<=":
@@ -247,7 +247,7 @@ def eval_guard(g: Guard, valuation: Mapping[Clock, Rational]) -> bool:
         v = valuation[g.left]
         if g.right is not None:
             v = v - valuation[g.right]
-        return _compare(v, g.rel, g.bound)
+        return compare(v, g.rel, g.bound)
     if isinstance(g, And):
         return all(eval_guard(p, valuation) for p in g.parts)
     if isinstance(g, Or):
@@ -255,24 +255,33 @@ def eval_guard(g: Guard, valuation: Mapping[Clock, Rational]) -> bool:
     raise TypeError(f"not a guard: {g!r}")
 
 
-def simplify_conjunction(g: Guard) -> Guard:
-    """Keep only the tightest lower/upper bound per clock (or clock pair).
+Bound = Optional[tuple[Rational, bool]]  # (value, strict); None = unbounded
+# "Clock | None", not Optional[Clock]: typing caches its subscriptions, and
+# the cache would keep every imported copy of this module alive
+BoundTable = dict[tuple[Clock, Clock | None], list[Bound]]
 
-    Only applies when ``g`` is a conjunction of atoms; ``false`` and anything
-    containing a disjunction are returned unchanged.  Semantics-preserving.
+
+def conjunction_atoms(g: Guard) -> Optional[list[Atom]]:
+    """The atoms of a conjunction of atoms (none for ``true``); None for
+    ``false`` and for anything containing a disjunction."""
+    if isinstance(g, TrueGuard):
+        return []
+    if isinstance(g, Atom):
+        return [g]
+    if isinstance(g, And) and all(isinstance(p, Atom) for p in g.parts):
+        return list(g.parts)
+    return None
+
+
+def add_bounds(bounds: BoundTable, atoms: Iterable[Atom]) -> BoundTable:
+    """Tighten the bound table ``bounds`` by ``atoms`` in place; returns it.
+
+    The table maps ``(left, right)`` (``right`` None for a unary atom) to
+    ``[tightest lower, tightest upper]`` bound on ``left - right``.  ``=``
+    is a weak bound on both sides; on equal values the strict bound is the
+    tighter one.  It is the symbolic counterpart of one difference-bound
+    matrix entry pair (``solver.DifferenceSystem``), without closure.
     """
-    if isinstance(g, FalseGuard):
-        return g
-    if isinstance(g, (TrueGuard, Atom)):
-        atoms = guard_atoms(g)
-    elif isinstance(g, And) and all(isinstance(p, Atom) for p in g.parts):
-        atoms = list(g.parts)
-    else:
-        return g
-
-    # (left, right) -> [tightest lower, tightest upper] bound on left - right,
-    # each (value, strict) or None
-    bounds: dict[tuple[Clock, Optional[Clock]], list] = {}
     for a in atoms:
         key = (a.left, a.right)
         b = bounds.get(key)
@@ -289,17 +298,28 @@ def simplify_conjunction(g: Guard) -> Guard:
             up = b[1]
             if up is None or value < up[0] or (value == up[0] and strict and not up[1]):
                 b[1] = (value, strict)
+    return bounds
 
+
+def empty_interval(lo: Bound, up: Bound) -> bool:
+    """True iff no value lies between the lower bound ``lo`` and the upper
+    bound ``up``."""
+    return (lo is not None and up is not None
+            and (lo[0] > up[0] or (lo[0] == up[0] and (lo[1] or up[1]))))
+
+
+def table_guard(bounds: BoundTable) -> Guard:
+    """The conjunction a bound table stands for, sorted by clock names;
+    ``false`` when some interval is empty."""
     out: list[Guard] = []
     for (left, right), (lo, up) in sorted(
         bounds.items(), key=lambda kv: (kv[0][0].name, kv[0][1].name if kv[0][1] else "")
     ):
-        if up is not None and lo is not None:
-            if lo[0] > up[0] or (lo[0] == up[0] and (lo[1] or up[1])):
-                return FALSE
-            if lo[0] == up[0]:
-                out.append(Atom(left, "=", up[0], right))
-                continue
+        if empty_interval(lo, up):
+            return FALSE
+        if lo is not None and up is not None and lo[0] == up[0]:
+            out.append(Atom(left, "=", up[0], right))
+            continue
         if lo is not None:
             out.append(Atom(left, ">" if lo[1] else ">=", lo[0], right))
         if up is not None:
@@ -307,11 +327,18 @@ def simplify_conjunction(g: Guard) -> Guard:
     return conj(*out)
 
 
+def simplify_conjunction(g: Guard) -> Guard:
+    """Keep only the tightest lower/upper bound per clock (or clock pair).
+
+    Only applies when ``g`` is a conjunction of atoms; ``false`` and anything
+    containing a disjunction are returned unchanged.  Semantics-preserving.
+    """
+    atoms = conjunction_atoms(g)
+    return g if atoms is None else table_guard(add_bounds({}, atoms))
+
+
 # ---------------------------------------------------------------------------
 # automata
-
-
-SILENT = None  # action value of a silent transition
 
 
 @dataclass(frozen=True)

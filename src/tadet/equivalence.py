@@ -16,6 +16,7 @@ from typing import Optional
 
 from .core import (
     FALSE,
+    REL_SWAP,
     TRUE,
     Atom,
     Clock,
@@ -23,6 +24,7 @@ from .core import (
     Guard,
     TimedTrace,
     Transition,
+    compare,
     conj,
     disj,
     eval_guard,
@@ -78,34 +80,15 @@ def _translate_guard(g: Guard, now: Clock, reset_at: dict[Clock, Clock]) -> Guar
         rb = reset_at.get(a.right)
         # x - y = (now - ra) - (now - rb) = rb - ra
         if ra is None and rb is None:
-            return TRUE if _zero_holds(a.rel, a.bound) else FALSE
+            return TRUE if compare(0, a.rel, a.bound) else FALSE
         if rb is None:
             # -ra rel bound, i.e. ra (>=rel flipped) -bound
-            return Atom(ra, _flip(a.rel), -a.bound)
+            return Atom(ra, REL_SWAP[a.rel], -a.bound)
         if ra is None:
             return Atom(rb, a.rel, a.bound)
         return Atom(rb, a.rel, a.bound, ra)
 
     return map_atoms(g, tr)
-
-
-_FLIP = {"<": ">", "<=": ">=", "=": "=", ">=": "<=", ">": "<"}
-
-
-def _flip(rel: str) -> str:
-    return _FLIP[rel]
-
-
-def _zero_holds(rel: str, bound) -> bool:
-    if rel == "<":
-        return 0 < bound
-    if rel == "<=":
-        return 0 <= bound
-    if rel == "=":
-        return bound == 0
-    if rel == ">=":
-        return 0 >= bound
-    return 0 > bound
 
 
 def _accepting_paths(tree: Tree, word: Optional[tuple[str, ...]] = None):

@@ -17,6 +17,7 @@ from functools import cache
 from typing import Optional
 
 from .core import (
+    RELS,
     TRUE,
     And,
     Atom,
@@ -33,8 +34,6 @@ from .core import (
 )
 
 FORMAT_TAG = "ta/1"
-
-_RELATIONS = ("<", "<=", "=", ">=", ">")
 
 
 class ParseError(ValueError):
@@ -63,7 +62,7 @@ def _atom_from_json(obj, path: str, clocks: dict[str, Clock]) -> Atom:
     const = _expect(obj, "const", path)
     if left not in clocks:
         raise ParseError(f"unknown clock: {left}", f"{path}.left")
-    if rel not in _RELATIONS:
+    if rel not in RELS:
         raise ParseError(f"malformed relation: {rel!r}", f"{path}.rel")
     if not isinstance(const, int) or isinstance(const, bool):
         raise ParseError("constant must be an integer", f"{path}.const")

@@ -7,6 +7,10 @@ that refers to the silent transition's reset clock, and adding
 synchronization constraints between such future guards on the same path.
 The output accepts exactly the same observable timed traces.
 
+Guards are read as bound tables (:func:`tadet.core.add_bounds`), the same
+table behind :func:`tadet.core.simplify_conjunction`; every rewritten
+guard is written back from one.
+
 The rounds share one index of the tree's edges (each node's out-edges and
 incoming edge, and the list order as a linked list) that is updated in
 place as edges move, so a round costs the size of the silent target's
@@ -22,16 +26,22 @@ from .core import (
     FALSE,
     And,
     Atom,
+    Bound,
+    BoundTable,
     Clock,
     FalseGuard,
     Guard,
+    Or,
     StructuralError,
     Transition,
-    TrueGuard,
     UnsupportedInputError,
     X0,
+    add_bounds,
     conj,
+    conjunction_atoms,
+    empty_interval,
     simplify_conjunction,
+    table_guard,
 )
 from .unfold import Tree, TreeNode
 
@@ -46,43 +56,10 @@ class SilentContext:
     target: int                 # q_{s,0}
     predecessor: Optional[Transition]  # tau_s, observable edge into q_s (None at root)
     reset_clock: Clock          # x_s: reset of tau_s, or x_0 at the root
-    augmented_guard: Guard      # g'_{s,0} = g_{s,0} & (0 <= x_s)
-
-
-# -- bounds bookkeeping ------------------------------------------------------
-# a guard conjunction is viewed as lower bounds (m rel x) and upper bounds
-# (x rel n); equalities contribute one weak bound on each side.
-
-
-def _split_bounds(atoms: list[Atom]) -> tuple[list[tuple[Clock, int, bool]], list[tuple[Clock, int, bool]]]:
-    lowers: list[tuple[Clock, int, bool]] = []  # (clock, m, strict)
-    uppers: list[tuple[Clock, int, bool]] = []  # (clock, n, strict)
-    for a in atoms:
-        if a.right is not None:
-            raise UnsupportedInputError(f"diagonal atom {a} not allowed here")
-        if a.rel == ">" or a.rel == ">=":
-            lowers.append((a.left, a.bound, a.rel == ">"))
-        elif a.rel == "<" or a.rel == "<=":
-            uppers.append((a.left, a.bound, a.rel == "<"))
-        else:  # '=' treated as n <= x <= n
-            lowers.append((a.left, a.bound, False))
-            uppers.append((a.left, a.bound, False))
-    return lowers, uppers
-
-
-def _unary_conjunction_atoms(g: Guard) -> list[Atom]:
-    if isinstance(g, TrueGuard):
-        return []
-    if isinstance(g, Atom):
-        atoms = [g]
-    elif isinstance(g, And) and all(isinstance(p, Atom) for p in g.parts):
-        atoms = list(g.parts)
-    else:
-        raise UnsupportedInputError(f"silent guard must be a conjunction of atoms: {g}")
-    for a in atoms:
-        if a.right is not None:
-            raise UnsupportedInputError(f"silent guard must be unary, got {a}")
-    return atoms
+    # bound table (core.add_bounds) of g'_{s,0} = g_{s,0} & (0 <= x_s), one
+    # row per clock; None when the silent transition can never fire
+    bounds: Optional[BoundTable]
+    exact: Optional[tuple[Clock, int]]  # the first '=' atom of g_{s,0}, if any
 
 
 def build_context(tree: Tree, silent: Transition) -> SilentContext:
@@ -96,6 +73,19 @@ def _context(silent: Transition, pred: Optional[Transition]) -> SilentContext:
     x_s = next(iter(pred.resets)) if pred is not None else X0
     (x_s0,) = silent.resets
     g_aug = conj(silent.guard, Atom(x_s, ">=", 0))
+    atoms = conjunction_atoms(g_aug)
+    bounds = exact = None
+    if atoms is None and not isinstance(g_aug, FalseGuard):
+        raise UnsupportedInputError(f"silent guard must be a conjunction of atoms: {g_aug}")
+    if atoms is not None:
+        bounds = add_bounds({}, atoms)
+        if any(empty_interval(lo, up) for lo, up in bounds.values()):
+            bounds = None
+        else:
+            for a in atoms:
+                if a.right is not None:
+                    raise UnsupportedInputError(f"silent guard must be unary, got {a}")
+            exact = next(((a.left, a.bound) for a in atoms if a.rel == "="), None)
     return SilentContext(
         silent=silent,
         silent_clock=x_s0,
@@ -103,39 +93,47 @@ def _context(silent: Transition, pred: Optional[Transition]) -> SilentContext:
         target=silent.target,
         predecessor=pred,
         reset_clock=x_s,
-        augmented_guard=g_aug,
+        bounds=bounds,
+        exact=exact,
     )
+
+
+# -- bounds bookkeeping ------------------------------------------------------
+# the enabling guard and Tables 2/3 add or subtract pairs of bounds, one
+# from each side.  Max and min distribute over sums and a tie keeps the
+# strict bound, so pairing each clock's tightest bounds (its bound table
+# row) gives the tightest result atom, which is all the table keeps.
 
 
 def enabling_guard(ctx: SilentContext) -> Guard:
     """Constraints under which the silent transition would still have been
     satisfiable at some non-negative delay after the bypass.
 
-    Every (lower bound on x_i, upper bound on x_j) pair with i != j yields
-    x_j - x_i < n_j - m_i (weak only when both sources are weak); pairs
+    The lower bound m on x_i and the upper bound n on x_j with i != j
+    yield x_j - x_i < n - m (weak only when both bounds are weak); pairs
     involving x_s lose the x_s term since x_s is reset on the bypass.
     """
-    atoms = _unary_conjunction_atoms(ctx.augmented_guard)
-    lowers, uppers = _split_bounds(atoms)
+    if ctx.bounds is None:
+        return FALSE
     x_s = ctx.reset_clock
     out: list[Guard] = []
-    for (xi, m, s_lo) in lowers:
-        for (xj, n, s_up) in uppers:
-            strict = s_lo or s_up
-            rel = "<" if strict else "<="
-            if xi == xj:
-                # same clock: the pair degenerates to a constant check
-                if m > n or (m == n and strict):
-                    return FALSE
+    for (xi, _), (lo, _) in ctx.bounds.items():
+        if lo is None:
+            continue
+        m, s_lo = lo
+        for (xj, _), (_, up) in ctx.bounds.items():
+            if up is None or xj == xi:
                 continue
+            n, s_up = up
+            strict = s_lo or s_up
             if xi == x_s:
                 # x_j - 0 rel n - m
-                out.append(Atom(xj, rel, n - m))
+                out.append(Atom(xj, "<" if strict else "<=", n - m))
             elif xj == x_s:
                 # 0 - x_i rel n - m  =>  x_i  >rel  m - n
                 out.append(Atom(xi, ">" if strict else ">=", m - n))
             else:
-                out.append(Atom(xj, rel, n - m, xi))
+                out.append(Atom(xj, "<" if strict else "<=", n - m, xi))
     return simplify_conjunction(conj(*out))
 
 
@@ -144,78 +142,43 @@ def taken_guard(ctx: SilentContext) -> Guard:
     return Atom(ctx.silent_clock, ">=", 0)
 
 
-def _updated_atoms(
-    ctx: SilentContext,
-    future_atoms: list[Atom],
-    silent_lowers: list[tuple[Clock, int, bool]],
-    silent_uppers: list[tuple[Clock, int, bool]],
-    exact: Optional[tuple[Clock, int]],
-) -> list[Atom]:
-    """Table-2 replacement of future constraints on x_{s,0}."""
+def _updated_atoms(ctx: SilentContext, lo: Bound, up: Bound) -> list[Atom]:
+    """Table-2 replacement of the future bounds ``lo``/``up`` on x_{s,0}."""
     out: list[Atom] = []
-    if exact is not None:
-        xi, ni = exact
-        for a in future_atoms:
-            out.append(Atom(xi, a.rel, ni + a.bound))
+    if ctx.exact is not None:
+        # the silent step fired at x_i = n_i, so x_i = x_{s,0} + n_i
+        xi, ni = ctx.exact
+        if lo is not None:
+            out.append(Atom(xi, ">" if lo[1] else ">=", ni + lo[0]))
+        if up is not None:
+            out.append(Atom(xi, "<" if up[1] else "<=", ni + up[0]))
         return out
-    f_lowers, f_uppers = _split_bounds(future_atoms)
-    for (_, mf, s_f) in f_lowers:
-        for (xi, mi, s_i) in silent_lowers:
-            strict = s_f or s_i
-            out.append(Atom(xi, ">" if strict else ">=", mi + mf))
-    for (_, nf, s_f) in f_uppers:
-        for (xi, ni, s_i) in silent_uppers:
-            strict = s_f or s_i
-            out.append(Atom(xi, "<" if strict else "<=", ni + nf))
+    for (xi, _), (lo_i, up_i) in ctx.bounds.items():
+        if lo is not None and lo_i is not None:
+            strict = lo[1] or lo_i[1]
+            out.append(Atom(xi, ">" if strict else ">=", lo_i[0] + lo[0]))
+        if up is not None and up_i is not None:
+            strict = up[1] or up_i[1]
+            out.append(Atom(xi, "<" if strict else "<=", up_i[0] + up[0]))
     return out
 
 
-def _sync_atoms(
-    earlier_atoms: list[Atom],
-    earlier_reset: Clock,
-    later_atoms: list[Atom],
-) -> list[Atom]:
+def _sync_atoms(earlier: list[Bound], earlier_reset: Clock, lo: Bound, up: Bound) -> list[Atom]:
     """Table-3 synchronization between two future guards on the same path.
 
-    ``earlier`` fired first (resetting ``earlier_reset``); the produced
-    atoms constrain that clock on the later transition.
+    ``earlier`` (the lower and upper bound it put on x_{s,0}) fired first,
+    resetting ``earlier_reset``; the produced atoms constrain that clock
+    on the later transition, whose bounds are ``lo``/``up``.
     """
-    e_lowers, e_uppers = _split_bounds(earlier_atoms)
-    l_lowers, l_uppers = _split_bounds(later_atoms)
+    e_lo, e_up = earlier
     out: list[Atom] = []
-    for (_, mj, s_j) in l_lowers:
-        for (_, ni, s_i) in e_uppers:
-            strict = s_j or s_i
-            out.append(Atom(earlier_reset, ">" if strict else ">=", mj - ni))
-    for (_, nj, s_j) in l_uppers:
-        for (_, mi, s_i) in e_lowers:
-            strict = s_j or s_i
-            out.append(Atom(earlier_reset, "<" if strict else "<=", nj - mi))
+    if lo is not None and e_up is not None:
+        strict = lo[1] or e_up[1]
+        out.append(Atom(earlier_reset, ">" if strict else ">=", lo[0] - e_up[0]))
+    if up is not None and e_lo is not None:
+        strict = up[1] or e_lo[1]
+        out.append(Atom(earlier_reset, "<" if strict else "<=", up[0] - e_lo[0]))
     return out
-
-
-def _guard_split_on(g: Guard, clock: Clock) -> tuple[list[Atom], list[Guard]]:
-    """Partition a conjunction into atoms on ``clock`` and the rest."""
-    if isinstance(g, (TrueGuard, FalseGuard)):
-        return [], [g]
-    if isinstance(g, Atom):
-        parts: list[Guard] = [g]
-    elif isinstance(g, And):
-        parts = list(g.parts)
-    else:
-        raise UnsupportedInputError(f"expected a conjunction, got {g}")
-    on: list[Atom] = []
-    rest: list[Guard] = []
-    for p in parts:
-        if isinstance(p, Atom) and (p.left == clock or p.right == clock):
-            if p.right is not None:
-                raise UnsupportedInputError(
-                    f"future guard refers to {clock} diagonally: {p}"
-                )
-            on.append(p)
-        else:
-            rest.append(p)
-    return on, rest
 
 
 class _Edges:
@@ -280,33 +243,42 @@ def _update_future_guards(ctx: SilentContext, edges: _Edges) -> None:
     synchronize pairs of such guards on a common path.
     """
     x_s0 = ctx.silent_clock
-    atoms = _unary_conjunction_atoms(ctx.augmented_guard)
-    silent_lowers, silent_uppers = _split_bounds(atoms)
-    exact = next(((a.left, a.bound) for a in atoms if a.rel == "="), None)
-
     tg = taken_guard(ctx)
     for s in edges.out[ctx.target]:
         edges.replace(s, ctx.target, conj(edges.edge[s].guard, tg))
 
     # depth-first over edges; ``placed`` holds the rewritten ancestors'
-    # resets and original atoms on the silent clock
-    stack: list[tuple[int, list[tuple[Clock, list[Atom]]]]] = [
+    # resets and original bounds on the silent clock
+    stack: list[tuple[int, list[tuple[Clock, list[Bound]]]]] = [
         (s, []) for s in reversed(edges.out[ctx.target])
     ]
     while stack:
         s, placed = stack.pop()
         t = edges.edge[s]
-        on, rest = _guard_split_on(t.guard, x_s0)
-        if on:
-            if isinstance(simplify_conjunction(conj(*on)), FalseGuard):
+        g = t.guard
+        if isinstance(g, Or):
+            raise UnsupportedInputError(f"expected a conjunction, got {g}")
+        parts = g.parts if isinstance(g, And) else (g,)
+        reads = False
+        for p in parts:
+            if isinstance(p, Atom) and (p.left == x_s0 or p.right == x_s0):
+                if p.right is not None:
+                    raise UnsupportedInputError(
+                        f"future guard refers to {x_s0} diagonally: {p}"
+                    )
+                reads = True
+        if reads:
+            bounds = add_bounds({}, (p for p in parts if isinstance(p, Atom)))
+            lo, up = on = bounds.pop((x_s0, None))
+            if empty_interval(lo, up):
                 # contradictory constraints on the silent clock
                 new_guard: Guard = FALSE
             else:
-                replaced = _updated_atoms(ctx, on, silent_lowers, silent_uppers, exact)
-                sync: list[Atom] = []
-                for earlier_reset, earlier_atoms in placed:
-                    sync.extend(_sync_atoms(earlier_atoms, earlier_reset, on))
-                new_guard = simplify_conjunction(conj(*rest, *replaced, *sync))
+                add_bounds(bounds, _updated_atoms(ctx, lo, up))
+                for earlier_reset, earlier in placed:
+                    add_bounds(bounds, _sync_atoms(earlier, earlier_reset, lo, up))
+                new_guard = conj(*(p for p in parts if not isinstance(p, Atom)),
+                                 table_guard(bounds))
             edges.replace(s, t.source, new_guard)
             (own_reset,) = t.resets
             placed = placed + [(own_reset, on)]
@@ -324,11 +296,6 @@ def remove_all_silent(t: Tree) -> Tree:
     """
     if not t.renamed:
         raise StructuralError("silent removal requires a renamed tree")
-    for info in t.nodes.values():
-        if not isinstance(info.invariant, TrueGuard):
-            raise UnsupportedInputError(
-                "transformation pipeline supports only trivial location invariants"
-            )
     out = t.copy()
     edges = _Edges(out)
     stack = [out.root]
@@ -342,10 +309,8 @@ def remove_all_silent(t: Tree) -> Tree:
             continue
         silent = edges.edge[s]
         p = edges.into.get(n)
-        # an unsatisfiable silent guard leaves the augmented guard unsatisfiable
         ctx = _context(silent, None if p is None else edges.edge[p])
-        if (isinstance(simplify_conjunction(ctx.augmented_guard), FalseGuard)
-                or (p is None and isinstance(enabling_guard(ctx), FalseGuard))):
+        if ctx.bounds is None:
             edges.prune(s, out.nodes)
             stack.append(n)
             continue

@@ -26,18 +26,18 @@ from .core import (
     TRUE,
     And,
     Atom,
+    Bound,
     Clock,
     FalseGuard,
     Guard,
     Or,
+    REL_COMPLEMENT,
     ResourceLimitError,
     TrueGuard,
     conj,
     disj,
     guard_clocks,
 )
-
-_REL_COMPLEMENT = {"<": ">=", "<=": ">", ">=": "<", ">": "<="}
 
 DEFAULT_DNF_LIMIT = 10**6
 
@@ -50,7 +50,7 @@ def complement_atom(a: Atom) -> Guard:
     """Negation-free complement: flip the relation; equality splits."""
     if a.rel == "=":
         return disj(Atom(a.left, "<", a.bound, a.right), Atom(a.left, ">", a.bound, a.right))
-    return Atom(a.left, _REL_COMPLEMENT[a.rel], a.bound, a.right)
+    return Atom(a.left, REL_COMPLEMENT[a.rel], a.bound, a.right)
 
 
 def complement_guard(g: Guard) -> Guard:
@@ -71,8 +71,6 @@ def complement_guard(g: Guard) -> Guard:
 # ---------------------------------------------------------------------------
 # bounds: raw ints (c * scale) << 1 | weak, with None meaning +infinity
 
-
-Bound = Optional[tuple[Fraction, bool]]  # decoded (value, strict); None = unbounded
 
 _RAW_ZERO = 1  # raw "<= 0"; a diagonal entry below it is a negative cycle
 
@@ -388,7 +386,6 @@ def feasible_systems(
     g: Guard,
     nonneg: Optional[Iterable[Clock]] = None,
     variables: Optional[Iterable[Clock]] = None,
-    limit: int = DEFAULT_DNF_LIMIT,
 ):
     """Satisfiable difference systems covering g, one per feasible branch.
 
@@ -396,10 +393,16 @@ def feasible_systems(
     checked before descending, so an infeasible prefix cuts off all DNF
     conjuncts below it.  The union of the yielded systems equals
     g & (nonneg constraints); ``nonneg`` defaults to the guard's clocks.
+    The systems range over ``nonneg`` and ``variables``, which default to
+    the guard's clocks and, when given, must include them.  More than
+    ``DEFAULT_DNF_LIMIT`` branches raise :class:`ResourceLimitError`.
     """
-    nn = frozenset(guard_clocks(g) if nonneg is None else nonneg)
-    vs = set(nn) | guard_clocks(g) | set(variables if variables is not None else ())
-    base = DifferenceSystem(vs)
+    if nonneg is None or variables is None:
+        clocks = guard_clocks(g)
+        nonneg = clocks if nonneg is None else nonneg
+        variables = clocks if variables is None else variables
+    nn = frozenset(nonneg)
+    base = DifferenceSystem(nn.union(variables))
     base.add_nonneg(nn)
     visited = [0]
 
@@ -421,8 +424,8 @@ def feasible_systems(
         for a in atoms:
             sys.add_atom(a)
         visited[0] += 1
-        if visited[0] > limit:
-            raise ResourceLimitError(f"guard search exceeds {limit} branches")
+        if visited[0] > DEFAULT_DNF_LIMIT:
+            raise ResourceLimitError(f"guard search exceeds {DEFAULT_DNF_LIMIT} branches")
         if not sys.is_satisfiable():
             return
         # propagate: drop infeasible disjuncts, commit forced ones
@@ -459,29 +462,18 @@ def feasible_systems(
     yield from expand(base, [g])
 
 
-def is_satisfiable(
-    g: Guard,
-    nonneg: Optional[Iterable[Clock]] = None,
-    dnf_limit: int = DEFAULT_DNF_LIMIT,
-) -> bool:
+def is_satisfiable(g: Guard, nonneg: Optional[Iterable[Clock]] = None) -> bool:
     """True iff some assignment (non-negative on ``nonneg``) satisfies g.
 
     ``nonneg`` defaults to every clock appearing in the guard.
     """
-    return next(feasible_systems(g, nonneg, limit=dnf_limit), None) is not None
-
-
-def _complement_branches(a: Atom) -> list[Atom]:
-    if a.rel == "=":
-        return [Atom(a.left, "<", a.bound, a.right), Atom(a.left, ">", a.bound, a.right)]
-    return [Atom(a.left, _REL_COMPLEMENT[a.rel], a.bound, a.right)]
+    return next(feasible_systems(g, nonneg), None) is not None
 
 
 def difference_witness(
     g1: Guard,
     g2: Guard,
     nonneg: Optional[Iterable[Clock]] = None,
-    dnf_limit: int = DEFAULT_DNF_LIMIT,
 ) -> Optional[dict[Clock, Fraction]]:
     """A point satisfying g1 but not g2, or None if g1 implies g2.
 
@@ -490,11 +482,11 @@ def difference_witness(
     unsatisfiable branches pruned early, which stays small where the naive
     DNF of g1 & ~g2 explodes.
     """
-    nn = frozenset(guard_clocks(g1) | guard_clocks(g2) if nonneg is None else nonneg)
-    variables = set(nn) | guard_clocks(g1) | guard_clocks(g2)
+    c1, c2 = guard_clocks(g1), guard_clocks(g2)
+    nn = c1 | c2 if nonneg is None else frozenset(nonneg)
     negated = list(dict.fromkeys(
         tuple(s.reduced_atoms(skip_nonneg=False))
-        for s in feasible_systems(g2, nonneg=nn, limit=dnf_limit)
+        for s in feasible_systems(g2, nonneg=nn, variables=c2)
     ))
 
     def exclude(sys: DifferenceSystem, i: int) -> Optional[dict[Clock, Fraction]]:
@@ -510,7 +502,8 @@ def difference_witness(
         if i == len(negated):
             return sys.witness()
         for a in negated[i]:
-            for branch in _complement_branches(a):
+            c = complement_atom(a)
+            for branch in c.parts if isinstance(c, Or) else (c,):
                 probe = sys.copy()
                 probe.add_atom(branch)
                 w = exclude(probe, i + 1)
@@ -518,7 +511,7 @@ def difference_witness(
                     return w
         return None
 
-    for sys in feasible_systems(g1, nonneg=nn, variables=variables, limit=dnf_limit):
+    for sys in feasible_systems(g1, nonneg=nn, variables=c1 | c2):
         w = exclude(sys, 0)
         if w is not None:
             return w
@@ -538,9 +531,6 @@ def equivalent(g1: Guard, g2: Guard, nonneg: Optional[Iterable[Clock]] = None) -
 # SMT-LIB export
 
 
-_SMT_REL = {"<": "<", "<=": "<=", "=": "=", ">=": ">=", ">": ">"}
-
-
 def _smt_symbol(c: Clock) -> str:
     return "c_" + c.name.replace(".", "_")
 
@@ -555,7 +545,7 @@ def _smt_guard(g: Guard) -> str:
         if g.right is not None:
             lhs = f"(- {lhs} {_smt_symbol(g.right)})"
         bound = str(g.bound) if g.bound >= 0 else f"(- {-g.bound})"
-        return f"({_SMT_REL[g.rel]} {lhs} {bound})"
+        return f"({g.rel} {lhs} {bound})"
     op = "and" if isinstance(g, And) else "or"
     return "(" + op + " " + " ".join(_smt_guard(p) for p in g.parts) + ")"
 

@@ -13,13 +13,12 @@ from dataclasses import dataclass, field
 from typing import Hashable, Optional
 
 from .core import (
-    TRUE,
     Clock,
-    Guard,
     StructuralError,
     TimedAutomaton,
     Transition,
     TrueGuard,
+    UnsupportedInputError,
     X0,
     check_strong_responsiveness,
     guard_clocks,
@@ -37,7 +36,6 @@ class TreeNode:
     obs_level: int
     silent_index: Optional[int] = None  # position in its silent chain, if silent-reached
     accepting: bool = False
-    invariant: Guard = TRUE
 
 
 @dataclass
@@ -93,15 +91,13 @@ class Tree:
             accepting=self.accepting,
             clocks=self.clocks(),
             transitions=self.transitions,
-            invariants={n: info.invariant for n, info in self.nodes.items()
-                        if not isinstance(info.invariant, TrueGuard)},
         )
 
     def copy(self) -> "Tree":
         return Tree(
             root=self.root,
             depth=self.depth,
-            nodes={n: TreeNode(i.nid, i.origin, i.obs_level, i.silent_index, i.accepting, i.invariant)
+            nodes={n: TreeNode(i.nid, i.origin, i.obs_level, i.silent_index, i.accepting)
                    for n, i in self.nodes.items()},
             transitions=list(self.transitions),
             renamed=self.renamed,
@@ -119,10 +115,14 @@ def unfold(a: TimedAutomaton, k: int, prune_nonaccepting_leaves: bool = False) -
     observable level < k, so no trailing silent steps are ever created
     (well-behaving runs end with an observable action).  A node reached by
     a silent transition is never accepting, even if it copies an accepting
-    location.
+    location.  Location invariants are rejected: neither silent removal nor
+    the verifier's path formulas take them into account.
     """
     if k < 1:
         raise ValueError("unfolding depth k must be >= 1")
+    for q, inv in a.invariants.items():
+        if not isinstance(inv, TrueGuard):
+            raise UnsupportedInputError(f"location invariants are not supported: {q!r} has {inv}")
     if not check_strong_responsiveness(a):
         raise StructuralError("automaton contains a silent loop (not strongly responsive)")
 
@@ -136,7 +136,6 @@ def unfold(a: TimedAutomaton, k: int, prune_nonaccepting_leaves: bool = False) -
         origin=a.initial,
         obs_level=0,
         accepting=a.initial in a.accepting,
-        invariant=a.invariant(a.initial),
     )
     next_id = 1
     # depth-first in transition-list order for deterministic ids
@@ -158,7 +157,6 @@ def unfold(a: TimedAutomaton, k: int, prune_nonaccepting_leaves: bool = False) -
                     obs_level=info.obs_level,
                     silent_index=0 if prev is None else prev + 1,
                     accepting=False,
-                    invariant=a.invariant(t.target),
                 )
             else:
                 cid = next_id
@@ -168,7 +166,6 @@ def unfold(a: TimedAutomaton, k: int, prune_nonaccepting_leaves: bool = False) -
                     origin=t.target,
                     obs_level=info.obs_level + 1,
                     accepting=t.target in a.accepting,
-                    invariant=a.invariant(t.target),
                 )
             tree.transitions.append(
                 Transition(nid, cid, t.action, t.guard, t.resets)
@@ -212,7 +209,7 @@ def rename_clocks(t: Tree) -> Tree:
     out = Tree(root=t.root, depth=t.depth, renamed=True)
     for nid, info in t.nodes.items():
         out.nodes[nid] = TreeNode(nid, info.origin, info.obs_level, info.silent_index,
-                                  info.accepting, info.invariant)
+                                  info.accepting)
 
     out_edges: dict[int, list[int]] = {n: [] for n in t.nodes}
     for i, tr in enumerate(t.transitions):

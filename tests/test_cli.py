@@ -16,6 +16,7 @@ from tadet.cli import (
 )
 from tadet.corpus import coffee_machine
 from tadet.modelio import parse_model, serialize_model
+from tadet.unfold import unfold
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 COFFEE = str(MODELS / "coffee-machine.json")
@@ -89,6 +90,33 @@ def test_silent_loop_is_precondition_error(tmp_path):
     path = tmp_path / "loop.json"
     path.write_text(json.dumps(doc))
     assert main(["--input", str(path), "--depth", "2"]) == EXIT_PRECONDITION
+
+
+def test_location_invariant_is_precondition_error(tmp_path, capsys):
+    doc = json.loads(Path(COFFEE).read_text())
+    doc["locations"][0]["invariant"] = [{"left": "x", "rel": "<=", "const": 1}]
+    path = tmp_path / "invariant.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--input", str(path), "--depth", "2"]) == EXIT_PRECONDITION
+    assert json.loads(capsys.readouterr().err)["error"]["code"] == "precondition"
+
+
+@pytest.mark.parametrize("variant", ["std", "new", "otf"])
+def test_check_equiv_unfolds_once(variant, monkeypatch):
+    # std and new compare against the tree they staged; only otf, which
+    # stages no tree, builds the reference
+    import tadet.cli as cli
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return unfold(*args)
+
+    monkeypatch.setattr(cli, "unfold", counted)
+    result = cli.run_pipeline(coffee_machine(), 3, variant, check_equiv=True)
+    assert result.counterexample is None
+    assert len(calls) == 1
 
 
 def test_run_pipeline_counterexample_surfaces_as_exit_5(tmp_path, monkeypatch):

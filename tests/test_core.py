@@ -1,6 +1,8 @@
 """Guards, runs and structural checks."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -158,3 +160,24 @@ def test_strong_responsiveness_on_a_long_silent_chain():
     assert unfold(a, 1).location_count() == n + 2
     back = Transition(f"q{n}", "q0", None, TRUE, frozenset((X,)))
     assert not check_strong_responsiveness(make_automaton(locs, "q0", ["end"], [X], chain + [back]))
+
+
+def test_no_private_module_name_is_dead():
+    # a module-level name starting with "_" that its own module never reads
+    # is dead: nothing else may import it
+    dead = []
+    for path in sorted((Path(__file__).parent.parent / "src" / "tadet").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined: set[str] = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign):
+                defined.update(t.id for t in node.targets if isinstance(t, ast.Name))
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                defined.add(node.target.id)
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        dead += [f"{path.stem}.{name}" for name in sorted(defined - read)
+                 if name.startswith("_") and not name.startswith("__")]
+    assert dead == []

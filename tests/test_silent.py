@@ -11,7 +11,9 @@ from tadet.core import (
     Clock,
     StructuralError,
     Transition,
+    UnsupportedInputError,
     conj,
+    disj,
     level_clock,
     make_automaton,
     silent_clock,
@@ -157,6 +159,66 @@ def test_leading_silent_reattaches_children_to_root():
     assert any(tr.source == t.root and tr.action == "alpha" for tr in t.transitions)
 
 
+# hand-built automata whose silent and future guards carry several bounds
+# per clock, for the pinned removal outputs
+XC, YC, ZC = Clock("x"), Clock("y"), Clock("z")
+
+
+def _chain(*transitions, accepting):
+    locations = {t.source for t in transitions} | {t.target for t in transitions}
+    return make_automaton(sorted(locations), "q0", accepting, [XC, YC, ZC], transitions)
+
+
+def _edge(source, target, action, *atoms, reset=XC):
+    return Transition(source, target, action, conj(*atoms), frozenset((reset,)))
+
+
+def two_bounds_each_side():
+    # two lower and two upper bounds on x in one silent guard, one of each on y
+    return _chain(
+        _edge("q0", "q1", "a"),
+        _edge("q1", "q2", None, Atom(XC, ">", 1), Atom(YC, "<", 6), Atom(XC, ">=", 2),
+              Atom(XC, "<", 5), Atom(YC, ">=", 1), Atom(XC, "<=", 4), reset=ZC),
+        _edge("q2", "q3", "b", Atom(ZC, ">=", 1), Atom(ZC, "<", 3)),
+        _edge("q3", "q1", "a"),
+        accepting=["q3"],
+    )
+
+
+def exact_on_two_clocks():
+    # '=' on two clocks: the first one in guard order, y, picks the clock
+    return _chain(
+        _edge("q0", "q1", "a"),
+        _edge("q1", "q2", "b", reset=YC),
+        _edge("q2", "q3", None, Atom(YC, "=", 1), Atom(XC, "=", 3), reset=ZC),
+        _edge("q3", "q4", "c", Atom(ZC, "<=", 2), Atom(ZC, ">", 0)),
+        accepting=["q4"],
+    )
+
+
+def several_future_bounds():
+    return _chain(
+        _edge("q0", "q1", "a"),
+        _edge("q1", "q2", None, Atom(XC, ">=", 1), Atom(XC, "<", 2), reset=ZC),
+        _edge("q2", "q3", "b", Atom(ZC, ">", 0), Atom(ZC, ">=", 1), Atom(ZC, "<", 4),
+              Atom(ZC, "<=", 3), Atom(ZC, "<=", 5), Atom(XC, "<", 7)),
+        accepting=["q3"],
+    )
+
+
+def two_future_guards():
+    # b and c both read the silent clock z on one path, so Table 3 couples them
+    return _chain(
+        _edge("q0", "q1", "a"),
+        _edge("q1", "q2", None, Atom(XC, ">", 1), Atom(XC, "<", 3), reset=ZC),
+        _edge("q2", "q3", "b", Atom(ZC, ">=", 1), Atom(ZC, ">", 1), Atom(ZC, "<", 2),
+              Atom(ZC, "<=", 3), reset=YC),
+        _edge("q3", "q4", "c", Atom(ZC, ">", 2), Atom(ZC, ">=", 3), Atom(ZC, "<=", 5),
+              Atom(ZC, "<", 6), Atom(YC, "<", 4)),
+        accepting=["q4"],
+    )
+
+
 # serialize_model digests of the removed trees, one configuration per
 # removal path; each round removes the first silent edge in depth-first
 # order, so the digests also pin that order
@@ -189,11 +251,43 @@ def test_leading_silent_reattaches_children_to_root():
         lambda: random_automaton(17), 4,
         "fa5572a993e0dd643e3ea5cfe71520e249e3c2a229b432a025ffda55d359b789",
         id="two-silent-from-one-node-random-17-4"),
+    pytest.param(
+        two_bounds_each_side, 4,
+        "81d2ff63f89ee006f4cae2bd9e8846b36d298a32aa67665c151ac21ce1142372",
+        id="two-bounds-each-side-4"),
+    pytest.param(
+        exact_on_two_clocks, 3,
+        "959b907f0f8b6defbfbb03606f8181f40b5dcb73970202139684f5581f04ab10",
+        id="exact-on-two-clocks-3"),
+    pytest.param(
+        several_future_bounds, 2,
+        "ae9d43297ffd06892dedfa1e8717029d7883437bcf830e615d8977c427923005",
+        id="several-future-bounds-2"),
+    pytest.param(
+        two_future_guards, 3,
+        "0819f8b372d61d5eb9b2fc6cb2c6049d7112ea0676f15e8a21d3b1aa515c2952",
+        id="two-future-guards-3"),
 ])
 def test_pinned_removal_outputs(make, k, digest):
     t = remove_all_silent(rename_clocks(unfold(make(), k)))
     text = serialize_model(t.to_automaton())
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("silent_guard,future_guard", [
+    pytest.param(Atom(XC, "<", 2, YC), TRUE, id="diagonal-silent-guard"),
+    pytest.param(disj(Atom(XC, "<", 1), Atom(XC, ">", 2)), TRUE, id="disjunctive-silent-guard"),
+    pytest.param(TRUE, Atom(ZC, "<", 2, XC), id="diagonal-future-atom-on-silent-clock"),
+])
+def test_unsupported_guards_are_rejected(silent_guard, future_guard):
+    a = _chain(
+        _edge("q0", "q1", "a"),
+        Transition("q1", "q2", None, silent_guard, frozenset((ZC,))),
+        Transition("q2", "q3", "b", future_guard),
+        accepting=["q3"],
+    )
+    with pytest.raises(UnsupportedInputError):
+        remove_all_silent(rename_clocks(unfold(a, 2)))
 
 
 def test_removal_on_a_deep_tree():

@@ -3,8 +3,8 @@
 import pytest
 
 from tadet.core import (
-    Atom, Clock, StructuralError, Transition, TrueGuard, guard_clocks, level_clock,
-    make_automaton,
+    Atom, Clock, StructuralError, Transition, TrueGuard, UnsupportedInputError,
+    check_run, guard_clocks, level_clock, make_automaton, run_of,
 )
 from tadet.corpus import (
     NAMED_MODELS,
@@ -93,6 +93,18 @@ def test_silent_loop_is_rejected():
     )
     with pytest.raises(StructuralError):
         unfold(a, 2)
+
+
+def test_location_invariants_are_rejected():
+    # the tree's path formulas ignore invariants: the tree of this automaton
+    # would accept a@5, which check_run rejects on the automaton
+    x = Clock("x")
+    a_edge = Transition("q0", "q1", "a")
+    a = make_automaton(["q0", "q1"], "q0", ["q1"], [x], [a_edge],
+                       invariants={"q0": Atom(x, "<=", 1)})
+    assert not check_run(a, run_of((5, a_edge)))
+    with pytest.raises(UnsupportedInputError, match="invariant"):
+        unfold(a, 1)
 
 
 def test_rename_gives_one_fresh_reset_per_edge():
