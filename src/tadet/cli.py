@@ -108,13 +108,16 @@ def run_pipeline(
         raise ValueError(_PRUNE_OTF_MESSAGE)
     report = PipelineReport(variant=variant, depth=depth)
 
+    def record(name: str, sized: Tree, t0: float) -> None:
+        report.stages.append(StageReport(
+            name, sized.location_count(), sized.transition_count(),
+            (time.perf_counter() - t0) * 1000,
+        ))
+
     def staged(name: str, f, *args):
         t0 = time.perf_counter()
         out = f(*args)
-        report.stages.append(StageReport(
-            name, out.location_count(), out.transition_count(),
-            (time.perf_counter() - t0) * 1000,
-        ))
+        record(name, out, t0)
         return out
 
     if variant == "otf":
@@ -130,9 +133,12 @@ def run_pipeline(
 
     counterexample = None
     if check_equiv:
+        t0 = time.perf_counter()
         # removal copies its input, so the staged tree is still the reference
         reference = tree if tree is not None else rename_clocks(unfold(a, depth))
         verdict = language_equal(reference, final)
+        # sized by the output, so the last stage always describes it
+        record("check-equiv", final, t0)
         if not verdict.equal:
             counterexample = {
                 "word": list(verdict.word),

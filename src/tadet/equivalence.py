@@ -1,11 +1,18 @@
-"""Bounded language comparison of tree automata via timestamp constraints.
+"""Bounded language comparison of tree automata via zones over timestamps.
 
-Every root path ending in an accepting location induces a constraint over
-the absolute firing times of its transitions: each guard atom on clock x
-becomes a difference atom between the current timestamp and the timestamp
-of x's most recent reset.  Silent steps contribute internal timestamps
-that are projected out exactly, so two automata accept the same traces for
-a word iff the resulting formulas are equivalent.
+A depth-first walk carries a zone (a closed difference system) over the
+absolute firing times of the transitions on the current root path.  Each
+edge extends it by the edge's timestamp t, by t >= the previous timestamp
+and by the edge's guard atoms, each atom on clock x becoming a difference
+atom between t and the timestamp of x's most recent reset.  A shared
+prefix is thus extended once, not once per path below it.  Guard parts
+that are not atoms (the disjunctions of complements in determinized
+outputs) are deferred and expanded once at each accepting node, seeded
+with its zone.  Silent steps contribute internal timestamps that are
+projected out exactly, so each observable word gets a federation (a list
+of zones) over its observable timestamps, and two automata accept the
+same traces for a word iff :func:`tadet.solver.difference_witness` finds
+no point of one federation outside the other.
 """
 
 from __future__ import annotations
@@ -18,16 +25,17 @@ from .core import (
     FALSE,
     REL_SWAP,
     TRUE,
+    And,
     Atom,
     Clock,
     FalseGuard,
     Guard,
     TimedTrace,
     Transition,
+    TrueGuard,
     compare,
     conj,
     disj,
-    eval_guard,
     guard_atoms,
     map_atoms,
 )
@@ -43,12 +51,6 @@ def obs_var(j: int) -> Clock:
 
 def _silent_var(j: int) -> Clock:
     return Clock(f"t{j}'")
-
-
-@dataclass(frozen=True)
-class PathConstraint:
-    word: tuple[str, ...]
-    formula: Guard  # over obs_var(1..len(word)), silent times eliminated
 
 
 @dataclass(frozen=True)
@@ -91,112 +93,105 @@ def _translate_guard(g: Guard, now: Clock, reset_at: dict[Clock, Clock]) -> Guar
     return map_atoms(g, tr)
 
 
-def _accepting_paths(tree: Tree, word: Optional[tuple[str, ...]] = None):
-    """All root paths ending at an accepting node (DAG-safe), depth-first;
-    with ``word``, only those whose observable word is ``word``, leaving a
+def _walk(
+    tree: Tree, word: Optional[tuple[str, ...]] = None
+) -> dict[tuple[str, ...], list[DifferenceSystem]]:
+    """Per observable word, the deduplicated zones over ``t1..tw`` of the
+    tree's accepting paths; with ``word``, only that word's, leaving a
     branch as soon as its actions stop being a prefix of it.
+
+    Depth-first; each node's zone is its parent's, extended by the edge's
+    timestamp, ``t >= previous``, and the edge's guard atoms.  The guard's
+    other parts wait until an accepting node, where they are expanded once
+    from its zone before the silent timestamps are projected out.
     """
     children = tree.build_children_index()
-    path: list[Transition] = []
-    # (edge into the node or None at the root, path length above the edge,
-    # observable events on the path including the edge)
-    stack: list[tuple[Optional[Transition], int, int]] = [(None, 0, 0)]
+    root = DifferenceSystem(())
+    root.close()
+    out: dict[tuple[str, ...], dict[tuple, DifferenceSystem]] = {}
+    # (edge into the node or None at the root, the state above the edge:
+    # zone, last timestamp, reset times, deferred guard parts, observable
+    # word, silent timestamps)
+    stack: list[tuple[Optional[Transition], tuple]] = [
+        (None, (root, ZERO_VAR, {}, (), (), ()))
+    ]
     while stack:
-        edge, depth, seen = stack.pop()
-        del path[depth:]
+        edge, state = stack.pop()
         if edge is None:
             nid = tree.root
         else:
-            path.append(edge)
+            zone, prev, reset_at, deferred, seen, silent = state
+            if edge.is_silent:
+                var = _silent_var(len(silent) + 1)
+                silent += (var,)
+            else:
+                var = obs_var(len(seen) + 1)
+                seen += (edge.action,)
+            zone = zone.extend(var)
+            zone.add_difference(prev, var, 0, False)
+            g = _translate_guard(edge.guard, var, reset_at)
+            for p in g.parts if isinstance(g, And) else (g,):
+                if isinstance(p, Atom):
+                    zone.add_atom(p)
+                elif isinstance(p, FalseGuard):
+                    zone = None
+                    break
+                elif not isinstance(p, TrueGuard):
+                    deferred += (p,)
+            if zone is None or not zone.is_satisfiable():
+                continue
+            if edge.resets:
+                reset_at = {**reset_at, **dict.fromkeys(edge.resets, var)}
             nid = edge.target
-        if tree.nodes[nid].accepting and (word is None or seen == len(word)):
-            yield tuple(path)
+            state = (zone, var, reset_at, deferred, seen, silent)
+        zone, _, _, deferred, seen, silent = state
+        if tree.nodes[nid].accepting and (word is None or len(seen) == len(word)):
+            zones = out.setdefault(seen, {})
+            systems = solver.feasible_systems(conj(*deferred), zone=zone) if deferred else (zone,)
+            for z in systems:
+                z = z.project_out(*silent)
+                zones.setdefault((z.scale, tuple(map(tuple, z.m))), z)
         for t in reversed(children[nid]):
-            if t.is_silent:
-                stack.append((t, len(path), seen))
-            elif word is None or (seen < len(word) and t.action == word[seen]):
-                stack.append((t, len(path), seen + 1))
-
-
-def _path_formula(tree: Tree, path) -> PathConstraint:
-    """Constraint over observable timestamps for one accepting path.
-
-    Timestamps are non-decreasing along the path; that they are
-    non-negative is left to the consumers, which all impose it.
-    """
-    word: list[str] = []
-    step_vars: list[Clock] = []
-    silent_vars: list[Clock] = []
-    reset_at: dict[Clock, Clock] = {}
-    parts: list[Guard] = []
-    prev: Optional[Clock] = None
-    for t in path:
-        if t.is_silent:
-            var = _silent_var(len(silent_vars) + 1)
-            silent_vars.append(var)
-        else:
-            word.append(t.action)
-            var = obs_var(len(word))
-        step_vars.append(var)
-        if prev is not None:
-            parts.append(Atom(var, ">=", 0, prev))
-        parts.append(_translate_guard(t.guard, var, reset_at))
-        for c in t.resets:
-            reset_at[c] = var
-        prev = var
-
-    formula = conj(*parts)
-    if silent_vars:
-        formula = _project(formula, silent_vars, step_vars)
-    return PathConstraint(tuple(word), formula)
-
-
-def _project(formula: Guard, drop: list[Clock], all_vars: list[Clock]) -> Guard:
-    """Exact existential elimination of ``drop``, branch by branch."""
-    results: list[Guard] = []
-    for sys in solver.feasible_systems(formula, nonneg=all_vars, variables=all_vars):
-        for v in drop:
-            sys = sys.project_out(v)
-        results.append(conj(*sys.reduced_atoms()))
-    return disj(*results)
+            if t.is_silent or word is None or (
+                len(seen) < len(word) and t.action == word[len(seen)]
+            ):
+                stack.append((t, state))
+    return {w: list(zones.values()) for w, zones in out.items() if zones}
 
 
 def path_constraints(t: Tree) -> dict[tuple[str, ...], Guard]:
-    """Per observable word, the disjunction of accepting-path formulas."""
-    out: dict[tuple[str, ...], list[Guard]] = {}
-    for path in _accepting_paths(t):
-        pc = _path_formula(t, path)
-        if isinstance(pc.formula, FalseGuard):
-            continue
-        out.setdefault(pc.word, []).append(pc.formula)
-    return {w: disj(*fs) for w, fs in out.items()}
+    """Per observable word, the disjunction of its zones' reduced atoms,
+    over obs_var(1..len(word)); every t >= 0 is left to the consumers."""
+    return {
+        w: disj(*(conj(*z.reduced_atoms()) for z in zones))
+        for w, zones in _walk(t).items()
+    }
 
 
 def language_equal(t1: Tree, t2: Tree, k: Optional[int] = None) -> EquivalenceResult:
     """Compare bounded languages word by word; witness on first difference."""
-    m1 = path_constraints(t1)
-    m2 = path_constraints(t2)
+    m1 = _walk(t1)
+    m2 = _walk(t2)
     words = sorted(set(m1) | set(m2), key=lambda w: (len(w), w))
     for word in words:
         if k is not None and len(word) > k:
             continue
-        f1 = m1.get(word, FALSE)
-        f2 = m2.get(word, FALSE)
+        f1 = m1.get(word, [])
+        f2 = m2.get(word, [])
         tvars = [obs_var(j) for j in range(1, len(word) + 1)]
         for fa, fb, direction in ((f1, f2, "left-only"), (f2, f1, "right-only")):
-            assignment = solver.difference_witness(fa, fb, nonneg=tvars)
+            assignment = solver.difference_witness(fa, fb)
             if assignment is not None:
-                times = tuple(assignment.get(v, Fraction(0)) for v in tvars)
+                times = tuple(assignment[v] for v in tvars)
                 return EquivalenceResult(False, word, times, direction)
     return EquivalenceResult(True)
 
 
 def trace_in_language(t: Tree, trace: TimedTrace) -> bool:
     """Exact membership of a concrete timed trace (silent times solved for)."""
-    valuation = {obs_var(j + 1): ts for j, (ts, _) in enumerate(trace.events)}
+    times = tuple(ts for ts, _ in trace.events)
     return any(
-        eval_guard(_path_formula(t, path).formula, valuation)
-        for path in _accepting_paths(t, trace.word)
+        _prefix_feasible(z, times) for z in _walk(t, trace.word).get(trace.word, ())
     )
 
 

@@ -40,6 +40,7 @@ from .core import (
     conj,
     conjunction_atoms,
     empty_interval,
+    guard_clocks,
     simplify_conjunction,
     table_guard,
 )
@@ -261,7 +262,13 @@ def _update_future_guards(ctx: SilentContext, edges: _Edges) -> None:
         parts = g.parts if isinstance(g, And) else (g,)
         reads = False
         for p in parts:
-            if isinstance(p, Atom) and (p.left == x_s0 or p.right == x_s0):
+            if not isinstance(p, Atom):
+                # only top-level atoms are rewritten
+                if x_s0 in guard_clocks(p):
+                    raise UnsupportedInputError(
+                        f"future guard refers to {x_s0} inside a disjunction: {p}"
+                    )
+            elif p.left == x_s0 or p.right == x_s0:
                 if p.right is not None:
                     raise UnsupportedInputError(
                         f"future guard refers to {x_s0} diagonally: {p}"

@@ -3,8 +3,9 @@
 Guards are conjunctions/disjunctions of unary and diagonal atoms with
 integer bounds: pure difference logic.  Satisfiability branches over the
 disjunctions lazily and closes a bound matrix over the clocks plus a zero
-reference by shortest paths; a negative cycle means UNSAT.  SMT-LIB export
-is kept for differential testing against an external solver.
+reference by shortest paths; a negative cycle means UNSAT.  Implication
+subtracts federations (unions of closed matrices) in disjoint pieces.
+SMT-LIB export is kept for differential testing against an external solver.
 
 The matrix holds each bound as one Python int, ``(c * scale) << 1 | weak``
 (the raw encoding of the UPPAAL DBM library), so closure does integer
@@ -18,7 +19,7 @@ Semantics, Algorithms and Tools*, 2004).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -124,6 +125,20 @@ class DifferenceSystem:
         out._sat = self._sat
         return out
 
+    def extend(self, var: Clock) -> "DifferenceSystem":
+        """A copy with one more variable, ``var``, left unconstrained; a
+        closed matrix stays closed."""
+        n = len(self.vars)
+        out = DifferenceSystem.__new__(DifferenceSystem)
+        out.vars = self.vars + [var]
+        out._index = {**self._index, var: n}
+        out.m = [row + [None] for row in self.m]
+        out.m.append([None] * n + [_RAW_ZERO])
+        out.scale = self.scale
+        out._closed = self._closed
+        out._sat = self._sat
+        return out
+
     def add_difference(self, u: Clock, v: Clock, value, strict: bool) -> None:
         """Constrain u - v <= value (strict: <)."""
         i, j = self._index[u], self._index[v]
@@ -135,7 +150,10 @@ class DifferenceSystem:
             if self.scale % den:
                 self._rescale(den // gcd(self.scale, den))
             value = value.numerator * (self.scale // den)
-        b = value << 1 if strict else (value << 1) | 1
+        self._constrain(i, j, value << 1 if strict else (value << 1) | 1)
+
+    def _constrain(self, i: int, j: int, b: int) -> None:
+        """Constrain entry ``m[i][j]`` by the raw bound ``b``."""
         old = self.m[i][j]
         if old is not None and old <= b:
             return
@@ -226,92 +244,81 @@ class DifferenceSystem:
         d = self.m[self._index[u]][self._index[v]]
         return None if d is None else (Fraction(d >> 1, self.scale), not d & 1)
 
-    def project_out(self, var: Clock) -> "DifferenceSystem":
-        """Existentially eliminate ``var``; exact for difference systems.
+    def project_out(self, *drop: Clock) -> "DifferenceSystem":
+        """Existentially eliminate the variables ``drop``; exact for
+        difference systems.
 
-        The closed matrix already holds every bound that a path through
-        ``var`` implies, so dropping its row and column leaves the closed
-        matrix of the projection.
+        The closed matrix already holds every bound that a path through a
+        dropped variable implies, so dropping its row and column leaves the
+        closed matrix of the projection.
         """
         if not self._closed:
             self.close()
-        k = self._index[var]
+        gone = {self._index[v] for v in drop}
+        keep = [i for i in range(len(self.vars)) if i not in gone]
         out = DifferenceSystem.__new__(DifferenceSystem)
-        out.vars = self.vars[:k] + self.vars[k + 1:]
+        out.vars = [self.vars[i] for i in keep]
         out._index = {v: i for i, v in enumerate(out.vars)}
-        out.m = [row[:k] + row[k + 1:] for i, row in enumerate(self.m) if i != k]
+        out.m = [[self.m[i][j] for j in keep] for i in keep]
         out.scale = self.scale
         out._closed = True
         out._sat = self._sat
         return out
 
-    def reduced_atoms(self, skip_nonneg: bool = True) -> list[Atom]:
-        """A small atom set whose closure equals this (satisfiable) system.
+    def _minimal_constraints(self) -> list[tuple[int, int, int]]:
+        """``(i, j, raw)`` triples, each bounding ``vars[i] - vars[j]`` by
+        the raw bound ``raw``, whose closure is this (satisfiable) system;
+        ordered by the later variable of each pair.
 
         Zero-cycle classes (variables at fixed offsets from each other) are
-        collapsed onto one representative and chained with equalities; among
-        representatives an entry is dropped when it is the exact sum of two
-        others (minimal-form argument for closed matrices without zero
-        cycles).  With ``skip_nonneg`` the plain x >= 0 entries (raw ``<= 0``
-        on 0 - x) are omitted and must be supplied as ambient constraints by
-        the caller.
+        collapsed onto one representative, each member tied to it by two
+        opposite bounds; among representatives an entry is dropped when it
+        is the exact sum of two others (minimal form of a closed matrix
+        without zero cycles; Larsen et al., RTSS 1997).
         """
         if not self.is_satisfiable():
             raise ValueError("system is unsatisfiable")
-        m, scale, vs = self.m, self.scale, self.vars
+        m = self.m
 
-        def fixed(u: int, v: int) -> Optional[Fraction]:
+        def fixed(u: int, v: int) -> bool:
             duv, dvu = m[u][v], m[v][u]
             # both weak and opposite: raw (2c + 1) + (-2c + 1) == 2
-            if duv is not None and dvu is not None and duv & dvu & 1 and duv + dvu == 2:
-                return Fraction(duv >> 1, scale)
-            return None
+            return duv is not None and dvu is not None and duv & dvu & 1 and duv + dvu == 2
 
         rep: list[int] = []
-        for v in range(len(vs)):
-            for r in rep:
-                if r != v and fixed(v, r) is not None:
-                    rep.append(r)
-                    break
-            else:
-                rep.append(v)
-
-        atoms: list[Atom] = []
-        for v, r in enumerate(rep):
-            if v == r:
-                continue
-            off = fixed(v, r)
-            if r == 0:
-                atoms.append(Atom(vs[v], "=", off))
-            elif v == 0:
-                atoms.append(Atom(vs[r], "=", -off))
-            else:
-                atoms.append(Atom(vs[v], "=", off, vs[r]))
-
+        for v in range(len(m)):
+            rep.append(next((r for r in rep if fixed(v, r)), v))
         reps = [v for v, r in enumerate(rep) if v == r]
-        for u in reps:
-            for v in reps:
-                if u == v:
-                    continue
-                d = m[u][v]
-                if d is None:
-                    continue
-                if skip_nonneg and u == 0 and d == _RAW_ZERO:
-                    continue
-                redundant = any(
-                    w != u and w != v and m[u][w] is not None and m[w][v] is not None
-                    and _raw_add(m[u][w], m[w][v]) == d
-                    for w in reps
-                )
-                if redundant:
-                    continue
-                value, strict = Fraction(d >> 1, scale), not d & 1
-                if v == 0:
-                    atoms.append(Atom(vs[u], "<" if strict else "<=", value))
-                elif u == 0:
-                    atoms.append(Atom(vs[v], ">" if strict else ">=", -value))
-                else:
-                    atoms.append(Atom(vs[u], "<" if strict else "<=", value, vs[v]))
+        out = [(v, r, m[v][r]) for v, r in enumerate(rep) if v != r]
+        out += [(r, v, m[r][v]) for v, r in enumerate(rep) if v != r]
+        out += [
+            (u, v, m[u][v]) for u in reps for v in reps
+            if u != v and m[u][v] is not None and not any(
+                w != u and w != v and m[u][w] is not None and m[w][v] is not None
+                and _raw_add(m[u][w], m[w][v]) == m[u][v]
+                for w in reps
+            )
+        ]
+        out.sort(key=lambda c: (max(c[0], c[1]), min(c[0], c[1])))
+        return out
+
+    def reduced_atoms(self) -> list[Atom]:
+        """A small atom set whose closure, together with x >= 0 for every
+        variable, equals this (satisfiable) system: its minimal constraints
+        less the plain x >= 0 entries (raw ``<= 0`` on 0 - x), which the
+        caller must supply as ambient constraints."""
+        vs, scale = self.vars, self.scale
+        atoms: list[Atom] = []
+        for u, v, d in self._minimal_constraints():
+            if u == 0 and d == _RAW_ZERO:
+                continue
+            value, strict = Fraction(d >> 1, scale), not d & 1
+            if v == 0:
+                atoms.append(Atom(vs[u], "<" if strict else "<=", value))
+            elif u == 0:
+                atoms.append(Atom(vs[v], ">" if strict else ">=", -value))
+            else:
+                atoms.append(Atom(vs[u], "<" if strict else "<=", value, vs[v]))
         return atoms
 
     def witness(self) -> dict[Clock, Fraction]:
@@ -386,6 +393,7 @@ def feasible_systems(
     g: Guard,
     nonneg: Optional[Iterable[Clock]] = None,
     variables: Optional[Iterable[Clock]] = None,
+    zone: Optional[DifferenceSystem] = None,
 ):
     """Satisfiable difference systems covering g, one per feasible branch.
 
@@ -394,16 +402,21 @@ def feasible_systems(
     conjuncts below it.  The union of the yielded systems equals
     g & (nonneg constraints); ``nonneg`` defaults to the guard's clocks.
     The systems range over ``nonneg`` and ``variables``, which default to
-    the guard's clocks and, when given, must include them.  More than
+    the guard's clocks and, when given, must include them.  With ``zone``
+    the search starts from a copy of that system instead (it must range
+    over the guard's clocks), and the union is g & zone.  More than
     ``DEFAULT_DNF_LIMIT`` branches raise :class:`ResourceLimitError`.
     """
-    if nonneg is None or variables is None:
-        clocks = guard_clocks(g)
-        nonneg = clocks if nonneg is None else nonneg
-        variables = clocks if variables is None else variables
-    nn = frozenset(nonneg)
-    base = DifferenceSystem(nn.union(variables))
-    base.add_nonneg(nn)
+    if zone is not None:
+        base = zone.copy()
+    else:
+        if nonneg is None or variables is None:
+            clocks = guard_clocks(g)
+            nonneg = clocks if nonneg is None else nonneg
+            variables = clocks if variables is None else variables
+        nn = frozenset(nonneg)
+        base = DifferenceSystem(nn.union(variables))
+        base.add_nonneg(nn)
     visited = [0]
 
     def compatible(sys: DifferenceSystem, d: Guard) -> bool:
@@ -471,50 +484,82 @@ def is_satisfiable(g: Guard, nonneg: Optional[Iterable[Clock]] = None) -> bool:
 
 
 def difference_witness(
-    g1: Guard,
-    g2: Guard,
+    g1: Guard | Sequence[DifferenceSystem],
+    g2: Guard | Sequence[DifferenceSystem],
     nonneg: Optional[Iterable[Clock]] = None,
 ) -> Optional[dict[Clock, Fraction]]:
-    """A point satisfying g1 but not g2, or None if g1 implies g2.
+    """A point in g1 but not in g2, or None if g1 implies g2.
 
-    The complement of g2 is never materialized: each of its DNF conjuncts
-    is excluded by branching over the complements of its atoms with
-    unsatisfiable branches pruned early, which stays small where the naive
-    DNF of g1 & ~g2 explodes.
+    Both arguments are guards, or both are federations: sequences of
+    satisfiable closed difference systems over one variable list, read as
+    their union.  Guards are first expanded by :func:`feasible_systems`
+    over their clocks, non-negative on ``nonneg`` (default: those clocks);
+    federations carry their own constraints and ignore ``nonneg``.
+
+    Each zone of g1 is cut by the zones of g2 in turn (DBM subtraction,
+    Bengtsson & Yi 2004).  Subtracting a zone with minimal constraints
+    c_0 .. c_m from a piece leaves the disjoint pieces
+    piece & c_0 & .. & c_{j-1} & ~c_j, one per c_j that the piece does not
+    already imply; a zone disjoint from the piece is skipped whole.  A
+    piece that outlives every zone of g2 holds the witness.  The pieces
+    wait on an explicit stack, and each zone's minimal constraints are
+    computed once, when a piece is first checked against it.
     """
-    c1, c2 = guard_clocks(g1), guard_clocks(g2)
-    nn = c1 | c2 if nonneg is None else frozenset(nonneg)
-    negated = list(dict.fromkeys(
-        tuple(s.reduced_atoms(skip_nonneg=False))
-        for s in feasible_systems(g2, nonneg=nn, variables=c2)
-    ))
+    if isinstance(g1, Guard):
+        clocks = guard_clocks(g1) | guard_clocks(g2)
+        nn = clocks if nonneg is None else frozenset(nonneg)
+        fed1, fed2 = (list(feasible_systems(g, nonneg=nn, variables=clocks)) for g in (g1, g2))
+    else:
+        fed1, fed2 = list(g1), list(g2)
+    zones = fed1 + fed2
+    if any(z.vars != zones[0].vars for z in zones):
+        raise ValueError("federations must range over one variable list")
+    scale = lcm(*(z.scale for z in zones))
+    for fed in (fed1, fed2):
+        for n, z in enumerate(fed):
+            if z.scale != scale:
+                fed[n] = z = z.copy()
+                z._rescale(scale // z.scale)
 
-    def exclude(sys: DifferenceSystem, i: int) -> Optional[dict[Clock, Fraction]]:
-        if not sys.is_satisfiable():
-            return None
-        while i < len(negated):
-            overlap = sys.copy()
-            for a in negated[i]:
-                overlap.add_atom(a)
-            if overlap.is_satisfiable():
-                break
-            i += 1  # already disjoint from this conjunct
-        if i == len(negated):
-            return sys.witness()
-        for a in negated[i]:
-            c = complement_atom(a)
-            for branch in c.parts if isinstance(c, Or) else (c,):
-                probe = sys.copy()
-                probe.add_atom(branch)
-                w = exclude(probe, i + 1)
-                if w is not None:
-                    return w
-        return None
+    minimal: dict[int, list[tuple[int, int, int]]] = {}
 
-    for sys in feasible_systems(g1, nonneg=nn, variables=c1 | c2):
-        w = exclude(sys, 0)
-        if w is not None:
-            return w
+    def constraints(i: int) -> list[tuple[int, int, int]]:
+        cons = minimal.get(i)
+        if cons is None:
+            cons = minimal[i] = fed2[i]._minimal_constraints()
+        return cons
+
+    for zone in fed1:
+        # (piece, the zones of g2 still to subtract from it)
+        stack: list[tuple[DifferenceSystem, Sequence[int]]] = [(zone.copy(), range(len(fed2)))]
+        while stack:
+            piece, todo = stack.pop()
+            m = piece.m
+            # a piece of this one can only meet zones that this one meets;
+            # a negative two-cycle shows disjointness without a copy
+            todo = [
+                i for i in todo
+                if not any(m[v][u] is not None and m[v][u] <= 1 - b for u, v, b in constraints(i))
+            ]
+            for n, i in enumerate(todo):
+                overlap = piece.copy()
+                for u, v, b in constraints(i):
+                    overlap._constrain(u, v, b)
+                if overlap.is_satisfiable():
+                    break
+            else:
+                return piece.witness()
+            rest_todo = todo[n + 1:]
+            for u, v, b in constraints(i):
+                d = m[u][v]
+                if d is not None and d <= b:
+                    continue  # the piece already implies c: ~c cuts nothing
+                rest = piece.copy()
+                rest._constrain(v, u, 1 - b)  # ~(u - v <= c) is v - u < -c
+                if rest.is_satisfiable():
+                    stack.append((rest, rest_todo))
+                piece._constrain(u, v, b)
+            # what is left of the piece lies inside fed2[i]
     return None
 
 

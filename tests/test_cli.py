@@ -101,6 +101,49 @@ def test_location_invariant_is_precondition_error(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"]["code"] == "precondition"
 
 
+def test_silent_clock_in_future_disjunction_is_precondition_error(tmp_path, capsys):
+    def atom(clock, rel, const):
+        return {"left": clock, "rel": rel, "const": const}
+
+    doc = {
+        "format": "ta/1",
+        "clocks": ["x", "z"],
+        "locations": [{"id": f"q{i}", "accepting": i == 3} for i in range(4)],
+        "initial": "q0",
+        "transitions": [
+            {"source": "q0", "target": "q1", "action": "a", "guard": [], "resets": ["x"]},
+            {"source": "q1", "target": "q2", "action": "eps",
+             "guard": [atom("x", ">=", 1)], "resets": ["z"]},
+            {"source": "q2", "target": "q3", "action": "b",
+             "guard": [atom("x", "<", 5), {"any": [atom("z", "<", 1), atom("z", ">", 3)]}],
+             "resets": []},
+        ],
+    }
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--input", str(path), "--depth", "2", "--check-equiv"]) == EXIT_PRECONDITION
+    assert json.loads(capsys.readouterr().err)["error"]["code"] == "precondition"
+
+
+@pytest.mark.parametrize("variant", ["std", "new", "otf"])
+def test_report_has_check_equiv_stage(variant, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    code = main([
+        "--input", COFFEE, "--depth", "3", "--variant", variant,
+        "--emit", "json", "--check-equiv", "--report", str(report),
+    ])
+    assert code == EXIT_OK
+    emitted = parse_model(capsys.readouterr().out)
+    stages = json.loads(report.read_text())["stages"]
+    built = {"std": "determinize-std", "new": "determinize-new", "otf": "on-the-fly"}[variant]
+    assert [s["name"] for s in stages][-2:] == [built, "check-equiv"]
+    # the check is sized by the output it verified, like the stage before it
+    for s in stages[-2:]:
+        assert (s["locations"], s["transitions"]) == (
+            len(emitted.locations), len(emitted.transitions))
+    assert stages[-1]["millis"] >= 0
+
+
 @pytest.mark.parametrize("variant", ["std", "new", "otf"])
 def test_check_equiv_unfolds_once(variant, monkeypatch):
     # std and new compare against the tree they staged; only otf, which

@@ -8,10 +8,10 @@ import pytest
 
 from tadet.core import (
     Atom, Clock, TRUE, Transition, conj, eval_guard, guard_atoms, make_automaton,
-    timed_trace,
+    map_atoms, timed_trace,
 )
-from tadet.corpus import coffee_machine, nondet_plain_c, nondet_silent_a
-from tadet.determinize import determinize_guard_oriented
+from tadet.corpus import coffee_machine, nondet_plain_c, nondet_silent_a, random_automaton
+from tadet.determinize import determinize_guard_oriented, determinize_standard
 from tadet.equivalence import (
     language_equal,
     obs_var,
@@ -50,9 +50,9 @@ def test_path_constraints_words():
 
 def test_projected_path_constraints_omit_nonnegativity():
     # on the unfolded tree coin.beep.coffee passes the silent brew step, so
-    # its formula is the projection written by reduced_atoms; on the removed
-    # tree it is the path formula as written.  Both leave every t >= 0 to
-    # the callers (they all impose it)
+    # its zone is a projection; on the removed tree it is not.  Both are
+    # written by reduced_atoms, which leaves every t >= 0 to the callers
+    # (they all impose it)
     tree = tree_of(coffee_machine(), 4)
     for t in (tree, remove_all_silent(tree)):
         f = path_constraints(t)[("coin", "beep", "coffee")]
@@ -146,3 +146,75 @@ def test_plain_c_depth_8_guard_oriented_output_is_language_equal():
     # inside difference_witness, each closed from scratch, and ran for minutes
     tree = tree_of(nondet_plain_c(), 8)
     assert language_equal(tree, determinize_guard_oriented(tree)).equal
+
+
+def test_plain_c_depth_10_guard_oriented_output_is_language_equal():
+    # the output's word alpha^10 has 81 zones that tile the tree's one zone;
+    # subtracting them from it fragments the piece, and stays small only
+    # because each piece meets few of the zones
+    tree = tree_of(nondet_plain_c(), 10)
+    assert language_equal(tree, determinize_guard_oriented(tree)).equal
+
+
+def test_deferred_disjunctions_on_random_7_depth_3():
+    # the guard-oriented output's guards carry disjunctions of complements;
+    # expanding them where they occur instead of at accepting nodes
+    # multiplies the branches past the solver's limit
+    tree = tree_of(random_automaton(7), 3)
+    stripped = remove_all_silent(tree)
+    new = determinize_guard_oriented(stripped)
+    assert language_equal(tree, new).equal
+    assert language_equal(new, determinize_standard(stripped)).equal
+
+
+def _move_bound(tree, rng):
+    """A copy of ``tree`` with one guard bound moved by one, or None."""
+    places = [(i, j) for i, t in enumerate(tree.transitions)
+              for j in range(len(guard_atoms(t.guard)))]
+    if not places:
+        return None
+    i, j = rng.choice(places)
+    delta = rng.choice((-1, 1))
+    seen = itertools.count()
+
+    def move(a):
+        return Atom(a.left, a.rel, a.bound + delta, a.right) if next(seen) == j else a
+
+    out = tree.copy()
+    t = out.transitions[i]
+    out.transitions[i] = Transition(t.source, t.target, t.action, map_atoms(t.guard, move), t.resets)
+    return out
+
+
+def test_mutant_counterexamples_replay_on_the_named_side():
+    rng = random.Random(8)
+    unequal = 0
+    for seed in range(100, 160):
+        tree = tree_of(random_automaton(seed), 2 + seed % 2)
+        mutant = _move_bound(tree, rng)
+        if mutant is None:
+            continue
+        r = language_equal(tree, mutant)
+        if r.equal:
+            continue
+        unequal += 1
+        trace = r.counterexample_trace()
+        left, right = trace_in_language(tree, trace), trace_in_language(mutant, trace)
+        assert left != right
+        assert left == (r.direction == "left-only")
+    assert unequal >= 10
+
+
+def test_subtraction_keeps_its_pieces_on_a_stack():
+    # a under x < 1500 against 1500 parallel a edges under i <= x < i+1:
+    # the piece left after each unit zone is cut by the next, 1500 deep
+    one = make_automaton(["q0", "q1"], "q0", ["q1"], [X], [
+        Transition("q0", "q1", "a", Atom(X, "<", 1500)),
+    ])
+    many = make_automaton(["q0", "q1"], "q0", ["q1"], [X], [
+        Transition("q0", "q1", "a", conj(Atom(X, ">=", i), Atom(X, "<", i + 1)))
+        for i in range(1500)
+    ])
+    t1, t2 = tree_of(one, 1), tree_of(many, 1)
+    assert language_equal(t1, t2).equal
+    assert language_equal(t2, t1).equal

@@ -290,6 +290,21 @@ def test_unsupported_guards_are_rejected(silent_guard, future_guard):
         remove_all_silent(rename_clocks(unfold(a, 2)))
 
 
+def test_silent_clock_inside_a_future_disjunction_is_rejected():
+    # only a future guard's top-level atoms are rewritten; z < 1 | z > 3
+    # kept as it was would read the renamed z after the bypass no longer
+    # resets it, and accept a@0 b@1, which the input rejects
+    a = _chain(
+        _edge("q0", "q1", "a"),
+        _edge("q1", "q2", None, Atom(XC, ">=", 1), reset=ZC),
+        Transition("q2", "q3", "b",
+                   conj(Atom(XC, "<", 5), disj(Atom(ZC, "<", 1), Atom(ZC, ">", 3)))),
+        accepting=["q3"],
+    )
+    with pytest.raises(UnsupportedInputError, match="disjunction"):
+        remove_all_silent(rename_clocks(unfold(a, 2)))
+
+
 def test_removal_on_a_deep_tree():
     # 2200 edges deep, beyond the interpreter's recursion limit: every walk
     # over the tree has to be iterative

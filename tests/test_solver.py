@@ -98,6 +98,19 @@ def test_difference_witness_separates(g1, g2):
 
 
 @settings(max_examples=100)
+@given(guards(), guards())
+def test_difference_witness_on_federations(g1, g2):
+    # the guards' branches as federations over one variable list give the
+    # same verdict, and a witness lies in g1 and outside g2
+    clocks = guard_clocks(g1) | guard_clocks(g2) | {X}
+    fed1, fed2 = (list(feasible_systems(g, nonneg=clocks, variables=clocks)) for g in (g1, g2))
+    w = difference_witness(fed1, fed2)
+    assert (w is None) == (difference_witness(g1, g2, nonneg=clocks) is None)
+    if w is not None:
+        assert eval_guard(g1, w) and not eval_guard(g2, w)
+
+
+@settings(max_examples=100)
 @given(guards())
 def test_feasible_systems_cover_guard(g):
     branches = list(feasible_systems(g))
@@ -106,6 +119,14 @@ def test_feasible_systems_cover_guard(g):
         w = s.witness()
         full = {c: w.get(c, Fraction(0)) for c in guard_clocks(g)}
         assert eval_guard(g, full)
+
+
+def test_difference_witness_across_scales():
+    # a half bound puts g1's system on scale 2 and g2's on scale 1
+    half, one = Atom(X, "<", Fraction(1, 2)), Atom(X, "<", 1)
+    assert difference_witness(half, one) is None
+    w = difference_witness(one, half)
+    assert w is not None and Fraction(1, 2) <= w[X] < 1
 
 
 def test_implies_and_equivalent():
