@@ -2,8 +2,8 @@
 
 Reads a model (JSON, or UPPAAL XML by extension), unfolds it to the
 requested depth, removes silent transitions, determinizes with the chosen
-variant and emits the result as JSON, DOT or SMT-LIB together with a JSON
-report of per-stage sizes and timings.
+variant and emits the result as JSON or DOT together with a JSON report of
+per-stage sizes and timings.
 
 Exit codes: 0 ok, 1 usage, 2 parse, 3 precondition, 4 resource limit,
 5 equivalence failure.
@@ -24,19 +24,16 @@ from .core import (
     StructuralError,
     TimedAutomaton,
     UnsupportedInputError,
-    disj,
-    guard_clocks,
 )
 from .determinize import (
     determinize_guard_oriented,
     determinize_standard,
     pipeline_on_the_fly,
 )
-from .equivalence import language_equal, path_constraints
+from .equivalence import language_equal
 from .modelio import ParseError, UnsupportedXmlError, export_dot, parse_model, \
     import_uppaal_xml, serialize_model
 from .silent import remove_all_silent
-from .solver import to_smtlib
 from .unfold import Tree, rename_clocks, unfold
 
 EXIT_OK = 0
@@ -148,17 +145,6 @@ def run_pipeline(
     return PipelineResult(final, report, counterexample)
 
 
-def _emit(tree: Tree, kind: str) -> str:
-    out = tree.to_automaton()
-    if kind == "json":
-        return serialize_model(out)
-    if kind == "dot":
-        return export_dot(out)
-    constraints = path_constraints(tree)
-    language = disj(*(constraints[w] for w in sorted(constraints)))
-    return to_smtlib(language, guard_clocks(language))
-
-
 def _fail(code: int, kind: str, message: str) -> int:
     print(json.dumps({"error": {"code": kind, "message": message}}), file=sys.stderr)
     return code
@@ -175,7 +161,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--prune-leaves", action="store_true",
                         help="drop non-accepting unfolding leaves "
                              "(std and new only; rejected with --variant otf)")
-    parser.add_argument("--emit", choices=("json", "dot", "smt2"),
+    parser.add_argument("--emit", choices=("json", "dot"),
                         help="write the determinized automaton to stdout")
     parser.add_argument("--check-equiv", action="store_true",
                         help="verify input/output language equality")
@@ -211,7 +197,8 @@ def main(argv: Optional[list[str]] = None) -> int:
             json.dumps(result.report.to_json(), indent=2) + "\n", encoding="utf-8"
         )
     if args.emit:
-        sys.stdout.write(_emit(result.final, args.emit))
+        out = result.final.to_automaton()
+        sys.stdout.write(serialize_model(out) if args.emit == "json" else export_dot(out))
     if result.counterexample is not None:
         return _fail(
             EXIT_NOT_EQUIVALENT, "not-equivalent", json.dumps(result.counterexample)

@@ -115,10 +115,6 @@ class Atom(Guard):
         if self.right is not None and self.right == self.left:
             raise ValueError("diagonal atom needs two distinct clocks")
 
-    @property
-    def is_diagonal(self) -> bool:
-        return self.right is not None
-
     def __str__(self) -> str:
         lhs = self.left.name if self.right is None else f"{self.left.name}-{self.right.name}"
         return f"{lhs}{self.rel}{self.bound}"
@@ -175,10 +171,6 @@ def disj(*parts: Guard) -> Guard:
     if len(flat) == 1:
         return flat[0]
     return Or(tuple(flat))
-
-
-def atom(left: Clock, rel: str, bound: Rational, right: Optional[Clock] = None) -> Atom:
-    return Atom(left, rel, bound, right)
 
 
 def guard_clocks(g: Guard) -> frozenset[Clock]:

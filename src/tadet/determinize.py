@@ -96,7 +96,7 @@ def _merge(tree: Tree, share: bool) -> Tree:
     if not tree.renamed:
         raise StructuralError("determinization requires a renamed tree")
     children = tree.build_children_index()
-    out = Tree(root=0, depth=tree.depth, renamed=True)
+    out = Tree(root=0, renamed=True)
     node_memo: dict = {}
     edge_memo: dict = {}
     # the same guards are tested many times over; the memo lives for this call
@@ -142,7 +142,7 @@ def _merge(tree: Tree, share: bool) -> Tree:
             if memo_key in node_memo:
                 return node_memo[memo_key]
         nid = len(out.nodes)
-        out.nodes[nid] = TreeNode(nid, origin, level, accepting=accepting)
+        out.nodes[nid] = TreeNode(origin, level, accepting=accepting)
         if share:
             node_memo[memo_key] = nid
         resets = frozenset((level_clock(level + 1),))
@@ -227,8 +227,8 @@ def determinize_standard(tree: Tree) -> Tree:
     if not tree.renamed:
         raise StructuralError("determinization requires a renamed tree")
     children = tree.build_children_index()
-    out = Tree(root=0, depth=tree.depth, renamed=True)
-    out.nodes[0] = TreeNode(0, tree.nodes[tree.root].origin, 0,
+    out = Tree(root=0, renamed=True)
+    out.nodes[0] = TreeNode(tree.nodes[tree.root].origin, 0,
                             accepting=tree.nodes[tree.root].accepting)
     counter = [1]
 
@@ -252,7 +252,7 @@ def determinize_standard(tree: Tree) -> Tree:
                 cid = counter[0]
                 counter[0] += 1
                 origin = tuple(sorted(str(tree.nodes[t].origin) for t in targets))
-                out.nodes[cid] = TreeNode(cid, origin, level + 1, accepting=accepting)
+                out.nodes[cid] = TreeNode(origin, level + 1, accepting=accepting)
                 out.transitions.append(
                     Transition(nid, cid, action, guard, frozenset((level_clock(level + 1),)))
                 )

@@ -30,6 +30,7 @@ from .core import (
     Clock,
     FalseGuard,
     Guard,
+    ResourceLimitError,
     TimedTrace,
     Transition,
     TrueGuard,
@@ -47,6 +48,10 @@ from .solver import DifferenceSystem, ZERO_VAR
 def obs_var(j: int) -> Clock:
     """Timestamp of the j-th observable event (1-based)."""
     return Clock(f"t{j}")
+
+
+# grid points that sample_traces may try before giving up
+SAMPLE_LIMIT = 2_000_000
 
 
 def _silent_var(j: int) -> Clock:
@@ -195,11 +200,7 @@ def trace_in_language(t: Tree, trace: TimedTrace) -> bool:
     )
 
 
-def sample_traces(
-    t: Tree,
-    grid_denominator: int,
-    max_explored: int = 2_000_000,
-) -> set[TimedTrace]:
+def sample_traces(t: Tree, grid_denominator: int) -> set[TimedTrace]:
     """All accepted traces with timestamps on the 1/d grid.
 
     Inter-event delays range over [0, max constant + 1]; for integer-bound
@@ -219,8 +220,8 @@ def sample_traces(
         if n == 0:
             out.add(TimedTrace(()))
             continue
-        tvars = [obs_var(j) for j in range(1, n + 1)]
-        systems = list(solver.feasible_systems(formula, nonneg=tvars, variables=tvars))
+        zone = solver.nonneg_zone(obs_var(j) for j in range(1, n + 1))
+        systems = list(solver.feasible_systems(formula, zone))
         if not systems:
             continue
 
@@ -233,9 +234,7 @@ def sample_traces(
             base = times[-1] if times else Fraction(0)
             for step in range(0, horizon * d + 1):
                 explored += 1
-                if explored > max_explored:
-                    from .core import ResourceLimitError
-
+                if explored > SAMPLE_LIMIT:
                     raise ResourceLimitError("sampling grid exceeds exploration cap")
                 ts = base + Fraction(step, d)
                 cand = times + (ts,)

@@ -60,7 +60,7 @@ def _atom_from_json(obj, path: str, clocks: dict[str, Clock]) -> Atom:
     left = _expect(obj, "left", path)
     rel = _expect(obj, "rel", path)
     const = _expect(obj, "const", path)
-    if left not in clocks:
+    if not isinstance(left, str) or left not in clocks:
         raise ParseError(f"unknown clock: {left}", f"{path}.left")
     if rel not in RELS:
         raise ParseError(f"malformed relation: {rel!r}", f"{path}.rel")
@@ -70,8 +70,10 @@ def _atom_from_json(obj, path: str, clocks: dict[str, Clock]) -> Atom:
         raise ParseError("negative constant", f"{path}.const")
     right: Optional[Clock] = None
     if "right" in obj and obj["right"] is not None:
-        if obj["right"] not in clocks:
+        if not isinstance(obj["right"], str) or obj["right"] not in clocks:
             raise ParseError(f"unknown clock: {obj['right']}", f"{path}.right")
+        if obj["right"] == left:
+            raise ParseError("diagonal atom needs two distinct clocks", f"{path}.right")
         right = clocks[obj["right"]]
     return Atom(clocks[left], rel, const, right)
 
@@ -79,16 +81,14 @@ def _atom_from_json(obj, path: str, clocks: dict[str, Clock]) -> Atom:
 def _guard_node_from_json(node, path: str, clocks: dict[str, Clock]) -> Guard:
     if not isinstance(node, dict):
         raise ParseError("guard node must be an object", path)
-    if "all" in node:
-        return conj(*(
-            _guard_node_from_json(p, f"{path}.all[{i}]", clocks)
-            for i, p in enumerate(node["all"])
-        ))
-    if "any" in node:
-        return disj(*(
-            _guard_node_from_json(p, f"{path}.any[{i}]", clocks)
-            for i, p in enumerate(node["any"])
-        ))
+    for tag, join in (("all", conj), ("any", disj)):
+        if tag in node:
+            if not isinstance(node[tag], list):
+                raise ParseError("expected a list", f"{path}.{tag}")
+            return join(*(
+                _guard_node_from_json(p, f"{path}.{tag}[{i}]", clocks)
+                for i, p in enumerate(node[tag])
+            ))
     return _atom_from_json(node, path, clocks)
 
 
@@ -141,7 +141,10 @@ def parse_model(text: str) -> TimedAutomaton:
         if lid in locations:
             raise ParseError(f"duplicate location: {lid}", f"{path}.id")
         locations.append(lid)
-        if loc.get("accepting", False):
+        is_accepting = loc.get("accepting", False)
+        if not isinstance(is_accepting, bool):
+            raise ParseError("accepting must be a boolean", f"{path}.accepting")
+        if is_accepting:
             accepting.append(lid)
         if "invariant" in loc:
             invariants[lid] = _guard_from_json(
@@ -167,9 +170,12 @@ def parse_model(text: str) -> TimedAutomaton:
         if not isinstance(action, str) or not action:
             raise ParseError("action must be a non-empty string", f"{path}.action")
         guard = _guard_from_json(tr.get("guard", []), f"{path}.guard", clocks)
+        raw_resets = tr.get("resets", [])
+        if not isinstance(raw_resets, list):
+            raise ParseError("expected a list", f"{path}.resets")
         resets = []
-        for j, r in enumerate(tr.get("resets", [])):
-            if r not in clocks:
+        for j, r in enumerate(raw_resets):
+            if not isinstance(r, str) or r not in clocks:
                 raise ParseError(f"unknown clock: {r}", f"{path}.resets[{j}]")
             resets.append(clocks[r])
         transitions.append(Transition(
@@ -293,8 +299,9 @@ def import_uppaal_xml(text: str) -> TimedAutomaton:
     Supported: clock/chan declarations, plain locations, guard labels that
     conjoin clock comparisons, assignment labels resetting clocks to 0, and
     synchronization labels naming a channel (``tau`` for silent).  State
-    variables, committed or urgent locations, and multiple templates are
-    rejected.
+    variables, committed or urgent locations, location labels (invariants
+    among them), and multiple templates are rejected, and so are
+    transitions whose source or target is missing or names no location.
     """
     try:
         root = ET.fromstring(text)
@@ -328,10 +335,19 @@ def import_uppaal_xml(text: str) -> TimedAutomaton:
     accepting: list[str] = []
     for loc in tmpl.findall("location"):
         lid = loc.get("id")
+        if lid is None or lid in names:
+            raise UnsupportedXmlError(f"missing or duplicate location id {lid!r}")
         if loc.find("committed") is not None or loc.find("urgent") is not None:
             raise UnsupportedXmlError(f"committed/urgent location {lid}")
+        label = loc.find("label")
+        if label is not None:
+            raise UnsupportedXmlError(
+                f"unsupported label kind {label.get('kind')!r} on location {lid}"
+            )
         name_el = loc.find("name")
         name = name_el.text if name_el is not None and name_el.text else lid
+        if name in names.values():
+            raise UnsupportedXmlError(f"duplicate location name {name!r}")
         names[lid] = name
         if name.endswith("_acc"):
             accepting.append(name)
@@ -342,8 +358,10 @@ def import_uppaal_xml(text: str) -> TimedAutomaton:
     transitions: list[Transition] = []
     for i, tr in enumerate(tmpl.findall("transition")):
         where = f"transition {i}"
-        src = names[tr.find("source").get("ref")]
-        dst = names[tr.find("target").get("ref")]
+        ends = [tr.find(end) for end in ("source", "target")]
+        if any(e is None or e.get("ref") not in names for e in ends):
+            raise UnsupportedXmlError(f"missing or dangling <source>/<target> in {where}")
+        src, dst = (names[e.get("ref")] for e in ends)
         guard: Guard = TRUE
         action: Optional[str] = None
         resets: set[Clock] = set()

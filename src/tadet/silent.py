@@ -51,9 +51,7 @@ from .unfold import Tree, TreeNode
 class SilentContext:
     """Everything Algorithm 1 needs about one first-from-root silent transition."""
 
-    silent: Transition          # tau_{s,0}
-    silent_clock: Clock         # x_{s,0}, the clock reset on it
-    source: int                 # q_s
+    silent_clock: Clock         # x_{s,0}, the clock reset on tau_{s,0}
     target: int                 # q_{s,0}
     predecessor: Optional[Transition]  # tau_s, observable edge into q_s (None at root)
     reset_clock: Clock          # x_s: reset of tau_s, or x_0 at the root
@@ -88,9 +86,7 @@ def _context(silent: Transition, pred: Optional[Transition]) -> SilentContext:
                     raise UnsupportedInputError(f"silent guard must be unary, got {a}")
             exact = next(((a.left, a.bound) for a in atoms if a.rel == "="), None)
     return SilentContext(
-        silent=silent,
         silent_clock=x_s0,
-        source=silent.source,
         target=silent.target,
         predecessor=pred,
         reset_clock=x_s,

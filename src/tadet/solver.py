@@ -389,34 +389,25 @@ def _split_parts(parts: Sequence[Guard]) -> Optional[tuple[list[Atom], list[Or]]
     return atoms, ors
 
 
-def feasible_systems(
-    g: Guard,
-    nonneg: Optional[Iterable[Clock]] = None,
-    variables: Optional[Iterable[Clock]] = None,
-    zone: Optional[DifferenceSystem] = None,
-):
-    """Satisfiable difference systems covering g, one per feasible branch.
+def nonneg_zone(clocks: Iterable[Clock]) -> DifferenceSystem:
+    """The system over ``clocks`` that only says each clock is >= 0."""
+    zone = DifferenceSystem(clocks)
+    zone.add_nonneg(zone.vars)
+    return zone
 
+
+def feasible_systems(g: Guard, zone: Optional[DifferenceSystem] = None):
+    """Satisfiable difference systems covering g & zone, one per feasible
+    branch.
+
+    The search starts from a copy of ``zone``, which must range over the
+    guard's clocks; by default from ``nonneg_zone(guard_clocks(g))``.
     Disjunctions are branched one at a time with the accumulated system
     checked before descending, so an infeasible prefix cuts off all DNF
-    conjuncts below it.  The union of the yielded systems equals
-    g & (nonneg constraints); ``nonneg`` defaults to the guard's clocks.
-    The systems range over ``nonneg`` and ``variables``, which default to
-    the guard's clocks and, when given, must include them.  With ``zone``
-    the search starts from a copy of that system instead (it must range
-    over the guard's clocks), and the union is g & zone.  More than
-    ``DEFAULT_DNF_LIMIT`` branches raise :class:`ResourceLimitError`.
+    conjuncts below it.  More than ``DEFAULT_DNF_LIMIT`` branches raise
+    :class:`ResourceLimitError`.
     """
-    if zone is not None:
-        base = zone.copy()
-    else:
-        if nonneg is None or variables is None:
-            clocks = guard_clocks(g)
-            nonneg = clocks if nonneg is None else nonneg
-            variables = clocks if variables is None else variables
-        nn = frozenset(nonneg)
-        base = DifferenceSystem(nn.union(variables))
-        base.add_nonneg(nn)
+    base = zone.copy() if zone is not None else nonneg_zone(guard_clocks(g))
     visited = [0]
 
     def compatible(sys: DifferenceSystem, d: Guard) -> bool:
@@ -475,26 +466,21 @@ def feasible_systems(
     yield from expand(base, [g])
 
 
-def is_satisfiable(g: Guard, nonneg: Optional[Iterable[Clock]] = None) -> bool:
-    """True iff some assignment (non-negative on ``nonneg``) satisfies g.
-
-    ``nonneg`` defaults to every clock appearing in the guard.
-    """
-    return next(feasible_systems(g, nonneg), None) is not None
+def is_satisfiable(g: Guard) -> bool:
+    """True iff some non-negative assignment satisfies g."""
+    return next(feasible_systems(g), None) is not None
 
 
 def difference_witness(
     g1: Guard | Sequence[DifferenceSystem],
     g2: Guard | Sequence[DifferenceSystem],
-    nonneg: Optional[Iterable[Clock]] = None,
 ) -> Optional[dict[Clock, Fraction]]:
     """A point in g1 but not in g2, or None if g1 implies g2.
 
     Both arguments are guards, or both are federations: sequences of
     satisfiable closed difference systems over one variable list, read as
     their union.  Guards are first expanded by :func:`feasible_systems`
-    over their clocks, non-negative on ``nonneg`` (default: those clocks);
-    federations carry their own constraints and ignore ``nonneg``.
+    from one :func:`nonneg_zone` of their joint clocks.
 
     Each zone of g1 is cut by the zones of g2 in turn (DBM subtraction,
     Bengtsson & Yi 2004).  Subtracting a zone with minimal constraints
@@ -506,9 +492,8 @@ def difference_witness(
     computed once, when a piece is first checked against it.
     """
     if isinstance(g1, Guard):
-        clocks = guard_clocks(g1) | guard_clocks(g2)
-        nn = clocks if nonneg is None else frozenset(nonneg)
-        fed1, fed2 = (list(feasible_systems(g, nonneg=nn, variables=clocks)) for g in (g1, g2))
+        zone = nonneg_zone(guard_clocks(g1) | guard_clocks(g2))
+        fed1, fed2 = (list(feasible_systems(g, zone)) for g in (g1, g2))
     else:
         fed1, fed2 = list(g1), list(g2)
     zones = fed1 + fed2
@@ -563,13 +548,13 @@ def difference_witness(
     return None
 
 
-def implies(g1: Guard, g2: Guard, nonneg: Optional[Iterable[Clock]] = None) -> bool:
-    """g1 => g2, i.e. no point satisfies g1 but not g2."""
-    return difference_witness(g1, g2, nonneg) is None
+def implies(g1: Guard, g2: Guard) -> bool:
+    """g1 => g2, i.e. no non-negative point satisfies g1 but not g2."""
+    return difference_witness(g1, g2) is None
 
 
-def equivalent(g1: Guard, g2: Guard, nonneg: Optional[Iterable[Clock]] = None) -> bool:
-    return implies(g1, g2, nonneg) and implies(g2, g1, nonneg)
+def equivalent(g1: Guard, g2: Guard) -> bool:
+    return implies(g1, g2) and implies(g2, g1)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from .core import (
 
 @dataclass
 class TreeNode:
-    nid: int
     origin: Hashable  # location of the source automaton (or a merge label)
     obs_level: int
     silent_index: Optional[int] = None  # position in its silent chain, if silent-reached
@@ -43,7 +42,6 @@ class Tree:
     """Tree-shaped (or, after determinization, DAG-shaped) timed automaton."""
 
     root: int
-    depth: int  # bound k
     nodes: dict[int, TreeNode] = field(default_factory=dict)
     transitions: list[Transition] = field(default_factory=list)
     renamed: bool = False
@@ -96,8 +94,7 @@ class Tree:
     def copy(self) -> "Tree":
         return Tree(
             root=self.root,
-            depth=self.depth,
-            nodes={n: TreeNode(i.nid, i.origin, i.obs_level, i.silent_index, i.accepting)
+            nodes={n: TreeNode(i.origin, i.obs_level, i.silent_index, i.accepting)
                    for n, i in self.nodes.items()},
             transitions=list(self.transitions),
             renamed=self.renamed,
@@ -130,9 +127,8 @@ def unfold(a: TimedAutomaton, k: int, prune_nonaccepting_leaves: bool = False) -
     for t in a.transitions:
         out_edges.setdefault(t.source, []).append(t)
 
-    tree = Tree(root=0, depth=k)
+    tree = Tree(root=0)
     tree.nodes[0] = TreeNode(
-        nid=0,
         origin=a.initial,
         obs_level=0,
         accepting=a.initial in a.accepting,
@@ -147,22 +143,18 @@ def unfold(a: TimedAutomaton, k: int, prune_nonaccepting_leaves: bool = False) -
             continue
         children: list[int] = []
         for t in out_edges.get(info.origin, ()):
+            cid = next_id
+            next_id += 1
             if t.is_silent:
-                cid = next_id
-                next_id += 1
                 prev = info.silent_index
                 tree.nodes[cid] = TreeNode(
-                    nid=cid,
                     origin=t.target,
                     obs_level=info.obs_level,
                     silent_index=0 if prev is None else prev + 1,
                     accepting=False,
                 )
             else:
-                cid = next_id
-                next_id += 1
                 tree.nodes[cid] = TreeNode(
-                    nid=cid,
                     origin=t.target,
                     obs_level=info.obs_level + 1,
                     accepting=t.target in a.accepting,
@@ -206,9 +198,9 @@ def rename_clocks(t: Tree) -> Tree:
     if not t.is_tree():
         raise StructuralError("clock renaming requires a tree")
 
-    out = Tree(root=t.root, depth=t.depth, renamed=True)
+    out = Tree(root=t.root, renamed=True)
     for nid, info in t.nodes.items():
-        out.nodes[nid] = TreeNode(nid, info.origin, info.obs_level, info.silent_index,
+        out.nodes[nid] = TreeNode(info.origin, info.obs_level, info.silent_index,
                                   info.accepting)
 
     out_edges: dict[int, list[int]] = {n: [] for n in t.nodes}

@@ -349,7 +349,7 @@ def test_solver_agrees_with_grid_brute_force():
     for _ in range(1000):
         g = _random_guard(rng, clocks)
         grid = bool(_grid_eval(g, env_template).any())
-        assert solver.is_satisfiable(g, nonneg=clocks) == grid
+        assert solver.is_satisfiable(g) == grid
 
 
 def test_solver_agrees_with_external_smt():
@@ -360,4 +360,4 @@ def test_solver_agrees_with_external_smt():
         g = _random_guard(rng, clocks)
         s = z3.Solver()
         s.from_string(solver.to_smtlib(g, clocks))
-        assert (s.check() == z3.sat) == solver.is_satisfiable(g, nonneg=clocks)
+        assert (s.check() == z3.sat) == solver.is_satisfiable(g)

@@ -1,6 +1,7 @@
 """JSON round-trips, UPPAAL subset import, DOT export."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,7 @@ from tadet.core import (
     disj,
     make_automaton,
 )
+from tadet.cli import EXIT_PARSE, main
 from tadet.corpus import NAMED_MODELS, coffee_machine, random_automaton
 from tadet.determinize import (
     determinize_guard_oriented,
@@ -202,6 +204,42 @@ def test_malformed_relation_rejected():
         parse_model(json.dumps(doc))
 
 
+@pytest.mark.parametrize("keys, value, where", [
+    pytest.param(("transitions", 0, "resets"), 5, "$.transitions[0].resets", id="resets-int"),
+    pytest.param(("transitions", 0, "resets"), "x", "$.transitions[0].resets", id="resets-str"),
+    pytest.param(("transitions", 0, "resets"), [["x"]], "$.transitions[0].resets[0]",
+                 id="reset-list"),
+    pytest.param(("transitions", 1, "guard"), [{"all": 3}], "$.transitions[1].guard[0].all",
+                 id="all-int"),
+    pytest.param(("transitions", 1, "guard"), [{"any": {}}], "$.transitions[1].guard[0].any",
+                 id="any-object"),
+    pytest.param(("transitions", 1, "guard", 0, "left"), ["x"],
+                 "$.transitions[1].guard[0].left", id="left-list"),
+    pytest.param(("transitions", 1, "guard", 0, "right"), ["x"],
+                 "$.transitions[1].guard[0].right", id="right-list"),
+    pytest.param(("transitions", 1, "guard", 0, "right"), "x",
+                 "$.transitions[1].guard[0].right", id="right-is-left"),
+    pytest.param(("locations", 1, "accepting"), "false", "$.locations[1].accepting",
+                 id="accepting-str"),
+    pytest.param(("locations", 1, "accepting"), 1, "$.locations[1].accepting",
+                 id="accepting-int"),
+])
+def test_malformed_document_is_a_parse_error(keys, value, where, tmp_path, capsys):
+    doc = json.loads(serialize_model(coffee_machine()))
+    *parents, last = keys
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    text = json.dumps(doc)
+    with pytest.raises(ParseError, match=re.escape(where + ":")):
+        parse_model(text)
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    assert main(["--input", str(bad), "--depth", "2"]) == EXIT_PARSE
+    assert json.loads(capsys.readouterr().err)["error"]["code"] == "parse"
+
+
 UPPAAL = """<nta>
   <declaration>clock x; chan alpha, tau;</declaration>
   <template>
@@ -250,6 +288,35 @@ def test_uppaal_rejects_committed_locations():
     )
     with pytest.raises(UnsupportedXmlError, match="committed"):
         import_uppaal_xml(committed)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    pytest.param('<location id="id0"><name>q0</name></location>',
+                 '<location id="id0"><name>q0</name>'
+                 '<label kind="invariant">x &lt;= 1</label></location>',
+                 "'invariant' on location id0", id="invariant"),
+    pytest.param('<source ref="id1"/>', '<source ref="id7"/>',
+                 "<source>/<target> in transition 1", id="dangling-source"),
+    pytest.param('<source ref="id1"/>', '', "<source>/<target> in transition 1",
+                 id="missing-source"),
+    pytest.param('<target ref="id1"/>', '', "<source>/<target> in transition 0",
+                 id="missing-target"),
+    pytest.param('<location id="id1">', '<location>', "missing or duplicate location id",
+                 id="missing-id"),
+    pytest.param('<location id="id1">', '<location id="id0">',
+                 "missing or duplicate location id", id="duplicate-id"),
+    pytest.param('<name>q1_acc</name>', '<name>q0</name>', "duplicate location name",
+                 id="duplicate-name"),
+])
+def test_uppaal_rejects_malformed_locations_and_transitions(old, new, message, tmp_path, capsys):
+    assert old in UPPAAL
+    text = UPPAAL.replace(old, new)
+    with pytest.raises(UnsupportedXmlError, match=re.escape(message)):
+        import_uppaal_xml(text)
+    bad = tmp_path / "bad.xml"
+    bad.write_text(text)
+    assert main(["--input", str(bad), "--depth", "2"]) == EXIT_PARSE
+    assert json.loads(capsys.readouterr().err)["error"]["code"] == "parse"
 
 
 def test_dot_export_structure():

@@ -23,6 +23,7 @@ from tadet.solver import (
     feasible_systems,
     implies,
     is_satisfiable,
+    nonneg_zone,
     to_smtlib,
 )
 
@@ -103,9 +104,9 @@ def test_difference_witness_on_federations(g1, g2):
     # the guards' branches as federations over one variable list give the
     # same verdict, and a witness lies in g1 and outside g2
     clocks = guard_clocks(g1) | guard_clocks(g2) | {X}
-    fed1, fed2 = (list(feasible_systems(g, nonneg=clocks, variables=clocks)) for g in (g1, g2))
+    fed1, fed2 = (list(feasible_systems(g, nonneg_zone(clocks))) for g in (g1, g2))
     w = difference_witness(fed1, fed2)
-    assert (w is None) == (difference_witness(g1, g2, nonneg=clocks) is None)
+    assert (w is None) == (difference_witness(g1, g2) is None)
     if w is not None:
         assert eval_guard(g1, w) and not eval_guard(g2, w)
 
