@@ -191,6 +191,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _fail(EXIT_PRECONDITION, "precondition", str(e))
     except ResourceLimitError as e:
         return _fail(EXIT_RESOURCE, "resource-limit", str(e))
+    except RecursionError as e:
+        # the pipeline's stages recurse along the unfolding's depth
+        return _fail(EXIT_RESOURCE, "resource-limit", f"stack depth: {e}")
 
     if args.report:
         Path(args.report).write_text(

@@ -134,7 +134,7 @@ def _merge(tree: Tree, share: bool) -> Tree:
         edges = [(c.action, c.guard, c.target) for c in children[t]]
         return edges, content(edges)
 
-    def node(edges: list[_Edge], key, level: int, accepting: bool, origin, sub=None) -> int:
+    def node(edges: list[_Edge], key, level: int, accepting: bool, sub=None) -> int:
         """A location at ``level`` with ``edges`` (content ``key``) pending;
         ``sub``: its out-edges."""
         if share:
@@ -142,7 +142,7 @@ def _merge(tree: Tree, share: bool) -> Tree:
             if memo_key in node_memo:
                 return node_memo[memo_key]
         nid = len(out.nodes)
-        out.nodes[nid] = TreeNode(origin, level, accepting=accepting)
+        out.nodes[nid] = TreeNode(None, level, accepting=accepting)
         if share:
             node_memo[memo_key] = nid
         resets = frozenset((level_clock(level + 1),))
@@ -162,8 +162,7 @@ def _merge(tree: Tree, share: bool) -> Tree:
             if len(group) == 1:
                 _, g, t = group[0]
                 if sat(g):
-                    src = tree.nodes[t]
-                    nid = node(*pending(t), level + 1, src.accepting, src.origin)
+                    nid = node(*pending(t), level + 1, tree.nodes[t].accepting)
                     result.append((action, g, nid))
                 continue
 
@@ -186,25 +185,23 @@ def _merge(tree: Tree, share: bool) -> Tree:
 
             child_key = content(merged_child)
             sub = expand(merged_child, level + 1, child_key)
-            origins = tuple(sorted(str(tree.nodes[t].origin) for _, _, t in group))
             # each accepting guard is satisfiable, hence so is their disjunction
             if acc_guards:
                 g_acc = disj(*acc_guards)
-                nid = node(merged_child, child_key, level + 1, True, origins, sub)
+                nid = node(merged_child, child_key, level + 1, True, sub)
                 result.append((action, g_acc, nid))
             if nacc_guards:
                 g_nacc = disj(*nacc_guards)
                 if acc_guards:
                     g_nacc = conj(g_nacc, solver.complement_guard(g_acc))
                 if sat(g_nacc):
-                    nid = node(merged_child, child_key, level + 1, False, origins, sub)
+                    nid = node(merged_child, child_key, level + 1, False, sub)
                     result.append((action, g_nacc, nid))
         if share:
             edge_memo[memo_key] = result
         return result
 
-    root = tree.nodes[tree.root]
-    node(*pending(tree.root), 0, root.accepting, root.origin)
+    node(*pending(tree.root), 0, tree.nodes[tree.root].accepting)
     # the nested functions reach each other through their closures; drop
     # them so that the memos are freed on return, not at the next collection
     signature = node = expand = None
@@ -228,8 +225,7 @@ def determinize_standard(tree: Tree) -> Tree:
         raise StructuralError("determinization requires a renamed tree")
     children = tree.build_children_index()
     out = Tree(root=0, renamed=True)
-    out.nodes[0] = TreeNode(tree.nodes[tree.root].origin, 0,
-                            accepting=tree.nodes[tree.root].accepting)
+    out.nodes[0] = TreeNode(None, 0, accepting=tree.nodes[tree.root].accepting)
     counter = [1]
 
     def build(members: frozenset[int], nid: int, level: int) -> None:
@@ -251,8 +247,7 @@ def determinize_standard(tree: Tree) -> Tree:
                 accepting = any(tree.nodes[t].accepting for t in targets)
                 cid = counter[0]
                 counter[0] += 1
-                origin = tuple(sorted(str(tree.nodes[t].origin) for t in targets))
-                out.nodes[cid] = TreeNode(origin, level + 1, accepting=accepting)
+                out.nodes[cid] = TreeNode(None, level + 1, accepting=accepting)
                 out.transitions.append(
                     Transition(nid, cid, action, guard, frozenset((level_clock(level + 1),)))
                 )

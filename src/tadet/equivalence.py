@@ -10,9 +10,12 @@ that are not atoms (the disjunctions of complements in determinized
 outputs) are deferred and expanded once at each accepting node, seeded
 with its zone.  Silent steps contribute internal timestamps that are
 projected out exactly, so each observable word gets a federation (a list
-of zones) over its observable timestamps, and two automata accept the
-same traces for a word iff :func:`tadet.solver.difference_witness` finds
-no point of one federation outside the other.
+of zones) over its observable timestamps: :func:`path_constraints`.  The
+zone is the one form of a word's timed language here.  Two automata
+accept the same traces for a word iff
+:func:`tadet.solver.difference_witness` finds no point of one federation
+outside the other; membership and grid sampling probe the zones with
+concrete timestamps.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ from .core import (
     TrueGuard,
     compare,
     conj,
-    disj,
     guard_atoms,
     map_atoms,
 )
@@ -98,12 +100,13 @@ def _translate_guard(g: Guard, now: Clock, reset_at: dict[Clock, Clock]) -> Guar
     return map_atoms(g, tr)
 
 
-def _walk(
+def path_constraints(
     tree: Tree, word: Optional[tuple[str, ...]] = None
 ) -> dict[tuple[str, ...], list[DifferenceSystem]]:
-    """Per observable word, the deduplicated zones over ``t1..tw`` of the
-    tree's accepting paths; with ``word``, only that word's, leaving a
-    branch as soon as its actions stop being a prefix of it.
+    """Per observable word, the deduplicated closed zones over ``t1..tw``
+    of the tree's accepting paths; with ``word``, only that word's, leaving
+    a branch as soon as its actions stop being a prefix of it.  Every word
+    in the result has at least one zone.
 
     Depth-first; each node's zone is its parent's, extended by the edge's
     timestamp, ``t >= previous``, and the edge's guard atoms.  The guard's
@@ -164,19 +167,10 @@ def _walk(
     return {w: list(zones.values()) for w, zones in out.items() if zones}
 
 
-def path_constraints(t: Tree) -> dict[tuple[str, ...], Guard]:
-    """Per observable word, the disjunction of its zones' reduced atoms,
-    over obs_var(1..len(word)); every t >= 0 is left to the consumers."""
-    return {
-        w: disj(*(conj(*z.reduced_atoms()) for z in zones))
-        for w, zones in _walk(t).items()
-    }
-
-
 def language_equal(t1: Tree, t2: Tree, k: Optional[int] = None) -> EquivalenceResult:
     """Compare bounded languages word by word; witness on first difference."""
-    m1 = _walk(t1)
-    m2 = _walk(t2)
+    m1 = path_constraints(t1)
+    m2 = path_constraints(t2)
     words = sorted(set(m1) | set(m2), key=lambda w: (len(w), w))
     for word in words:
         if k is not None and len(word) > k:
@@ -196,7 +190,7 @@ def trace_in_language(t: Tree, trace: TimedTrace) -> bool:
     """Exact membership of a concrete timed trace (silent times solved for)."""
     times = tuple(ts for ts, _ in trace.events)
     return any(
-        _prefix_feasible(z, times) for z in _walk(t, trace.word).get(trace.word, ())
+        _prefix_feasible(z, times) for z in path_constraints(t, trace.word).get(trace.word, ())
     )
 
 
@@ -215,16 +209,11 @@ def sample_traces(t: Tree, grid_denominator: int) -> set[TimedTrace]:
     d = grid_denominator
     explored = 0
     out: set[TimedTrace] = set()
-    for word, formula in path_constraints(t).items():
+    for word, zones in path_constraints(t).items():
         n = len(word)
         if n == 0:
             out.add(TimedTrace(()))
             continue
-        zone = solver.nonneg_zone(obs_var(j) for j in range(1, n + 1))
-        systems = list(solver.feasible_systems(formula, zone))
-        if not systems:
-            continue
-
         stack: list[tuple[int, tuple[Fraction, ...]]] = [(0, ())]
         while stack:
             j, times = stack.pop()
@@ -238,13 +227,13 @@ def sample_traces(t: Tree, grid_denominator: int) -> set[TimedTrace]:
                     raise ResourceLimitError("sampling grid exceeds exploration cap")
                 ts = base + Fraction(step, d)
                 cand = times + (ts,)
-                if any(_prefix_feasible(sys, cand) for sys in systems):
+                if any(_prefix_feasible(z, cand) for z in zones):
                     stack.append((j + 1, cand))
     return out
 
 
-def _prefix_feasible(sys: DifferenceSystem, times: tuple[Fraction, ...]) -> bool:
-    probe = sys.copy()
+def _prefix_feasible(zone: DifferenceSystem, times: tuple[Fraction, ...]) -> bool:
+    probe = zone.copy()
     for j, ts in enumerate(times, start=1):
         v = obs_var(j)
         probe.add_difference(v, ZERO_VAR, ts, False)

@@ -110,6 +110,8 @@ def parse_model(text: str) -> TimedAutomaton:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e}") from e
+    except RecursionError:
+        raise ParseError("document nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("top-level value must be an object")
     if doc.get("format", FORMAT_TAG) != FORMAT_TAG:

@@ -302,25 +302,6 @@ class DifferenceSystem:
         out.sort(key=lambda c: (max(c[0], c[1]), min(c[0], c[1])))
         return out
 
-    def reduced_atoms(self) -> list[Atom]:
-        """A small atom set whose closure, together with x >= 0 for every
-        variable, equals this (satisfiable) system: its minimal constraints
-        less the plain x >= 0 entries (raw ``<= 0`` on 0 - x), which the
-        caller must supply as ambient constraints."""
-        vs, scale = self.vars, self.scale
-        atoms: list[Atom] = []
-        for u, v, d in self._minimal_constraints():
-            if u == 0 and d == _RAW_ZERO:
-                continue
-            value, strict = Fraction(d >> 1, scale), not d & 1
-            if v == 0:
-                atoms.append(Atom(vs[u], "<" if strict else "<=", value))
-            elif u == 0:
-                atoms.append(Atom(vs[v], ">" if strict else ">=", -value))
-            else:
-                atoms.append(Atom(vs[u], "<" if strict else "<=", value, vs[v]))
-        return atoms
-
     def witness(self) -> dict[Clock, Fraction]:
         """One satisfying assignment (zero var pinned to 0).
 

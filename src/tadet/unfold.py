@@ -31,7 +31,7 @@ from .core import (
 
 @dataclass
 class TreeNode:
-    origin: Hashable  # location of the source automaton (or a merge label)
+    origin: Hashable  # location of the source automaton; None in determinized outputs
     obs_level: int
     silent_index: Optional[int] = None  # position in its silent chain, if silent-reached
     accepting: bool = False

@@ -10,10 +10,12 @@ from tadet.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_PRECONDITION,
+    EXIT_RESOURCE,
     EXIT_USAGE,
     main,
     run_pipeline,
 )
+from tadet import solver
 from tadet.corpus import coffee_machine
 from tadet.modelio import parse_model, serialize_model
 from tadet.unfold import unfold
@@ -123,6 +125,44 @@ def test_silent_clock_in_future_disjunction_is_precondition_error(tmp_path, caps
     path.write_text(json.dumps(doc))
     assert main(["--input", str(path), "--depth", "2", "--check-equiv"]) == EXIT_PRECONDITION
     assert json.loads(capsys.readouterr().err)["error"]["code"] == "precondition"
+
+
+# one accepting location with a self-loop a under x <= 1 that resets x
+LOOP = {
+    "format": "ta/1",
+    "clocks": ["x"],
+    "locations": [{"id": "q", "accepting": True}],
+    "initial": "q",
+    "transitions": [{"source": "q", "target": "q", "action": "a",
+                     "guard": [{"left": "x", "rel": "<=", "const": 1}], "resets": ["x"]}],
+}
+
+
+@pytest.mark.parametrize("variant", ["std", "new", "otf"])
+def test_stack_depth_is_resource_limit(variant, tmp_path, capsys):
+    # the stages recurse along the unfolding; running out of stack is a
+    # resource limit, not a traceback
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(LOOP))
+    assert main(["--input", str(path), "--depth", "1100", "--variant", variant]) == EXIT_RESOURCE
+    assert json.loads(capsys.readouterr().err)["error"]["code"] == "resource-limit"
+
+
+def test_deeply_nested_guard_is_parse_error(tmp_path, capsys):
+    atom = json.dumps(LOOP["transitions"][0]["guard"][0])
+    nested = '{"all": [' * 600 + atom + "]}" * 600
+    path = tmp_path / "nested.json"
+    path.write_text(json.dumps(LOOP).replace(atom, nested))
+    assert main(["--input", str(path), "--depth", "2"]) == EXIT_PARSE
+    assert json.loads(capsys.readouterr().err)["error"]["code"] == "parse"
+
+
+def test_branch_limit_is_resource_limit(monkeypatch, capsys):
+    # with no branch allowed, the first guard search already stops
+    monkeypatch.setattr(solver, "DEFAULT_DNF_LIMIT", 0)
+    assert main(["--input", COFFEE, "--depth", "3", "--variant", "std"]) == EXIT_RESOURCE
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["code"] == "resource-limit" and "branches" in error["message"]
 
 
 @pytest.mark.parametrize("variant", ["std", "new", "otf"])

@@ -1,6 +1,7 @@
 """Guards, runs and structural checks."""
 
 import ast
+import importlib
 from fractions import Fraction
 from pathlib import Path
 
@@ -181,3 +182,21 @@ def test_no_private_module_name_is_dead():
         dead += [f"{path.stem}.{name}" for name in sorted(defined - read)
                  if name.startswith("_") and not name.startswith("__")]
     assert dead == []
+
+
+def test_traced_names_resolve():
+    # the layered benchmark's tracer wraps these by name; a rename that it
+    # misses would break its traced runs.  Its source is read and executed
+    # in a fresh namespace, so nothing is written next to it
+    path = Path(__file__).parent.parent / "layerbench" / "tracing.py"
+    tracing: dict = {}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracing)
+    missing = []
+    for mod, fname, *_ in tracing["FUNCTIONS"]:
+        if not callable(getattr(importlib.import_module(f"tadet.{mod}"), fname, None)):
+            missing.append(f"{mod}.{fname}")
+    for mod, cls, meth, *_ in tracing["METHODS"]:
+        owner = getattr(importlib.import_module(f"tadet.{mod}"), cls, None)
+        if not callable(getattr(owner, meth, None)):
+            missing.append(f"{mod}.{cls}.{meth}")
+    assert missing == []

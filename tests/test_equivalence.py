@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from tadet.core import (
-    Atom, Clock, TRUE, Transition, conj, eval_guard, guard_atoms, make_automaton,
+    Atom, Clock, TRUE, Transition, conj, guard_atoms, make_automaton,
     map_atoms, timed_trace,
 )
 from tadet.corpus import coffee_machine, nondet_plain_c, nondet_silent_a, random_automaton
@@ -20,6 +20,7 @@ from tadet.equivalence import (
     trace_in_language,
 )
 from tadet.silent import remove_all_silent
+from tadet.solver import ZERO_VAR
 from tadet.unfold import rename_clocks, unfold
 
 X = Clock("x")
@@ -48,17 +49,16 @@ def test_path_constraints_words():
     assert ("coin", "beep", "coffee") in words
 
 
-def test_projected_path_constraints_omit_nonnegativity():
+def test_projected_path_constraints_range_over_observable_times():
     # on the unfolded tree coin.beep.coffee passes the silent brew step, so
-    # its zone is a projection; on the removed tree it is not.  Both are
-    # written by reduced_atoms, which leaves every t >= 0 to the callers
-    # (they all impose it)
+    # its zones are projections; on the removed tree they are not.  Either
+    # way each zone ranges over the zero clock and t1..t3 only
     tree = tree_of(coffee_machine(), 4)
     for t in (tree, remove_all_silent(tree)):
-        f = path_constraints(t)[("coin", "beep", "coffee")]
-        atoms = guard_atoms(f)
-        assert atoms
-        assert not [a for a in atoms if a.right is None and a.rel == ">=" and a.bound == 0]
+        zones = path_constraints(t)[("coin", "beep", "coffee")]
+        assert zones
+        for z in zones:
+            assert sorted(z.vars) == sorted([ZERO_VAR, obs_var(1), obs_var(2), obs_var(3)])
 
 
 def test_equal_automata_report_equal():
@@ -89,9 +89,22 @@ def test_trace_membership_solves_silent_times():
     assert not trace_in_language(t, late)
 
 
+def _in_zone(zone, valuation):
+    """Whether the point ``valuation`` meets every entry of ``zone``."""
+    point = {ZERO_VAR: 0, **valuation}
+    for u in zone.vars:
+        for v in zone.vars:
+            b = zone.bound(u, v)
+            if b is not None:
+                diff = point[u] - point[v]
+                if diff > b[0] or (b[1] and diff == b[0]):
+                    return False
+    return True
+
+
 def test_trace_membership_matches_path_constraints():
     # membership builds only the trace word's paths; its verdicts are those
-    # of that word's formula in the full path constraints
+    # of that word's zones in the full path constraints
     t = tree_of(nondet_silent_a(), 5)
     pc = path_constraints(t)
     rng = random.Random(5)
@@ -101,7 +114,7 @@ def test_trace_membership_matches_path_constraints():
             for _ in range(3):
                 times = list(itertools.accumulate(Fraction(rng.randrange(4), 2) for _ in word))
                 valuation = {obs_var(j): ts for j, ts in enumerate(times, start=1)}
-                expected = word in pc and eval_guard(pc[word], valuation)
+                expected = any(_in_zone(z, valuation) for z in pc.get(word, ()))
                 assert trace_in_language(t, timed_trace(*zip(times, word))) == expected
                 if word:
                     accepted += expected
