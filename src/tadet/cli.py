@@ -1,9 +1,10 @@
 """Command-line pipeline driver.
 
-Reads a model (JSON, or UPPAAL XML by extension), unfolds it to the
-requested depth, removes silent transitions, determinizes with the chosen
-variant and emits the result as JSON or DOT together with a JSON report of
-per-stage sizes and timings.
+Reads a model (JSON, or UPPAAL XML by extension) and runs the same staged
+pipeline for every variant: unfold to the requested depth, rename clocks,
+remove silent transitions, then determinize with the chosen variant
+(``std``, ``new`` or ``otf``).  It emits the result as JSON or DOT, and
+writes a JSON report with each stage's sizes and timing.
 
 Exit codes: 0 ok, 1 usage, 2 parse, 3 precondition, 4 resource limit,
 5 equivalence failure.
@@ -15,7 +16,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -27,8 +28,8 @@ from .core import (
 )
 from .determinize import (
     determinize_guard_oriented,
+    determinize_on_the_fly,
     determinize_standard,
-    pipeline_on_the_fly,
 )
 from .equivalence import language_equal
 from .modelio import ParseError, UnsupportedXmlError, export_dot, parse_model, \
@@ -43,44 +44,18 @@ EXIT_PRECONDITION = 3
 EXIT_RESOURCE = 4
 EXIT_NOT_EQUIVALENT = 5
 
-VARIANTS = ("std", "new", "otf")
-_PRUNE_OTF_MESSAGE = "--prune-leaves cannot be combined with --variant otf"
-
-
-@dataclass
-class StageReport:
-    name: str
-    locations: int
-    transitions: int
-    millis: float
-
-
-@dataclass
-class PipelineReport:
-    variant: str
-    depth: int
-    stages: list[StageReport] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "variant": self.variant,
-            "depth": self.depth,
-            "stages": [
-                {
-                    "name": s.name,
-                    "locations": s.locations,
-                    "transitions": s.transitions,
-                    "millis": round(s.millis, 3),
-                }
-                for s in self.stages
-            ],
-        }
+# the last stage of the pipeline, by variant
+DETERMINIZERS = {
+    "std": determinize_standard,
+    "new": determinize_guard_oriented,
+    "otf": determinize_on_the_fly,
+}
 
 
 @dataclass
 class PipelineResult:
     final: Tree
-    report: PipelineReport
+    report: dict
     counterexample: Optional[dict] = None
 
 
@@ -99,17 +74,17 @@ def run_pipeline(
     check_equiv: bool = False,
 ) -> PipelineResult:
     """Unfold, rename, remove silent steps and determinize; timed stages."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant: {variant}")
-    if variant == "otf" and prune_leaves:
-        raise ValueError(_PRUNE_OTF_MESSAGE)
-    report = PipelineReport(variant=variant, depth=depth)
+    determinize = DETERMINIZERS[variant]
+    stages: list[dict] = []
+    report = {"variant": variant, "depth": depth, "stages": stages}
 
     def record(name: str, sized: Tree, t0: float) -> None:
-        report.stages.append(StageReport(
-            name, sized.location_count(), sized.transition_count(),
-            (time.perf_counter() - t0) * 1000,
-        ))
+        stages.append({
+            "name": name,
+            "locations": sized.location_count(),
+            "transitions": sized.transition_count(),
+            "millis": round((time.perf_counter() - t0) * 1000, 3),
+        })
 
     def staged(name: str, f, *args):
         t0 = time.perf_counter()
@@ -117,23 +92,16 @@ def run_pipeline(
         record(name, out, t0)
         return out
 
-    if variant == "otf":
-        final = staged("on-the-fly", pipeline_on_the_fly, a, depth)
-        tree = None
-    else:
-        tree = rename_clocks(staged("unfold", unfold, a, depth, prune_leaves))
-        removed = staged("remove-silent", remove_all_silent, tree)
-        if variant == "new":
-            final = staged("determinize-new", determinize_guard_oriented, removed)
-        else:
-            final = staged("determinize-std", determinize_standard, removed)
+    tree = staged("rename-clocks", rename_clocks,
+                  staged("unfold", unfold, a, depth, prune_leaves))
+    removed = staged("remove-silent", remove_all_silent, tree)
+    final = staged(f"determinize-{variant}", determinize, removed)
 
     counterexample = None
     if check_equiv:
         t0 = time.perf_counter()
         # removal copies its input, so the staged tree is still the reference
-        reference = tree if tree is not None else rename_clocks(unfold(a, depth))
-        verdict = language_equal(reference, final)
+        verdict = language_equal(tree, final)
         # sized by the output, so the last stage always describes it
         record("check-equiv", final, t0)
         if not verdict.equal:
@@ -157,10 +125,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     parser.add_argument("--input", required=True, help="model file (.json or .xml)")
     parser.add_argument("--depth", type=int, required=True, help="unfolding depth k >= 1")
-    parser.add_argument("--variant", choices=VARIANTS, default="new")
+    parser.add_argument("--variant", choices=DETERMINIZERS, default="new")
     parser.add_argument("--prune-leaves", action="store_true",
-                        help="drop non-accepting unfolding leaves "
-                             "(std and new only; rejected with --variant otf)")
+                        help="drop non-accepting unfolding leaves")
     parser.add_argument("--emit", choices=("json", "dot"),
                         help="write the determinized automaton to stdout")
     parser.add_argument("--check-equiv", action="store_true",
@@ -173,8 +140,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE if e.code else EXIT_OK
     if args.depth < 1:
         return _fail(EXIT_USAGE, "usage", "--depth must be at least 1")
-    if args.variant == "otf" and args.prune_leaves:
-        return _fail(EXIT_USAGE, "usage", _PRUNE_OTF_MESSAGE)
 
     try:
         model = _load(args.input)
@@ -197,7 +162,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     if args.report:
         Path(args.report).write_text(
-            json.dumps(result.report.to_json(), indent=2) + "\n", encoding="utf-8"
+            json.dumps(result.report, indent=2) + "\n", encoding="utf-8"
         )
     if args.emit:
         out = result.final.to_automaton()

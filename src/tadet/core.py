@@ -7,7 +7,7 @@ that guard evaluation at integer bounds is never subject to rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Optional, Union
 
@@ -365,7 +365,6 @@ class TimedAutomaton:
     accepting: frozenset[LocId]
     clocks: frozenset[Clock]
     transitions: tuple[Transition, ...]
-    invariants: Mapping[LocId, Guard] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.initial not in self.locations:
@@ -380,9 +379,6 @@ class TimedAutomaton:
                 if c not in self.clocks:
                     raise StructuralError(f"transition {i} references undeclared clock {c.name}")
 
-    def invariant(self, q: LocId) -> Guard:
-        return self.invariants.get(q, TRUE)
-
     def silent_transitions(self) -> list[Transition]:
         return [t for t in self.transitions if t.is_silent]
 
@@ -393,7 +389,6 @@ def make_automaton(
     accepting: Iterable[LocId],
     clocks: Iterable[Clock],
     transitions: Iterable[Transition],
-    invariants: Optional[Mapping[LocId, Guard]] = None,
 ) -> TimedAutomaton:
     return TimedAutomaton(
         locations=frozenset(locations),
@@ -401,7 +396,6 @@ def make_automaton(
         accepting=frozenset(accepting),
         clocks=frozenset(clocks),
         transitions=tuple(transitions),
-        invariants=dict(invariants or {}),
     )
 
 
@@ -477,16 +471,10 @@ def check_run(a: TimedAutomaton, r: Run, require_well_behaving: bool = True) -> 
         if t.source != loc:
             raise StructuralError(f"transition {t} does not start at current location {loc!r}")
         val = {c: v + d for c, v in val.items()}
-        # invariants are upper-bound conjunctions, so checking at the end of
-        # the delay covers the whole delay interval
-        if not eval_guard(a.invariant(loc), val):
-            return False
         if not eval_guard(t.guard, val):
             return False
         for c in t.resets:
             val[c] = Fraction(0)
-        if not eval_guard(a.invariant(t.target), val):
-            return False
         loc = t.target
     return True
 

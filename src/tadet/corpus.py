@@ -146,44 +146,40 @@ NAMED_MODELS = {
 # random strongly responsive automata
 
 
-def _random_guard(rng: random.Random, clocks: list[Clock], max_const: int) -> Guard:
+def _random_guard(rng: random.Random, clocks: list[Clock]) -> Guard:
     atoms = []
     for _ in range(rng.randint(1, 2)):
         c = rng.choice(clocks)
         rel = rng.choice(["<", "<=", ">", ">=", "="])
-        bound = rng.randint(0, max_const)
-        if rel in ("<", ">") and bound == 0 and rel == "<":
+        bound = rng.randint(0, 3)
+        if rel == "<" and bound == 0:
             bound = 1  # x < 0 is dead on arrival
         atoms.append(Atom(c, rel, bound))
     return conj(*atoms)
 
 
-def random_automaton(
-    seed: int,
-    max_locations: int = 4,
-    max_clocks: int = 2,
-    max_const: int = 3,
-    silent_probability: float = 0.3,
-) -> TimedAutomaton:
-    """Random strongly responsive automaton with silent transitions.
+def random_automaton(seed: int) -> TimedAutomaton:
+    """Random strongly responsive automaton with silent transitions: 2 to 4
+    locations, clocks x (and y), constants up to 3, and a silent edge drawn
+    with probability 0.3 where the numbering allows one.
 
     Silent transitions only ever go from a lower-numbered location to a
     strictly higher-numbered one, so the silent subgraph is acyclic by
     construction.
     """
     rng = random.Random(seed)
-    n = rng.randint(2, max_locations)
+    n = rng.randint(2, 4)
     locs = [f"q{i}" for i in range(n)]
-    clocks = [Clock(nm) for nm in ["x", "y"][: rng.randint(1, max_clocks)]]
+    clocks = [Clock(nm) for nm in ["x", "y"][: rng.randint(1, 2)]]
     actions = ["alpha", "beta"]
     transitions = []
     n_edges = rng.randint(n, 2 * n)
     for _ in range(n_edges):
         si = rng.randrange(n)
         ti = rng.randrange(n)
-        silent = rng.random() < silent_probability and si < ti
+        silent = rng.random() < 0.3 and si < ti
         action = None if silent else rng.choice(actions)
-        guard = _random_guard(rng, clocks, max_const)
+        guard = _random_guard(rng, clocks)
         resets = [c for c in clocks if rng.random() < 0.5]
         if silent and not resets:
             resets = [rng.choice(clocks)]

@@ -258,17 +258,18 @@ def determinize_standard(tree: Tree) -> Tree:
     return out
 
 
-def pipeline_on_the_fly(a, k: int) -> Tree:
-    """The staged pipeline, then the guard-oriented merge with sharing.
+def determinize_on_the_fly(tree: Tree) -> Tree:
+    """The guard-oriented merge that builds a location only once per (level,
+    acceptance, pending out-edges up to subtree identity): a location reached
+    along different traces with the same clock resets is shared, so the
+    output DAG stays small where :func:`determinize_guard_oriented` copies
+    subtrees."""
+    return _merge(tree, share=True)
 
-    Runs ``remove_all_silent(rename_clocks(unfold(a, k)))`` and merges as
-    :func:`determinize_guard_oriented` does, but builds a location only
-    once per (level, acceptance, pending out-edges up to subtree identity):
-    a location reached along different traces with the same clock resets
-    is shared, so the output DAG stays small where the guard-oriented
-    construction copies subtrees.
-    """
-    return _merge(remove_all_silent(rename_clocks(unfold(a, k))), share=True)
+
+def pipeline_on_the_fly(a, k: int) -> Tree:
+    """The staged pipeline on ``a`` at depth ``k``, determinized on the fly."""
+    return determinize_on_the_fly(remove_all_silent(rename_clocks(unfold(a, k))))
 
 
 def check_deterministic(tree: Tree) -> bool:

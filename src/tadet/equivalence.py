@@ -167,14 +167,12 @@ def path_constraints(
     return {w: list(zones.values()) for w, zones in out.items() if zones}
 
 
-def language_equal(t1: Tree, t2: Tree, k: Optional[int] = None) -> EquivalenceResult:
+def language_equal(t1: Tree, t2: Tree) -> EquivalenceResult:
     """Compare bounded languages word by word; witness on first difference."""
     m1 = path_constraints(t1)
     m2 = path_constraints(t2)
     words = sorted(set(m1) | set(m2), key=lambda w: (len(w), w))
     for word in words:
-        if k is not None and len(word) > k:
-            continue
         f1 = m1.get(word, [])
         f2 = m2.get(word, [])
         tvars = [obs_var(j) for j in range(1, len(word) + 1)]

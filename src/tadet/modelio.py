@@ -134,7 +134,6 @@ def parse_model(text: str) -> TimedAutomaton:
         raise ParseError("expected a non-empty list", "$.locations")
     locations: list[str] = []
     accepting: list[str] = []
-    invariants: dict[str, Guard] = {}
     for i, loc in enumerate(raw_locations):
         path = f"$.locations[{i}]"
         lid = _expect(loc, "id", path)
@@ -149,9 +148,8 @@ def parse_model(text: str) -> TimedAutomaton:
         if is_accepting:
             accepting.append(lid)
         if "invariant" in loc:
-            invariants[lid] = _guard_from_json(
-                loc["invariant"], f"{path}.invariant", clocks
-            )
+            # no stage of the pipeline honours one, so it is not dropped quietly
+            raise ParseError("location invariants are not supported", f"{path}.invariant")
 
     initial = _expect(doc, "initial", "$")
     if initial not in locations:
@@ -184,9 +182,7 @@ def parse_model(text: str) -> TimedAutomaton:
             src, dst, None if action == "eps" else action, guard, frozenset(resets)
         ))
 
-    return make_automaton(
-        locations, initial, accepting, clocks.values(), transitions, invariants
-    )
+    return make_automaton(locations, initial, accepting, clocks.values(), transitions)
 
 
 # ---------------------------------------------------------------------------
@@ -239,14 +235,11 @@ def serialize_model(a: TimedAutomaton) -> str:
             g = _EMPTY_OR
         return items([node(p, 8) for p in (g.parts if isinstance(g, And) else (g,))], 6)
 
-    locations = []
-    for loc in sorted(a.locations, key=str):
-        accepting = "true" if loc in a.accepting else "false"
-        text = f'{{\n      "id": {q(str(loc))},\n      "accepting": {accepting}'
-        inv = a.invariants.get(loc, TRUE)
-        if not isinstance(inv, TrueGuard):
-            text += f',\n      "invariant": {guard(inv)}'
-        locations.append(text + "\n    }")
+    locations = [
+        f'{{\n      "id": {q(str(loc))},'
+        f'\n      "accepting": {"true" if loc in a.accepting else "false"}\n    }}'
+        for loc in sorted(a.locations, key=str)
+    ]
     transitions = [
         f'{{\n      "source": {q(str(t.source))},\n      "target": {q(str(t.target))},'
         f'\n      "action": {q("eps" if t.is_silent else t.action)},'

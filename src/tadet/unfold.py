@@ -17,8 +17,6 @@ from .core import (
     StructuralError,
     TimedAutomaton,
     Transition,
-    TrueGuard,
-    UnsupportedInputError,
     X0,
     check_strong_responsiveness,
     guard_clocks,
@@ -112,14 +110,10 @@ def unfold(a: TimedAutomaton, k: int, prune_nonaccepting_leaves: bool = False) -
     observable level < k, so no trailing silent steps are ever created
     (well-behaving runs end with an observable action).  A node reached by
     a silent transition is never accepting, even if it copies an accepting
-    location.  Location invariants are rejected: neither silent removal nor
-    the verifier's path formulas take them into account.
+    location.
     """
     if k < 1:
         raise ValueError("unfolding depth k must be >= 1")
-    for q, inv in a.invariants.items():
-        if not isinstance(inv, TrueGuard):
-            raise UnsupportedInputError(f"location invariants are not supported: {q!r} has {inv}")
     if not check_strong_responsiveness(a):
         raise StructuralError("automaton contains a silent loop (not strongly responsive)")
 

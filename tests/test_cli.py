@@ -56,16 +56,16 @@ def test_depth_zero_is_usage_error():
     assert main(["--input", COFFEE, "--depth", "0"]) == EXIT_USAGE
 
 
-def test_prune_leaves_with_otf_is_usage_error(capsys):
-    # the on-the-fly pipeline unfolds without pruning, so the flag would be
-    # ignored while --check-equiv built a pruned reference
-    argv = ["--input", COFFEE, "--depth", "3", "--variant", "otf", "--prune-leaves"]
-    assert main(argv) == EXIT_USAGE
-    error = json.loads(capsys.readouterr().err)["error"]
-    assert error["code"] == "usage" and "--prune-leaves" in error["message"]
-    with pytest.raises(ValueError):
-        run_pipeline(coffee_machine(), 3, "otf", prune_leaves=True)
-    assert main(argv[:-1]) == EXIT_OK
+def test_prune_leaves_with_check_equiv_for_every_variant():
+    # every variant determinizes the staged tree, which is also the reference
+    for variant in ("std", "new", "otf"):
+        assert main([
+            "--input", COFFEE, "--depth", "3", "--variant", variant,
+            "--prune-leaves", "--check-equiv",
+        ]) == EXIT_OK
+        # at depth 2 every leaf is a non-accepting coin.beep
+        pruned = run_pipeline(coffee_machine(), 2, variant, prune_leaves=True)
+        assert pruned.final.location_count() == 1
 
 
 def test_missing_input_is_usage_error(tmp_path):
@@ -94,13 +94,15 @@ def test_silent_loop_is_precondition_error(tmp_path):
     assert main(["--input", str(path), "--depth", "2"]) == EXIT_PRECONDITION
 
 
-def test_location_invariant_is_precondition_error(tmp_path, capsys):
+def test_location_invariant_is_parse_error(tmp_path, capsys):
     doc = json.loads(Path(COFFEE).read_text())
     doc["locations"][0]["invariant"] = [{"left": "x", "rel": "<=", "const": 1}]
     path = tmp_path / "invariant.json"
     path.write_text(json.dumps(doc))
-    assert main(["--input", str(path), "--depth", "2"]) == EXIT_PRECONDITION
-    assert json.loads(capsys.readouterr().err)["error"]["code"] == "precondition"
+    assert main(["--input", str(path), "--depth", "2"]) == EXIT_PARSE
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["code"] == "parse"
+    assert error["message"].startswith("$.locations[0].invariant:")
 
 
 def test_silent_clock_in_future_disjunction_is_precondition_error(tmp_path, capsys):
@@ -175,8 +177,8 @@ def test_report_has_check_equiv_stage(variant, tmp_path, capsys):
     assert code == EXIT_OK
     emitted = parse_model(capsys.readouterr().out)
     stages = json.loads(report.read_text())["stages"]
-    built = {"std": "determinize-std", "new": "determinize-new", "otf": "on-the-fly"}[variant]
-    assert [s["name"] for s in stages][-2:] == [built, "check-equiv"]
+    assert [s["name"] for s in stages] == [
+        "unfold", "rename-clocks", "remove-silent", f"determinize-{variant}", "check-equiv"]
     # the check is sized by the output it verified, like the stage before it
     for s in stages[-2:]:
         assert (s["locations"], s["transitions"]) == (
@@ -186,8 +188,7 @@ def test_report_has_check_equiv_stage(variant, tmp_path, capsys):
 
 @pytest.mark.parametrize("variant", ["std", "new", "otf"])
 def test_check_equiv_unfolds_once(variant, monkeypatch):
-    # std and new compare against the tree they staged; only otf, which
-    # stages no tree, builds the reference
+    # every variant compares against the tree it staged
     import tadet.cli as cli
 
     calls = []
@@ -210,7 +211,7 @@ def test_run_pipeline_counterexample_surfaces_as_exit_5(tmp_path, monkeypatch):
     result = cli.run_pipeline(coffee_machine(), 3, "new", check_equiv=True)
     assert result.counterexample is None
 
-    def broken_equal(a, b, k=None):
+    def broken_equal(a, b):
         class R:
             equal = False
             word = ("coin",)

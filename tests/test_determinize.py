@@ -10,6 +10,7 @@ from tadet.corpus import NAMED_MODELS, coffee_machine, random_automaton
 from tadet.determinize import (
     check_deterministic,
     determinize_guard_oriented,
+    determinize_on_the_fly,
     determinize_standard,
     pipeline_on_the_fly,
     rebase_guard,
@@ -80,6 +81,9 @@ def test_variants_agree_on_named_models(name):
     new = determinize_guard_oriented(t)
     std = determinize_standard(t)
     otf = pipeline_on_the_fly(NAMED_MODELS[name](), 3)
+    # otf is the staged pipeline with a sharing merge, byte for byte
+    assert serialize_model(determinize_on_the_fly(t).to_automaton()) == \
+        serialize_model(otf.to_automaton())
     assert check_deterministic(new)
     assert check_deterministic(std)
     assert check_deterministic(otf)

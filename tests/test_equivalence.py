@@ -125,7 +125,8 @@ def test_trace_membership_matches_path_constraints():
 def test_bound_k_restricts_word_length():
     t1, t2 = tree_of(chain(2, 3)), tree_of(chain(2, 4))
     assert not language_equal(t1, t2).equal
-    assert language_equal(t1, t2, k=1).equal
+    # the two differ only on alpha.beta, which an unfolding of depth 1 cuts off
+    assert language_equal(tree_of(chain(2, 3), 1), tree_of(chain(2, 4), 1)).equal
 
 
 def test_sampling_agrees_with_symbolic_membership():

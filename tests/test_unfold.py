@@ -3,8 +3,8 @@
 import pytest
 
 from tadet.core import (
-    Atom, Clock, StructuralError, Transition, TrueGuard, UnsupportedInputError,
-    check_run, guard_clocks, level_clock, make_automaton, run_of,
+    Atom, Clock, StructuralError, Transition, TrueGuard, guard_clocks,
+    level_clock, make_automaton,
 )
 from tadet.corpus import (
     NAMED_MODELS,
@@ -95,18 +95,6 @@ def test_silent_loop_is_rejected():
         unfold(a, 2)
 
 
-def test_location_invariants_are_rejected():
-    # the tree's path formulas ignore invariants: the tree of this automaton
-    # would accept a@5, which check_run rejects on the automaton
-    x = Clock("x")
-    a_edge = Transition("q0", "q1", "a")
-    a = make_automaton(["q0", "q1"], "q0", ["q1"], [x], [a_edge],
-                       invariants={"q0": Atom(x, "<=", 1)})
-    assert not check_run(a, run_of((5, a_edge)))
-    with pytest.raises(UnsupportedInputError, match="invariant"):
-        unfold(a, 1)
-
-
 def test_rename_gives_one_fresh_reset_per_edge():
     t = rename_clocks(unfold(coffee_machine(), 4))
     assert t.renamed
@@ -131,7 +119,11 @@ def test_renamed_guards_use_most_recent_reset():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_rename_depth_equals_level_on_silent_free(seed):
-    a = random_automaton(seed, silent_probability=0.0)
+    drawn = random_automaton(seed)  # with each silent edge relabelled alpha
+    a = make_automaton(drawn.locations, drawn.initial, drawn.accepting, drawn.clocks, [
+        Transition(t.source, t.target, t.action or "alpha", t.guard, t.resets)
+        for t in drawn.transitions
+    ])
     t = rename_clocks(unfold(a, 3))
     depth = {t.root: 0}
     for tr in t.transitions:
