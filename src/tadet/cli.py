@@ -143,8 +143,10 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     try:
         model = _load(args.input)
-    except FileNotFoundError as e:
+    except OSError as e:  # missing, a directory, unreadable
         return _fail(EXIT_USAGE, "usage", str(e))
+    except UnicodeDecodeError as e:
+        return _fail(EXIT_PARSE, "parse", f"input is not UTF-8: {e}")
     except (ParseError, UnsupportedXmlError) as e:
         return _fail(EXIT_PARSE, "parse", str(e))
 
@@ -161,9 +163,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _fail(EXIT_RESOURCE, "resource-limit", f"stack depth: {e}")
 
     if args.report:
-        Path(args.report).write_text(
-            json.dumps(result.report, indent=2) + "\n", encoding="utf-8"
-        )
+        try:
+            Path(args.report).write_text(
+                json.dumps(result.report, indent=2) + "\n", encoding="utf-8"
+            )
+        except OSError as e:  # e.g. under a missing directory
+            return _fail(EXIT_USAGE, "usage", str(e))
     if args.emit:
         out = result.final.to_automaton()
         sys.stdout.write(serialize_model(out) if args.emit == "json" else export_dot(out))

@@ -106,12 +106,14 @@ class Atom(Guard):
 
     left: Clock
     rel: str
-    bound: Rational
+    bound: int
     right: Optional[Clock] = None
 
     def __post_init__(self) -> None:
         if self.rel not in RELS:
             raise ValueError(f"bad relation {self.rel!r}")
+        if type(self.bound) is not int:
+            raise ValueError(f"bound must be an integer, got {self.bound!r}")
         if self.right is not None and self.right == self.left:
             raise ValueError("diagonal atom needs two distinct clocks")
 
@@ -247,10 +249,22 @@ def eval_guard(g: Guard, valuation: Mapping[Clock, Rational]) -> bool:
     raise TypeError(f"not a guard: {g!r}")
 
 
-Bound = Optional[tuple[Rational, bool]]  # (value, strict); None = unbounded
+# A bound on a difference from above is one raw int, ``c << 1 | weak``:
+# ``c`` is the constant and ``weak`` is 1 for ``<=`` and 0 for ``<``; None
+# is +infinity.  A plain ``<`` on raw bounds compares tightness (the raw
+# encoding of the UPPAAL DBM library; Bengtsson & Yi, *Timed Automata:
+# Semantics, Algorithms and Tools*, 2004).
+RAW_ZERO = 1  # raw "<= 0"; a cycle whose sum lies below it is empty
+
+
+def raw_add(a: int, b: int) -> int:
+    """Sum of two raw bounds: values add, the sum is weak iff both are."""
+    return a + b - ((a | b) & 1)
+
+
 # "Clock | None", not Optional[Clock]: typing caches its subscriptions, and
 # the cache would keep every imported copy of this module alive
-BoundTable = dict[tuple[Clock, Clock | None], list[Bound]]
+BoundTable = dict[tuple[Clock, Clock | None], list[int | None]]
 
 
 def conjunction_atoms(g: Guard) -> Optional[list[Atom]]:
@@ -265,39 +279,50 @@ def conjunction_atoms(g: Guard) -> Optional[list[Atom]]:
     return None
 
 
+def tighten(bounds: BoundTable, key: tuple[Clock, Clock | None], side: int, raw: int) -> None:
+    """Tighten side ``side`` of the row ``key`` of ``bounds`` by the raw
+    bound ``raw``."""
+    row = bounds.get(key)
+    if row is None:
+        row = bounds[key] = [None, None]
+    if row[side] is None or raw < row[side]:
+        row[side] = raw
+
+
+def atom_bounds(a: Atom) -> tuple[int | None, int | None]:
+    """The raw bounds of ``a`` on ``right - left`` and on ``left - right``
+    (``right`` None reads as the zero clock); None where it sets none, and
+    ``=`` sets both, weak."""
+    rel, c = a.rel, a.bound
+    return (None if rel == "<" or rel == "<=" else -c << 1 | (rel != ">"),
+            None if rel == ">" or rel == ">=" else c << 1 | (rel != "<"))
+
+
 def add_bounds(bounds: BoundTable, atoms: Iterable[Atom]) -> BoundTable:
     """Tighten the bound table ``bounds`` by ``atoms`` in place; returns it.
 
-    The table maps ``(left, right)`` (``right`` None for a unary atom) to
-    ``[tightest lower, tightest upper]`` bound on ``left - right``.  ``=``
-    is a weak bound on both sides; on equal values the strict bound is the
-    tighter one.  It is the symbolic counterpart of one difference-bound
-    matrix entry pair (``solver.DifferenceSystem``), without closure.
+    The table maps ``(left, right)`` to the raw bounds ``[on right - left,
+    on left - right]`` (:func:`atom_bounds`), each the tightest that the
+    atoms set: one entry pair of a difference-bound matrix
+    (``solver.DifferenceSystem``), without closure.
     """
     for a in atoms:
         key = (a.left, a.right)
-        b = bounds.get(key)
-        if b is None:
-            b = bounds[key] = [None, None]
-        rel, value = a.rel, a.bound
-        if rel != "<" and rel != "<=":  # a lower bound ('=' is both)
-            strict = rel == ">"
-            lo = b[0]
-            if lo is None or value > lo[0] or (value == lo[0] and strict and not lo[1]):
-                b[0] = (value, strict)
-        if rel != ">" and rel != ">=":  # an upper bound
-            strict = rel == "<"
-            up = b[1]
-            if up is None or value < up[0] or (value == up[0] and strict and not up[1]):
-                b[1] = (value, strict)
+        row = bounds.get(key)
+        if row is None:
+            row = bounds[key] = [None, None]
+        lo, up = atom_bounds(a)
+        if lo is not None and (row[0] is None or lo < row[0]):
+            row[0] = lo
+        if up is not None and (row[1] is None or up < row[1]):
+            row[1] = up
     return bounds
 
 
-def empty_interval(lo: Bound, up: Bound) -> bool:
-    """True iff no value lies between the lower bound ``lo`` and the upper
-    bound ``up``."""
-    return (lo is not None and up is not None
-            and (lo[0] > up[0] or (lo[0] == up[0] and (lo[1] or up[1]))))
+def empty_interval(lo: int | None, up: int | None) -> bool:
+    """True iff no value meets both raw bounds of a row: ``lo`` on
+    right - left and ``up`` on left - right."""
+    return lo is not None and up is not None and raw_add(lo, up) < RAW_ZERO
 
 
 def table_guard(bounds: BoundTable) -> Guard:
@@ -309,13 +334,13 @@ def table_guard(bounds: BoundTable) -> Guard:
     ):
         if empty_interval(lo, up):
             return FALSE
-        if lo is not None and up is not None and lo[0] == up[0]:
-            out.append(Atom(left, "=", up[0], right))
+        if lo is not None and up is not None and -(lo >> 1) == up >> 1:
+            out.append(Atom(left, "=", up >> 1, right))
             continue
         if lo is not None:
-            out.append(Atom(left, ">" if lo[1] else ">=", lo[0], right))
+            out.append(Atom(left, ">=" if lo & 1 else ">", -(lo >> 1), right))
         if up is not None:
-            out.append(Atom(left, "<" if up[1] else "<=", up[0], right))
+            out.append(Atom(left, "<=" if up & 1 else "<", up >> 1, right))
     return conj(*out)
 
 

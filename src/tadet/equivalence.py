@@ -103,10 +103,11 @@ def _translate_guard(g: Guard, now: Clock, reset_at: dict[Clock, Clock]) -> Guar
 def path_constraints(
     tree: Tree, word: Optional[tuple[str, ...]] = None
 ) -> dict[tuple[str, ...], list[DifferenceSystem]]:
-    """Per observable word, the deduplicated closed zones over ``t1..tw``
-    of the tree's accepting paths; with ``word``, only that word's, leaving
-    a branch as soon as its actions stop being a prefix of it.  Every word
-    in the result has at least one zone.
+    """Per observable word, the deduplicated closed zones over the zero
+    var and ``t1..tw``, in that order, of the tree's accepting paths; with
+    ``word``, only that word's, leaving a branch as soon as its actions
+    stop being a prefix of it.  Every word in the result has at least one
+    zone.
 
     Depth-first; each node's zone is its parent's, extended by the edge's
     timestamp, ``t >= previous``, and the edge's guard atoms.  The guard's
@@ -158,7 +159,7 @@ def path_constraints(
             systems = solver.feasible_systems(conj(*deferred), zone=zone) if deferred else (zone,)
             for z in systems:
                 z = z.project_out(*silent)
-                zones.setdefault((z.scale, tuple(map(tuple, z.m))), z)
+                zones.setdefault(tuple(map(tuple, z.m)), z)
         for t in reversed(children[nid]):
             if t.is_silent or word is None or (
                 len(seen) < len(word) and t.action == word[len(seen)]
@@ -186,10 +187,8 @@ def language_equal(t1: Tree, t2: Tree) -> EquivalenceResult:
 
 def trace_in_language(t: Tree, trace: TimedTrace) -> bool:
     """Exact membership of a concrete timed trace (silent times solved for)."""
-    times = tuple(ts for ts, _ in trace.events)
-    return any(
-        _prefix_feasible(z, times) for z in path_constraints(t, trace.word).get(trace.word, ())
-    )
+    point = (0, *(ts for ts, _ in trace.events))
+    return any(z.contains(point) for z in path_constraints(t, trace.word).get(trace.word, ()))
 
 
 def sample_traces(t: Tree, grid_denominator: int) -> set[TimedTrace]:
@@ -212,28 +211,19 @@ def sample_traces(t: Tree, grid_denominator: int) -> set[TimedTrace]:
         if n == 0:
             out.add(TimedTrace(()))
             continue
-        stack: list[tuple[int, tuple[Fraction, ...]]] = [(0, ())]
+        # points of the zones' first variables: the zero var's 0, then
+        # the timestamps of a prefix of the word
+        stack: list[tuple[Fraction, ...]] = [(Fraction(0),)]
         while stack:
-            j, times = stack.pop()
-            if j == n:
-                out.add(TimedTrace(tuple(zip(times, word))))
+            point = stack.pop()
+            if len(point) > n:
+                out.add(TimedTrace(tuple(zip(point[1:], word))))
                 continue
-            base = times[-1] if times else Fraction(0)
             for step in range(0, horizon * d + 1):
                 explored += 1
                 if explored > SAMPLE_LIMIT:
                     raise ResourceLimitError("sampling grid exceeds exploration cap")
-                ts = base + Fraction(step, d)
-                cand = times + (ts,)
-                if any(_prefix_feasible(z, cand) for z in zones):
-                    stack.append((j + 1, cand))
+                cand = point + (point[-1] + Fraction(step, d),)
+                if any(z.contains(cand) for z in zones):
+                    stack.append(cand)
     return out
-
-
-def _prefix_feasible(zone: DifferenceSystem, times: tuple[Fraction, ...]) -> bool:
-    probe = zone.copy()
-    for j, ts in enumerate(times, start=1):
-        v = obs_var(j)
-        probe.add_difference(v, ZERO_VAR, ts, False)
-        probe.add_difference(ZERO_VAR, v, -ts, False)
-    return probe.is_satisfiable()

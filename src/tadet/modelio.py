@@ -216,7 +216,7 @@ def serialize_model(a: TimedAutomaton) -> str:
             pad = "\n" + " " * (indent + 2)
             if isinstance(g, Atom):
                 body = (f'"left": {q(g.left.name)},{pad}"rel": {q(g.rel)},'
-                        f'{pad}"const": {int(g.bound)}')
+                        f'{pad}"const": {g.bound}')
                 if g.right is not None:
                     body += f',{pad}"right": {q(g.right.name)}'
             elif isinstance(g, (And, Or)):

@@ -8,7 +8,9 @@ synchronization constraints between such future guards on the same path.
 The output accepts exactly the same observable timed traces.
 
 Guards are read as bound tables (:func:`tadet.core.add_bounds`), the same
-table behind :func:`tadet.core.simplify_conjunction`; every rewritten
+table behind :func:`tadet.core.simplify_conjunction`, whose rows are raw
+difference bounds.  The enabling guard and Tables 2/3 tighten a table by
+sums of such bounds (:func:`tadet.core.raw_add`), and every rewritten
 guard is written back from one.
 
 The rounds share one index of the tree's edges (each node's out-edges and
@@ -26,7 +28,6 @@ from .core import (
     FALSE,
     And,
     Atom,
-    Bound,
     BoundTable,
     Clock,
     FalseGuard,
@@ -41,8 +42,10 @@ from .core import (
     conjunction_atoms,
     empty_interval,
     guard_clocks,
+    raw_add,
     simplify_conjunction,
     table_guard,
+    tighten,
 )
 from .unfold import Tree, TreeNode
 
@@ -58,7 +61,7 @@ class SilentContext:
     # bound table (core.add_bounds) of g'_{s,0} = g_{s,0} & (0 <= x_s), one
     # row per clock; None when the silent transition can never fire
     bounds: Optional[BoundTable]
-    exact: Optional[tuple[Clock, int]]  # the first '=' atom of g_{s,0}, if any
+    exact: Optional[Clock]  # the clock of the first '=' atom of g_{s,0}, if any
 
 
 def build_context(tree: Tree, silent: Transition) -> SilentContext:
@@ -84,7 +87,7 @@ def _context(silent: Transition, pred: Optional[Transition]) -> SilentContext:
             for a in atoms:
                 if a.right is not None:
                     raise UnsupportedInputError(f"silent guard must be unary, got {a}")
-            exact = next(((a.left, a.bound) for a in atoms if a.rel == "="), None)
+            exact = next((a.left for a in atoms if a.rel == "="), None)
     return SilentContext(
         silent_clock=x_s0,
         target=silent.target,
@@ -96,10 +99,10 @@ def _context(silent: Transition, pred: Optional[Transition]) -> SilentContext:
 
 
 # -- bounds bookkeeping ------------------------------------------------------
-# the enabling guard and Tables 2/3 add or subtract pairs of bounds, one
-# from each side.  Max and min distribute over sums and a tie keeps the
-# strict bound, so pairing each clock's tightest bounds (its bound table
-# row) gives the tightest result atom, which is all the table keeps.
+# the enabling guard and Tables 2/3 add pairs of raw bounds, one from each
+# side.  Min distributes over sums and a tie keeps the strict bound, so
+# pairing each clock's tightest bounds (its bound table row) gives the
+# tightest result, which is all the table keeps.
 
 
 def enabling_guard(ctx: SilentContext) -> Guard:
@@ -113,25 +116,21 @@ def enabling_guard(ctx: SilentContext) -> Guard:
     if ctx.bounds is None:
         return FALSE
     x_s = ctx.reset_clock
-    out: list[Guard] = []
+    out: BoundTable = {}
     for (xi, _), (lo, _) in ctx.bounds.items():
         if lo is None:
             continue
-        m, s_lo = lo
         for (xj, _), (_, up) in ctx.bounds.items():
             if up is None or xj == xi:
                 continue
-            n, s_up = up
-            strict = s_lo or s_up
+            diff = raw_add(up, lo)  # on x_j - x_i
             if xi == x_s:
-                # x_j - 0 rel n - m
-                out.append(Atom(xj, "<" if strict else "<=", n - m))
+                tighten(out, (xj, None), 1, diff)
             elif xj == x_s:
-                # 0 - x_i rel n - m  =>  x_i  >rel  m - n
-                out.append(Atom(xi, ">" if strict else ">=", m - n))
+                tighten(out, (xi, None), 0, diff)  # on 0 - x_i
             else:
-                out.append(Atom(xj, "<" if strict else "<=", n - m, xi))
-    return simplify_conjunction(conj(*out))
+                tighten(out, (xj, xi), 1, diff)
+    return table_guard(out)
 
 
 def taken_guard(ctx: SilentContext) -> Guard:
@@ -139,43 +138,12 @@ def taken_guard(ctx: SilentContext) -> Guard:
     return Atom(ctx.silent_clock, ">=", 0)
 
 
-def _updated_atoms(ctx: SilentContext, lo: Bound, up: Bound) -> list[Atom]:
-    """Table-2 replacement of the future bounds ``lo``/``up`` on x_{s,0}."""
-    out: list[Atom] = []
-    if ctx.exact is not None:
-        # the silent step fired at x_i = n_i, so x_i = x_{s,0} + n_i
-        xi, ni = ctx.exact
-        if lo is not None:
-            out.append(Atom(xi, ">" if lo[1] else ">=", ni + lo[0]))
-        if up is not None:
-            out.append(Atom(xi, "<" if up[1] else "<=", ni + up[0]))
-        return out
-    for (xi, _), (lo_i, up_i) in ctx.bounds.items():
-        if lo is not None and lo_i is not None:
-            strict = lo[1] or lo_i[1]
-            out.append(Atom(xi, ">" if strict else ">=", lo_i[0] + lo[0]))
-        if up is not None and up_i is not None:
-            strict = up[1] or up_i[1]
-            out.append(Atom(xi, "<" if strict else "<=", up_i[0] + up[0]))
-    return out
-
-
-def _sync_atoms(earlier: list[Bound], earlier_reset: Clock, lo: Bound, up: Bound) -> list[Atom]:
-    """Table-3 synchronization between two future guards on the same path.
-
-    ``earlier`` (the lower and upper bound it put on x_{s,0}) fired first,
-    resetting ``earlier_reset``; the produced atoms constrain that clock
-    on the later transition, whose bounds are ``lo``/``up``.
-    """
-    e_lo, e_up = earlier
-    out: list[Atom] = []
-    if lo is not None and e_up is not None:
-        strict = lo[1] or e_up[1]
-        out.append(Atom(earlier_reset, ">" if strict else ">=", lo[0] - e_up[0]))
-    if up is not None and e_lo is not None:
-        strict = up[1] or e_lo[1]
-        out.append(Atom(earlier_reset, "<" if strict else "<=", up[0] - e_lo[0]))
-    return out
+def _add_sums(bounds: BoundTable, key: tuple[Clock, None], row: list, on: list) -> None:
+    """Tighten the row ``key`` of ``bounds``, side by side, by the sums of
+    the raw pairs ``row`` and ``on`` where both are bounded."""
+    for side in (0, 1):
+        if row[side] is not None and on[side] is not None:
+            tighten(bounds, key, side, raw_add(row[side], on[side]))
 
 
 class _Edges:
@@ -244,9 +212,15 @@ def _update_future_guards(ctx: SilentContext, edges: _Edges) -> None:
     for s in edges.out[ctx.target]:
         edges.replace(s, ctx.target, conj(edges.edge[s].guard, tg))
 
-    # depth-first over edges; ``placed`` holds the rewritten ancestors'
-    # resets and original bounds on the silent clock
-    stack: list[tuple[int, list[tuple[Clock, list[Bound]]]]] = [
+    # Table 2 moves a future guard's bounds on the silent clock onto these
+    # rows of the silent guard.  With an exact silent guard x_i = n_i the
+    # step fired at x_i = n_i, so x_i = x_{s,0} + n_i: only x_i's row is used
+    moved = list(ctx.bounds.items())
+    if ctx.exact is not None:
+        moved = [((ctx.exact, None), ctx.bounds[(ctx.exact, None)])]
+    # depth-first over edges; ``placed`` holds, for each rewritten ancestor,
+    # its reset's row key and its bounds on the silent clock, sides swapped
+    stack: list[tuple[int, list[tuple[tuple[Clock, None], list]]]] = [
         (s, []) for s in reversed(edges.out[ctx.target])
     ]
     while stack:
@@ -272,19 +246,21 @@ def _update_future_guards(ctx: SilentContext, edges: _Edges) -> None:
                 reads = True
         if reads:
             bounds = add_bounds({}, (p for p in parts if isinstance(p, Atom)))
-            lo, up = on = bounds.pop((x_s0, None))
-            if empty_interval(lo, up):
+            on = bounds.pop((x_s0, None))
+            if empty_interval(*on):
                 # contradictory constraints on the silent clock
                 new_guard: Guard = FALSE
             else:
-                add_bounds(bounds, _updated_atoms(ctx, lo, up))
-                for earlier_reset, earlier in placed:
-                    add_bounds(bounds, _sync_atoms(earlier, earlier_reset, lo, up))
+                # Table 2, then Table 3: an ancestor's reset clock r is
+                # bounded here by the differences of the two guards'
+                # bounds on the silent clock
+                for key, row in moved + placed:
+                    _add_sums(bounds, key, row, on)
                 new_guard = conj(*(p for p in parts if not isinstance(p, Atom)),
                                  table_guard(bounds))
             edges.replace(s, t.source, new_guard)
             (own_reset,) = t.resets
-            placed = placed + [(own_reset, on)]
+            placed = placed + [((own_reset, None), on[::-1])]
         stack.extend((c, placed) for c in reversed(edges.out[t.target]))
 
 

@@ -7,19 +7,18 @@ reference by shortest paths; a negative cycle means UNSAT.  Implication
 subtracts federations (unions of closed matrices) in disjoint pieces.
 SMT-LIB export is kept for differential testing against an external solver.
 
-The matrix holds each bound as one Python int, ``(c * scale) << 1 | weak``
-(the raw encoding of the UPPAAL DBM library), so closure does integer
-additions and comparisons only.  ``scale`` is a per-system multiplier that
-keeps the exact ``Fraction`` timestamps of trace probes integral.  A closed
-satisfiable matrix absorbs each further constraint with an O(n^2) update
-instead of a new O(n^3) closure (Bengtsson & Yi, *Timed Automata:
-Semantics, Algorithms and Tools*, 2004).
+The matrix holds each bound as one raw Python int, ``c << 1 | weak``
+(:func:`tadet.core.raw_add`; the encoding of the UPPAAL DBM library), so
+closure does integer additions and comparisons only.  Every bound is an
+integer; rationals appear only in concrete points, which are read off a
+closed matrix.  A closed satisfiable matrix absorbs each further
+constraint with an O(n^2) update instead of a new O(n^3) closure
+(Bengtsson & Yi, *Timed Automata: Semantics, Algorithms and Tools*, 2004).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -27,17 +26,19 @@ from .core import (
     TRUE,
     And,
     Atom,
-    Bound,
     Clock,
     FalseGuard,
     Guard,
     Or,
+    RAW_ZERO,
     REL_COMPLEMENT,
     ResourceLimitError,
     TrueGuard,
+    atom_bounds,
     conj,
     disj,
     guard_clocks,
+    raw_add,
 )
 
 DEFAULT_DNF_LIMIT = 10**6
@@ -70,15 +71,7 @@ def complement_guard(g: Guard) -> Guard:
 
 
 # ---------------------------------------------------------------------------
-# bounds: raw ints (c * scale) << 1 | weak, with None meaning +infinity
-
-
-_RAW_ZERO = 1  # raw "<= 0"; a diagonal entry below it is a negative cycle
-
-
-def _raw_add(a: int, b: int) -> int:
-    """Sum of two raw bounds: values add, the sum is weak iff both are."""
-    return a + b - ((a | b) & 1)
+# difference systems
 
 
 ZERO_VAR = Clock("__zero__")
@@ -88,13 +81,9 @@ class DifferenceSystem:
     """Bound matrix on pairwise differences of clocks (plus a zero var).
 
     Entry ``m[i][j]`` bounds ``vars[i] - vars[j]`` from above as a raw int
-    ``(c * scale) << 1 | weak``, where ``weak`` is 1 for ``<=`` and 0 for
-    ``<``, or is None for +infinity.  On raw entries a plain ``<`` compares
-    tightness and :func:`_raw_add` adds two bounds.  Model bounds are
-    integers; the only other values are exact ``Fraction`` timestamps.
-    A value whose denominator does not divide ``scale`` rescales the whole
-    matrix to the least common multiple, so every entry stays an exact
-    integer.  :meth:`bound` decodes an entry to ``(Fraction, strict)``.
+    ``c << 1 | weak``, where ``weak`` is 1 for ``<=`` and 0 for ``<``, or
+    is None for +infinity.  On raw entries a plain ``<`` compares tightness
+    and :func:`tadet.core.raw_add` adds two bounds.
 
     :meth:`close` is the full O(n^3) shortest-path closure; a diagonal
     entry below raw ``<= 0`` witnesses a negative cycle, i.e.
@@ -110,8 +99,7 @@ class DifferenceSystem:
         n = len(self.vars)
         self.m: list[list[Optional[int]]] = [[None] * n for _ in range(n)]
         for i in range(n):
-            self.m[i][i] = _RAW_ZERO
-        self.scale = 1
+            self.m[i][i] = RAW_ZERO
         self._closed = False
         self._sat = True  # meaningful once closed
 
@@ -120,7 +108,6 @@ class DifferenceSystem:
         out.vars = self.vars  # vars and index are never mutated: shared
         out._index = self._index
         out.m = [row[:] for row in self.m]
-        out.scale = self.scale
         out._closed = self._closed
         out._sat = self._sat
         return out
@@ -133,24 +120,14 @@ class DifferenceSystem:
         out.vars = self.vars + [var]
         out._index = {**self._index, var: n}
         out.m = [row + [None] for row in self.m]
-        out.m.append([None] * n + [_RAW_ZERO])
-        out.scale = self.scale
+        out.m.append([None] * n + [RAW_ZERO])
         out._closed = self._closed
         out._sat = self._sat
         return out
 
-    def add_difference(self, u: Clock, v: Clock, value, strict: bool) -> None:
+    def add_difference(self, u: Clock, v: Clock, value: int, strict: bool) -> None:
         """Constrain u - v <= value (strict: <)."""
-        i, j = self._index[u], self._index[v]
-        if type(value) is int:
-            value *= self.scale
-        else:
-            value = Fraction(value)
-            den = value.denominator
-            if self.scale % den:
-                self._rescale(den // gcd(self.scale, den))
-            value = value.numerator * (self.scale // den)
-        self._constrain(i, j, value << 1 if strict else (value << 1) | 1)
+        self._constrain(self._index[u], self._index[v], value << 1 | (not strict))
 
     def _constrain(self, i: int, j: int, b: int) -> None:
         """Constrain entry ``m[i][j]`` by the raw bound ``b``."""
@@ -162,14 +139,6 @@ class DifferenceSystem:
         else:
             self.m[i][j] = b
 
-    def _rescale(self, factor: int) -> None:
-        """Multiply ``scale`` and every finite bound by ``factor``."""
-        self.scale *= factor
-        for row in self.m:
-            for j, d in enumerate(row):
-                if d is not None:
-                    row[j] = d * factor - (d & 1) * (factor - 1)
-
     def _tighten(self, i: int, j: int, b: int) -> None:
         """Set ``m[i][j] = b`` in a closed satisfiable matrix, keeping it closed.
 
@@ -180,7 +149,7 @@ class DifferenceSystem:
         """
         m = self.m
         back = m[j][i]
-        if back is not None and _raw_add(back, b) < _RAW_ZERO:
+        if back is not None and raw_add(back, b) < RAW_ZERO:
             m[i][j] = b
             self._sat = False
             return
@@ -198,26 +167,25 @@ class DifferenceSystem:
                     row[l] = via
 
     def add_atom(self, a: Atom) -> None:
-        left, right = a.left, a.right if a.right is not None else ZERO_VAR
-        if a.rel in ("<", "<="):
-            self.add_difference(left, right, a.bound, a.rel == "<")
-        elif a.rel in (">", ">="):
-            self.add_difference(right, left, -a.bound, a.rel == ">")
-        else:  # '='
-            self.add_difference(left, right, a.bound, False)
-            self.add_difference(right, left, -a.bound, False)
+        i = self._index[a.left]
+        j = 0 if a.right is None else self._index[a.right]  # 0: the zero var
+        lo, up = atom_bounds(a)
+        if up is not None:
+            self._constrain(i, j, up)
+        if lo is not None:
+            self._constrain(j, i, lo)
 
     def add_nonneg(self, clocks: Iterable[Clock]) -> None:
         for c in clocks:
             if c in self._index and c != ZERO_VAR:
-                self.add_difference(ZERO_VAR, c, 0, False)
+                self._constrain(0, self._index[c], RAW_ZERO)
 
     def close(self) -> None:
         """Floyd-Warshall closure; stops at the first negative cycle."""
         m = self.m
         self._closed = True
         self._sat = False
-        if any(row[i] < _RAW_ZERO for i, row in enumerate(m)):
+        if any(row[i] < RAW_ZERO for i, row in enumerate(m)):
             return
         for k, rowk in enumerate(m):
             cols = [(j, d) for j, d in enumerate(rowk) if d is not None]
@@ -230,7 +198,7 @@ class DifferenceSystem:
                     dij = rowi[j]
                     if dij is None or via < dij:
                         rowi[j] = via
-                if rowi[i] < _RAW_ZERO:
+                if rowi[i] < RAW_ZERO:
                     return
         self._sat = True
 
@@ -238,11 +206,6 @@ class DifferenceSystem:
         if not self._closed:
             self.close()
         return self._sat
-
-    def bound(self, u: Clock, v: Clock) -> Bound:
-        """The upper bound on u - v as ``(value, strict)``; None if unbounded."""
-        d = self.m[self._index[u]][self._index[v]]
-        return None if d is None else (Fraction(d >> 1, self.scale), not d & 1)
 
     def project_out(self, *drop: Clock) -> "DifferenceSystem":
         """Existentially eliminate the variables ``drop``; exact for
@@ -260,7 +223,6 @@ class DifferenceSystem:
         out.vars = [self.vars[i] for i in keep]
         out._index = {v: i for i, v in enumerate(out.vars)}
         out.m = [[self.m[i][j] for j in keep] for i in keep]
-        out.scale = self.scale
         out._closed = True
         out._sat = self._sat
         return out
@@ -295,53 +257,78 @@ class DifferenceSystem:
             (u, v, m[u][v]) for u in reps for v in reps
             if u != v and m[u][v] is not None and not any(
                 w != u and w != v and m[u][w] is not None and m[w][v] is not None
-                and _raw_add(m[u][w], m[w][v]) == m[u][v]
+                and raw_add(m[u][w], m[w][v]) == m[u][v]
                 for w in reps
             )
         ]
         out.sort(key=lambda c: (max(c[0], c[1]), min(c[0], c[1])))
         return out
 
+    def contains(self, point: Sequence[Fraction]) -> bool:
+        """Whether the values ``point`` of the first variables, the zero
+        var's (0) first, meet every entry among those variables.
+
+        The projection of a closed matrix onto some of its variables is
+        their sub-matrix, so on a closed one this says whether the values
+        extend to a point of the system.
+        """
+        m = self.m
+        for i, p in enumerate(point):
+            row = m[i]
+            for j, q in enumerate(point):
+                d = row[j]
+                if d is not None:
+                    diff, c = p - q, d >> 1
+                    if diff > c or (diff == c and not d & 1):
+                        return False
+        return True
+
     def witness(self) -> dict[Clock, Fraction]:
         """One satisfying assignment (zero var pinned to 0).
 
         Fixes the variables in order, each to a point of the interval that
-        the closed matrix leaves it once the earlier ones are fixed; every
-        value is pinned with two weak bounds on a copy, which stays closed,
-        so the interval is non-empty.  Requires satisfiability.
+        its entries to the earlier ones leave it; on the closed matrix that
+        interval is never empty.  Requires satisfiability.
         """
         if not self.is_satisfiable():
             raise ValueError("system is unsatisfiable")
-        probe = self.copy()
-        assign: dict[Clock, Fraction] = {}
-        for i, v in enumerate(self.vars[1:], start=1):
-            value = _pick(probe.m[0][i], probe.m[i][0], probe.scale)
-            probe.add_difference(v, ZERO_VAR, value, False)
-            probe.add_difference(ZERO_VAR, v, -value, False)
-            assign[v] = value
-        return assign
+        m = self.m
+        point = [Fraction(0)]
+        for i in range(1, len(m)):
+            point.append(_pick(m, i, point))
+        return dict(zip(self.vars[1:], point[1:]))
 
 
-def _pick(lo: Optional[int], hi: Optional[int], scale: int) -> Fraction:
-    """A value x with raw bounds ``lo`` on -x and ``hi`` on x.
+def _pick(m: list[list[Optional[int]]], i: int, point: list[Fraction]) -> Fraction:
+    """A value for variable ``i`` of the closed matrix ``m`` that meets its
+    entries to the variables ``point`` fixes.
 
     A weak end of the interval is preferred (the lower one first), then
     the midpoint; with one end unbounded, the finite end or, if strict,
     one time unit inside it.
     """
-    if hi is None:
-        if lo is None:
-            return Fraction(0)
-        return Fraction(-(lo >> 1) + (0 if lo & 1 else scale), scale)
-    h = hi >> 1
-    if lo is None:
-        return Fraction(h - (0 if hi & 1 else scale), scale)
-    low = -(lo >> 1)
-    if lo & 1 and low <= h and not (low == h and not hi & 1):
-        return Fraction(low, scale)
-    if hi & 1 and low <= h:
-        return Fraction(h, scale)
-    return Fraction(low + h, 2 * scale)
+    low = high = None
+    low_weak = high_weak = 0
+    for j, p in enumerate(point):
+        d = m[j][i]  # p - x <= c: x >= p - c
+        if d is not None:
+            v = p - (d >> 1)
+            if low is None or v > low or (v == low and not d & 1):
+                low, low_weak = v, d & 1
+        d = m[i][j]  # x - p <= c: x <= p + c
+        if d is not None:
+            v = p + (d >> 1)
+            if high is None or v < high or (v == high and not d & 1):
+                high, high_weak = v, d & 1
+    if high is None:
+        return Fraction(0) if low is None else low + (0 if low_weak else 1)
+    if low is None:
+        return high - (0 if high_weak else 1)
+    if low_weak:
+        return low
+    if high_weak:
+        return high
+    return (low + high) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +457,9 @@ def difference_witness(
     already imply; a zone disjoint from the piece is skipped whole.  A
     piece that outlives every zone of g2 holds the witness.  The pieces
     wait on an explicit stack, and each zone's minimal constraints are
-    computed once, when a piece is first checked against it.
+    computed once, when a piece is first checked against it.  A zone of
+    g1 that lies within one zone of g2 (entrywise, on closed matrices) is
+    skipped before any of that.
     """
     if isinstance(g1, Guard):
         zone = nonneg_zone(guard_clocks(g1) | guard_clocks(g2))
@@ -480,12 +469,6 @@ def difference_witness(
     zones = fed1 + fed2
     if any(z.vars != zones[0].vars for z in zones):
         raise ValueError("federations must range over one variable list")
-    scale = lcm(*(z.scale for z in zones))
-    for fed in (fed1, fed2):
-        for n, z in enumerate(fed):
-            if z.scale != scale:
-                fed[n] = z = z.copy()
-                z._rescale(scale // z.scale)
 
     minimal: dict[int, list[tuple[int, int, int]]] = {}
 
@@ -496,6 +479,8 @@ def difference_witness(
         return cons
 
     for zone in fed1:
+        if any(_within(zone.m, z.m) for z in fed2):
+            continue  # nothing of the zone is left to subtract
         # (piece, the zones of g2 still to subtract from it)
         stack: list[tuple[DifferenceSystem, Sequence[int]]] = [(zone.copy(), range(len(fed2)))]
         while stack:
@@ -527,6 +512,16 @@ def difference_witness(
                 piece._constrain(u, v, b)
             # what is left of the piece lies inside fed2[i]
     return None
+
+
+def _within(m1: list[list[Optional[int]]], m2: list[list[Optional[int]]]) -> bool:
+    """Whether every entry of the matrix ``m1`` is at least as tight as the
+    same entry of ``m2``: when ``m1`` is closed and satisfiable, whether
+    its zone lies within the other."""
+    return all(
+        b is None or (a is not None and a <= b)
+        for r1, r2 in zip(m1, m2) for a, b in zip(r1, r2)
+    )
 
 
 def implies(g1: Guard, g2: Guard) -> bool:

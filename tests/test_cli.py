@@ -72,6 +72,24 @@ def test_missing_input_is_usage_error(tmp_path):
     assert main(["--input", str(tmp_path / "nope.json"), "--depth", "2"]) == EXIT_USAGE
 
 
+def test_input_directory_is_usage_error(tmp_path, capsys):
+    assert main(["--input", str(tmp_path), "--depth", "2"]) == EXIT_USAGE
+    assert json.loads(capsys.readouterr().err)["error"]["code"] == "usage"
+
+
+def test_non_utf8_input_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(Path(COFFEE).read_text(encoding="utf-8").replace("q0", "q\xe9").encode("latin-1"))
+    assert main(["--input", str(bad), "--depth", "2"]) == EXIT_PARSE
+    assert json.loads(capsys.readouterr().err)["error"]["code"] == "parse"
+
+
+def test_report_under_missing_directory_is_usage_error(tmp_path, capsys):
+    report = tmp_path / "missing" / "report.json"
+    assert main(["--input", COFFEE, "--depth", "2", "--report", str(report)]) == EXIT_USAGE
+    assert json.loads(capsys.readouterr().err)["error"]["code"] == "usage"
+
+
 def test_bad_json_is_parse_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")

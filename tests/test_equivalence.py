@@ -20,7 +20,7 @@ from tadet.equivalence import (
     trace_in_language,
 )
 from tadet.silent import remove_all_silent
-from tadet.solver import ZERO_VAR
+from tadet.solver import DifferenceSystem, ZERO_VAR
 from tadet.unfold import rename_clocks, unfold
 
 X = Clock("x")
@@ -92,12 +92,12 @@ def test_trace_membership_solves_silent_times():
 def _in_zone(zone, valuation):
     """Whether the point ``valuation`` meets every entry of ``zone``."""
     point = {ZERO_VAR: 0, **valuation}
-    for u in zone.vars:
-        for v in zone.vars:
-            b = zone.bound(u, v)
-            if b is not None:
-                diff = point[u] - point[v]
-                if diff > b[0] or (b[1] and diff == b[0]):
+    for u, row in zip(zone.vars, zone.m):
+        for v, raw in zip(zone.vars, row):
+            if raw is not None:
+                # raw is c << 1 | weak
+                diff, c = point[u] - point[v], raw >> 1
+                if diff > c or (diff == c and not raw & 1):
                     return False
     return True
 
@@ -111,8 +111,9 @@ def test_trace_membership_matches_path_constraints():
     accepted = rejected = 0
     for n in range(6):
         for word in itertools.product(("alpha", "beta"), repeat=n):
-            for _ in range(3):
-                times = list(itertools.accumulate(Fraction(rng.randrange(4), 2) for _ in word))
+            for denominator in (2, 2, 2, 3, 3):
+                times = list(itertools.accumulate(
+                    Fraction(rng.randrange(2 * denominator), denominator) for _ in word))
                 valuation = {obs_var(j): ts for j, ts in enumerate(times, start=1)}
                 expected = any(_in_zone(z, valuation) for z in pc.get(word, ()))
                 assert trace_in_language(t, timed_trace(*zip(times, word))) == expected
@@ -232,3 +233,20 @@ def test_subtraction_keeps_its_pieces_on_a_stack():
     t1, t2 = tree_of(one, 1), tree_of(many, 1)
     assert language_equal(t1, t2).equal
     assert language_equal(t2, t1).equal
+
+
+def test_a_zone_within_one_zone_needs_no_minimal_constraints(monkeypatch):
+    # a self-loop a under x <= 1 that resets x: each of the 60 words has one
+    # zone of dimension up to 61 on both sides, the same zone; containment
+    # is seen entrywise, without the cubic scan for minimal constraints
+    loop = make_automaton(["q"], "q", ["q"], [X], [
+        Transition("q", "q", "a", Atom(X, "<=", 1), frozenset((X,))),
+    ])
+    tree = tree_of(loop, 60)
+    new = determinize_guard_oriented(remove_all_silent(tree))
+
+    def refuse(self):
+        raise AssertionError("minimal constraints computed")
+
+    monkeypatch.setattr(DifferenceSystem, "_minimal_constraints", refuse)
+    assert language_equal(tree, new).equal
