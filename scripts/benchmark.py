@@ -2,10 +2,10 @@
 """Replay the bundled nondeterministic models across depths and variants.
 
 Prints two markdown tables: location counts of the unfolding and of each
-determinization variant, and wall times.  The slow configurations (deep
-silent models, subset construction on the clock-rich model) are skipped
-unless --full is given; configurations that do not terminate in reasonable
-time under our conventions are marked "-".
+determinization variant, and wall times.  The deep depths run only with
+--full.  The subset construction is not run on nondet-plain-c at k=50: its
+output there grows about fivefold every five levels (4,093 locations at
+k=20, 20,477 at k=25), so it would not end; that cell is marked "-".
 """
 
 import argparse
@@ -36,9 +36,8 @@ FULL = {
     "nondet-plain-c": [2, 5, 10, 25, 50],
     "nondet-silent-d": [2, 5, 10],
 }
-# subset construction explodes on these within any sensible budget
-SKIP_STD = {("nondet-silent-d", 10), ("nondet-silent-b", 9), ("nondet-plain-c", 25),
-            ("nondet-plain-c", 50)}
+# the subset construction's output outgrows memory and time here
+SKIP_STD = {("nondet-plain-c", 50)}
 
 
 def main() -> int:

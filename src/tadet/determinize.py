@@ -7,7 +7,8 @@ as a diagonal constraint relative to the merge reset; the accepting and
 non-accepting targets share their subtrees, so the result is a DAG.  Its
 on-the-fly variant also shares locations with identical pending content.
 The standard one is a subset construction over guard regions and always
-yields a tree.
+yields a tree; it walks each action's guard regions depth first on a
+carried zone, so an empty prefix prunes every region below it.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .core import (
     Transition,
     conj,
     disj,
+    guard_clocks,
     level_clock,
     map_atoms,
 )
@@ -213,13 +215,68 @@ def determinize_guard_oriented(tree: Tree) -> Tree:
     return _merge(tree, share=False)
 
 
+def _regions(guards: list[Guard], comps: list[Guard]) -> list[int]:
+    """The non-zero masks, ascending, whose region is non-empty: the
+    conjunction of ``guards[i]`` for each set bit i and ``comps[i]``, the
+    complement, for each clear one.
+
+    A depth-first walk fixes bit m-1 first and bit 0 last, the complement
+    before the guard, so the leaves come in ascending order.  A prefix
+    carries the closed zone of its literals' atoms, their pending
+    disjunctions and the branch, one zone, that its last search found.  A
+    child searches its literal from the parent's branch first; only if that
+    fails, and the prefix has disjunctions that another branch could meet,
+    is the whole prefix searched again from the child's zone.  When the
+    complement misses the branch, the branch lies inside the guard, which
+    then needs no search.  An empty prefix cuts off every mask below it,
+    and the all-zero path is never searched.
+    """
+    root = solver.nonneg_zone(frozenset().union(*map(guard_clocks, guards)))
+    root.close()
+    masks: list[int] = []
+    # (bit to fix next, bits fixed so far, zone, pending disjunctions, branch)
+    stack = [(len(guards) - 1, 0, root, [], root)]
+    while stack:
+        i, mask, zone, ors, branch = stack.pop()
+        children = []
+        missed = False
+        for bit, lit in ((0, comps[i]), (1 << i, guards[i])):
+            if not (mask or bit or i):
+                continue  # the all-zero region yields no edge
+            found = branch if missed else next(solver.feasible_systems(lit, branch), None)
+            missed = found is None
+            if missed and not ors:
+                continue  # searched from the whole zone: the region is empty
+            child, child_ors = found, ors  # without disjunctions the branch is the zone
+            if i or missed:
+                split = solver.split_parts([lit])
+                if split is None:
+                    continue
+                child_ors = ors + split[1]
+                if child_ors:
+                    child = zone.copy()
+                    for a in split[0]:
+                        child.add_atom(a)
+                    if missed:
+                        found = next(solver.feasible_systems(conj(*child_ors), child), None)
+                        if found is None:
+                            continue
+            if i:
+                children.append((i - 1, mask | bit, child, child_ors, found))
+            else:
+                masks.append(mask | bit)
+        stack.extend(reversed(children))  # the complement's subtree first
+    return masks
+
+
 def determinize_standard(tree: Tree) -> Tree:
     """Subset construction over guard regions.
 
     For each location and action with edges guarded g_1..g_m, every
     non-empty subset S yields one outgoing edge guarded by the g_i of S
-    conjoined with the complements of the rest; its target merges the
-    member targets.  The output is a tree.
+    conjoined with the complements of the rest, if that region has a
+    point (:func:`_regions` finds them, fixing one g_i or its complement
+    per step); its target merges the member targets.  The output is a tree.
     """
     if not tree.renamed:
         raise StructuralError("determinization requires a renamed tree")
@@ -234,16 +291,14 @@ def determinize_standard(tree: Tree) -> Tree:
             edges.extend((c.action, c.guard, c.target) for c in children[t])
         for action, group in _group_by_action(edges):
             m = len(group)
-            for mask in range(1, 1 << m):
-                sel = [group[i] for i in range(m) if mask >> i & 1]
-                rest = [group[i] for i in range(m) if not mask >> i & 1]
+            guards = [g for _, g, _ in group]
+            comps = [solver.complement_guard(g) for g in guards]
+            for mask in _regions(guards, comps):
                 guard = conj(
-                    *(g for _, g, _ in sel),
-                    *(solver.complement_guard(g) for _, g, _ in rest),
+                    *(guards[i] for i in range(m) if mask >> i & 1),
+                    *(comps[i] for i in range(m) if not mask >> i & 1),
                 )
-                if not solver.is_satisfiable(guard):
-                    continue
-                targets = frozenset(t for _, _, t in sel)
+                targets = frozenset(group[i][2] for i in range(m) if mask >> i & 1)
                 accepting = any(tree.nodes[t].accepting for t in targets)
                 cid = counter[0]
                 counter[0] += 1

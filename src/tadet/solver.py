@@ -335,7 +335,7 @@ def _pick(m: list[list[Optional[int]]], i: int, point: list[Fraction]) -> Fracti
 # satisfiability, implication
 
 
-def _split_parts(parts: Sequence[Guard]) -> Optional[tuple[list[Atom], list[Or]]]:
+def split_parts(parts: Sequence[Guard]) -> Optional[tuple[list[Atom], list[Or]]]:
     """Flatten a conjunction into atoms and disjunctions; None if False."""
     atoms: list[Atom] = []
     ors: list[Or] = []
@@ -380,7 +380,7 @@ def feasible_systems(g: Guard, zone: Optional[DifferenceSystem] = None):
 
     def compatible(sys: DifferenceSystem, d: Guard) -> bool:
         # necessary check only: nested disjunctions of d are ignored
-        split = _split_parts([d])
+        split = split_parts([d])
         if split is None:
             return False
         probe = sys.copy()
@@ -389,7 +389,7 @@ def feasible_systems(g: Guard, zone: Optional[DifferenceSystem] = None):
         return probe.is_satisfiable()
 
     def expand(sys: DifferenceSystem, parts: list[Guard]):
-        split = _split_parts(parts)
+        split = split_parts(parts)
         if split is None:
             return
         atoms, ors = split
@@ -410,7 +410,7 @@ def feasible_systems(g: Guard, zone: Optional[DifferenceSystem] = None):
                 if not feasible:
                     return
                 if len(feasible) == 1:
-                    sub = _split_parts(feasible)
+                    sub = split_parts(feasible)
                     for a in sub[0]:
                         sys.add_atom(a)
                     filtered.extend(list(o.parts) for o in sub[1])
@@ -517,10 +517,11 @@ def difference_witness(
 def _within(m1: list[list[Optional[int]]], m2: list[list[Optional[int]]]) -> bool:
     """Whether every entry of the matrix ``m1`` is at least as tight as the
     same entry of ``m2``: when ``m1`` is closed and satisfiable, whether
-    its zone lies within the other."""
+    its zone lies within the other.  Equal rows, common when both sides
+    walked the same word, are passed by one list comparison."""
     return all(
-        b is None or (a is not None and a <= b)
-        for r1, r2 in zip(m1, m2) for a, b in zip(r1, r2)
+        r1 == r2 or all(b is None or (a is not None and a <= b) for a, b in zip(r1, r2))
+        for r1, r2 in zip(m1, m2)
     )
 
 

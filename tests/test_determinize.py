@@ -4,10 +4,11 @@ import hashlib
 
 import pytest
 
-from tadet import solver
-from tadet.core import Atom, StructuralError, level_clock
+from tadet import determinize, solver
+from tadet.core import FALSE, Atom, StructuralError, conj, disj, level_clock
 from tadet.corpus import NAMED_MODELS, coffee_machine, random_automaton
 from tadet.determinize import (
+    _regions,
     check_deterministic,
     determinize_guard_oriented,
     determinize_on_the_fly,
@@ -141,3 +142,84 @@ def test_pinned_merge_outputs(make, k, new_digest, otf_digest):
     new = determinize_guard_oriented(remove_all_silent(rename_clocks(unfold(make(), k))))
     assert digest(new) == new_digest
     assert digest(pipeline_on_the_fly(make(), k)) == otf_digest
+
+
+# serialize_model digests of subset-construction outputs; they pin the
+# region order, the emitted guards and the location numbering
+@pytest.mark.parametrize("make,k,digest", [
+    pytest.param(
+        NAMED_MODELS["nondet-silent-d"], 5,
+        "fa255c35ed0d85cc6ea8a54a1fdd2a44717fc366b7eb08f317f907e8693b92d4",
+        id="silent-d-5"),
+    pytest.param(
+        lambda: random_automaton(17), 4,
+        "762eba45f42d008d05cf2f9a524c29368759e6c1314ab26fc2b19ec6f88977dd",
+        id="random-17-4"),
+    pytest.param(
+        lambda: random_automaton(141), 3,
+        "24b58ffe67b88d69baa1dd05fe73cc27394b4b31cb0a5718ea6d93b0548bc75c",
+        id="random-141-3"),
+])
+def test_pinned_standard_outputs(make, k, digest):
+    std = determinize_standard(remove_all_silent(rename_clocks(unfold(make(), k))))
+    assert hashlib.sha256(serialize_model(std.to_automaton()).encode()).hexdigest() == digest
+
+
+def brute_regions(guards):
+    """Every non-empty region of ``guards``, one satisfiability query per mask."""
+    m = len(guards)
+    return [
+        mask for mask in range(1, 1 << m)
+        if solver.is_satisfiable(conj(
+            *(guards[i] for i in range(m) if mask >> i & 1),
+            *(solver.complement_guard(guards[i]) for i in range(m) if not mask >> i & 1),
+        ))
+    ]
+
+
+def regions(guards):
+    return _regions(guards, [solver.complement_guard(g) for g in guards])
+
+
+@pytest.mark.parametrize("guards,expected", [
+    # an equality, whose complement is a disjunction
+    ([Atom(X1, "=", 1), Atom(X1, "<=", 1)], [2, 3]),
+    # a diagonal atom next to unary ones
+    ([Atom(X1, "<", 0, X2), Atom(X1, ">", 2), Atom(X2, "<=", 1)], [1, 2, 3, 4, 5, 6]),
+    # a disjunctive guard
+    ([disj(Atom(X1, "<", 1), Atom(X1, ">", 3)), Atom(X1, ">=", 2)], [1, 2, 3]),
+    # every region empty
+    ([Atom(X1, "<", 0), Atom(X2, "<", 0)], []),
+    ([FALSE, FALSE], []),
+    # one edge
+    ([Atom(X1, "<=", 1)], [1]),
+    ([Atom(X1, "<", 0)], []),
+], ids=["equality", "diagonal", "disjunction", "all-empty", "false", "one", "one-empty"])
+def test_regions_hand_rows(guards, expected):
+    assert regions(guards) == expected == brute_regions(guards)
+
+
+def test_regions_of_one_edge_cost_one_search(monkeypatch):
+    calls = []
+    search = solver.feasible_systems
+    monkeypatch.setattr(solver, "feasible_systems", lambda *a: calls.append(a) or search(*a))
+    assert regions([disj(Atom(X1, "<", 1), Atom(X2, ">", 3))]) == [1]
+    assert len(calls) == 1
+
+
+def test_regions_match_brute_force_on_random_models(monkeypatch):
+    # every action group that the subset construction meets on the corpus
+    seen = []
+
+    def spy(guards, comps):
+        masks = _regions(guards, comps)
+        seen.append((guards, masks))
+        return masks
+
+    monkeypatch.setattr(determinize, "_regions", spy)
+    for seed in range(100):
+        for k in (2, 3):
+            determinize_standard(remove_all_silent(rename_clocks(unfold(random_automaton(seed), k))))
+    assert max(len(guards) for guards, _ in seen) > 8
+    for guards, masks in seen:
+        assert masks == brute_regions(guards), guards
