@@ -14,12 +14,14 @@ of zones) over its observable timestamps: :func:`path_constraints`.  The
 zone is the one form of a word's timed language here.  Two automata
 accept the same traces for a word iff
 :func:`tadet.solver.difference_witness` finds no point of one federation
-outside the other; membership and grid sampling probe the zones with
-concrete timestamps.
+outside the other.  Membership tests a trace's concrete timestamps
+against the zones, and grid sampling reads the interval that each grid
+prefix leaves the next timestamp off them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -52,7 +54,7 @@ def obs_var(j: int) -> Clock:
     return Clock(f"t{j}")
 
 
-# grid points that sample_traces may try before giving up
+# candidate grid steps that sample_traces may count before giving up
 SAMPLE_LIMIT = 2_000_000
 
 
@@ -197,13 +199,26 @@ def sample_traces(t: Tree, grid_denominator: int) -> set[TimedTrace]:
     Inter-event delays range over [0, max constant + 1]; for integer-bound
     difference constraints every feasible word has such a grid
     representative once d exceeds the number of variables in scope.
+
+    Each word's grid prefixes are walked depth first, each with the zones
+    of the word that hold it.  A closed zone's projection onto its first
+    variables is their sub-matrix, so given a prefix the next timestamp
+    ranges over one interval per holding zone
+    (:meth:`DifferenceSystem.next_bounds`).  The prefix's children are
+    the grid steps in the union of these intervals, each held by the
+    zones whose interval has it.  Every expanded prefix counts all of its
+    (max constant + 1) * d + 1 steps toward ``SAMPLE_LIMIT``, as if it
+    probed each one.  A ``grid_denominator`` that is not a positive int
+    raises :class:`ValueError`.
     """
+    if not isinstance(grid_denominator, int) or grid_denominator < 1:
+        raise ValueError(f"grid denominator must be a positive int, not {grid_denominator!r}")
     maxc = max(
         (abs(a.bound) for tr in t.transitions for a in guard_atoms(tr.guard)),
         default=0,
     )
-    horizon = maxc + 1
     d = grid_denominator
+    top = (maxc + 1) * d  # the last step, in units of 1/d
     explored = 0
     out: set[TimedTrace] = set()
     for word, zones in path_constraints(t).items():
@@ -211,19 +226,33 @@ def sample_traces(t: Tree, grid_denominator: int) -> set[TimedTrace]:
         if n == 0:
             out.add(TimedTrace(()))
             continue
-        # points of the zones' first variables: the zero var's 0, then
-        # the timestamps of a prefix of the word
-        stack: list[tuple[Fraction, ...]] = [(Fraction(0),)]
+        # a prefix: the zero var's 0, then the timestamps of a prefix of
+        # the word; and the zones whose projection holds it
+        stack: list[tuple[tuple[Fraction, ...], list[DifferenceSystem]]] = [
+            ((Fraction(0),), zones)
+        ]
         while stack:
-            point = stack.pop()
+            point, holding = stack.pop()
             if len(point) > n:
                 out.add(TimedTrace(tuple(zip(point[1:], word))))
                 continue
-            for step in range(0, horizon * d + 1):
-                explored += 1
-                if explored > SAMPLE_LIMIT:
-                    raise ResourceLimitError("sampling grid exceeds exploration cap")
-                cand = point + (point[-1] + Fraction(step, d),)
-                if any(z.contains(cand) for z in zones):
-                    stack.append(cand)
+            explored += top + 1
+            if explored > SAMPLE_LIMIT:
+                raise ResourceLimitError("sampling grid exceeds exploration cap")
+            prev = point[-1]
+            children: dict[int, list[DifferenceSystem]] = {}
+            for z in holding:
+                low, low_strict, high, high_strict = z.next_bounds(point)
+                first, last = 0, top
+                if low is not None:
+                    # the least step s with prev + s/d at or (strict) past low
+                    s = (low - prev) * d
+                    first = max(first, math.floor(s) + 1 if low_strict else math.ceil(s))
+                if high is not None:
+                    s = (high - prev) * d
+                    last = min(last, math.ceil(s) - 1 if high_strict else math.floor(s))
+                for step in range(first, last + 1):
+                    children.setdefault(step, []).append(z)
+            for step, inside in children.items():
+                stack.append((point + (prev + Fraction(step, d),), inside))
     return out

@@ -283,50 +283,66 @@ class DifferenceSystem:
                         return False
         return True
 
+    def next_bounds(
+        self, point: Sequence[Fraction]
+    ) -> tuple[Optional[Fraction], bool, Optional[Fraction], bool]:
+        """The interval that the values ``point`` of the first variables, the
+        zero var's (0) first, leave the next variable, as ``(low,
+        low_strict, high, high_strict)``; an unbounded end is None.
+
+        It is read off the entries between the next variable and those
+        before it.  On a closed matrix whose projection holds ``point`` it
+        is exactly the set of values that extend ``point`` to a point of the
+        projection onto one more variable, and it is never empty.
+        """
+        m = self.m
+        i = len(point)
+        low = high = None
+        low_strict = high_strict = False
+        for j, p in enumerate(point):
+            d = m[j][i]  # p - x <= c: x >= p - c
+            if d is not None:
+                v = p - (d >> 1)
+                if low is None or v > low or (v == low and not d & 1):
+                    low, low_strict = v, not d & 1
+            d = m[i][j]  # x - p <= c: x <= p + c
+            if d is not None:
+                v = p + (d >> 1)
+                if high is None or v < high or (v == high and not d & 1):
+                    high, high_strict = v, not d & 1
+        return low, low_strict, high, high_strict
+
     def witness(self) -> dict[Clock, Fraction]:
         """One satisfying assignment (zero var pinned to 0).
 
         Fixes the variables in order, each to a point of the interval that
-        its entries to the earlier ones leave it; on the closed matrix that
+        :meth:`next_bounds` reads for it; on the closed matrix that
         interval is never empty.  Requires satisfiability.
         """
         if not self.is_satisfiable():
             raise ValueError("system is unsatisfiable")
-        m = self.m
         point = [Fraction(0)]
-        for i in range(1, len(m)):
-            point.append(_pick(m, i, point))
+        for _ in range(1, len(self.m)):
+            point.append(_pick(*self.next_bounds(point)))
         return dict(zip(self.vars[1:], point[1:]))
 
 
-def _pick(m: list[list[Optional[int]]], i: int, point: list[Fraction]) -> Fraction:
-    """A value for variable ``i`` of the closed matrix ``m`` that meets its
-    entries to the variables ``point`` fixes.
+def _pick(
+    low: Optional[Fraction], low_strict: bool, high: Optional[Fraction], high_strict: bool
+) -> Fraction:
+    """A value in the interval from ``low`` to ``high``, which is not empty.
 
     A weak end of the interval is preferred (the lower one first), then
     the midpoint; with one end unbounded, the finite end or, if strict,
     one time unit inside it.
     """
-    low = high = None
-    low_weak = high_weak = 0
-    for j, p in enumerate(point):
-        d = m[j][i]  # p - x <= c: x >= p - c
-        if d is not None:
-            v = p - (d >> 1)
-            if low is None or v > low or (v == low and not d & 1):
-                low, low_weak = v, d & 1
-        d = m[i][j]  # x - p <= c: x <= p + c
-        if d is not None:
-            v = p + (d >> 1)
-            if high is None or v < high or (v == high and not d & 1):
-                high, high_weak = v, d & 1
     if high is None:
-        return Fraction(0) if low is None else low + (0 if low_weak else 1)
+        return Fraction(0) if low is None else low + low_strict
     if low is None:
-        return high - (0 if high_weak else 1)
-    if low_weak:
+        return high - high_strict
+    if not low_strict:
         return low
-    if high_weak:
+    if not high_strict:
         return high
     return (low + high) / 2
 

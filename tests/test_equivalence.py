@@ -1,16 +1,20 @@
 """Bounded language comparison and the sampling cross-check."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from tadet import equivalence
 from tadet.core import (
-    Atom, Clock, TRUE, Transition, conj, guard_atoms, make_automaton,
-    map_atoms, timed_trace,
+    Atom, Clock, ResourceLimitError, TRUE, TimedTrace, Transition, conj,
+    guard_atoms, make_automaton, map_atoms, timed_trace,
 )
-from tadet.corpus import coffee_machine, nondet_plain_c, nondet_silent_a, random_automaton
+from tadet.corpus import (
+    NAMED_MODELS, coffee_machine, nondet_plain_c, nondet_silent_a, random_automaton,
+)
 from tadet.determinize import determinize_guard_oriented, determinize_standard
 from tadet.equivalence import (
     language_equal,
@@ -24,6 +28,7 @@ from tadet.solver import DifferenceSystem, ZERO_VAR
 from tadet.unfold import rename_clocks, unfold
 
 X = Clock("x")
+Y = Clock("y")
 
 
 def chain(bound_first, bound_second):
@@ -250,3 +255,122 @@ def test_a_zone_within_one_zone_needs_no_minimal_constraints(monkeypatch):
 
     monkeypatch.setattr(DifferenceSystem, "_minimal_constraints", refuse)
     assert language_equal(tree, new).equal
+
+
+def _probe_samples(t, d):
+    """The point-probing sampler that ``sample_traces`` replaced: every grid
+    step of every prefix, tested against every zone of the word."""
+    horizon = max(
+        (abs(a.bound) for tr in t.transitions for a in guard_atoms(tr.guard)),
+        default=0,
+    ) + 1
+    out = set()
+    for word, zones in equivalence.path_constraints(t).items():
+        n = len(word)
+        if n == 0:
+            out.add(TimedTrace(()))
+            continue
+        stack = [(Fraction(0),)]
+        while stack:
+            point = stack.pop()
+            if len(point) > n:
+                out.add(TimedTrace(tuple(zip(point[1:], word))))
+                continue
+            for step in range(0, horizon * d + 1):
+                cand = point + (point[-1] + Fraction(step, d),)
+                if any(z.contains(cand) for z in zones):
+                    stack.append(cand)
+    return out
+
+
+@functools.lru_cache(maxsize=1)
+def _sampling_configurations():
+    out = []
+    for seed in range(100, 150):
+        for k in (2, 3):
+            tree = tree_of(random_automaton(seed), k)
+            out += [tree, determinize_guard_oriented(remove_all_silent(tree))]
+    for name in sorted(NAMED_MODELS):
+        for k in (2, 3, 4):
+            out.append(determinize_standard(remove_all_silent(tree_of(NAMED_MODELS[name](), k))))
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sampling_matches_point_probing(d):
+    # random_automaton(100..149) at depths 2 and 3, each tree and its new
+    # output, and the std outputs of the named models at depths 2 to 4
+    sampled = 0
+    for t in _sampling_configurations():
+        traces = sample_traces(t, d)
+        assert traces == _probe_samples(t, d)
+        sampled += len(traces)
+    assert sampled > 1000
+
+
+def _one_edge(guard):
+    return tree_of(make_automaton(["q0", "q1"], "q0", ["q1"], [X], [
+        Transition("q0", "q1", "a", guard),
+    ]), 1)
+
+
+@pytest.mark.parametrize("guard, times", [
+    # a strict end on a grid point leaves that point out
+    (Atom(X, "<", 1), {0, Fraction(1, 2)}),
+    (Atom(X, ">", 1), {Fraction(3, 2), 2}),
+    (Atom(X, "=", 1), {1}),
+], ids=["strict-upper", "strict-lower", "equal"])
+def test_sampling_hand_rows(guard, times):
+    t = _one_edge(guard)
+    expected = {timed_trace((ts, "a")) for ts in times}
+    assert sample_traces(t, 2) == expected == _probe_samples(t, 2)
+
+
+def test_sampling_reads_a_diagonal():
+    # x is reset by a; b needs y - x >= 1 (so a at time 1 or later) and
+    # x < 1 (so b less than one unit after a)
+    t = tree_of(make_automaton(["q0", "q1", "q2"], "q0", ["q2"], [X, Y], [
+        Transition("q0", "q1", "a", TRUE, frozenset((X,))),
+        Transition("q1", "q2", "b", conj(Atom(Y, ">=", 1, X), Atom(X, "<", 1))),
+    ]), 2)
+    expected = {
+        timed_trace((Fraction(t1, 2), "a"), (Fraction(t2, 2), "b"))
+        for t1 in (2, 3, 4) for t2 in (t1, t1 + 1)
+    }
+    assert sample_traces(t, 2) == expected == _probe_samples(t, 2)
+
+
+def test_sampling_clips_steps_below_the_previous_timestamp(monkeypatch):
+    # a hand zone without t2 >= t1: 1 <= t1 <= 2 and 0 <= t2 <= 3, so the
+    # interval that t2 reads starts below t1 and its steps start at 0
+    t1, t2 = obs_var(1), obs_var(2)
+    zone = DifferenceSystem([t1, t2])
+    zone.add_difference(t1, ZERO_VAR, 2, False)
+    zone.add_difference(ZERO_VAR, t1, -1, False)
+    zone.add_difference(t2, ZERO_VAR, 3, False)
+    zone.add_difference(ZERO_VAR, t2, 0, False)
+    zone.close()
+    assert zone.next_bounds([Fraction(0), Fraction(2)]) == (0, False, 3, False)
+    monkeypatch.setattr(equivalence, "path_constraints", lambda t: {("a", "b"): [zone]})
+    t = tree_of(chain(2, 3))  # horizon 4
+    expected = {
+        timed_trace((a, "a"), (b, "b")) for a in (1, 2) for b in range(a, 4)
+    }
+    assert sample_traces(t, 1) == expected == _probe_samples(t, 1)
+
+
+@pytest.mark.parametrize("d", [0, -1, 2.0])
+def test_sampling_refuses_a_grid_denominator_that_is_not_a_positive_int(d):
+    with pytest.raises(ValueError):
+        sample_traces(tree_of(nondet_silent_a(), 2), d)
+
+
+def test_sampling_cap_trips_where_point_probing_tripped(monkeypatch):
+    # the std output of nondet-silent-a at depth 5 on the 1/2 grid expands
+    # 129 prefixes of 13 candidate steps each: 1677 candidates
+    std = determinize_standard(remove_all_silent(tree_of(nondet_silent_a(), 5)))
+    monkeypatch.setattr(equivalence, "SAMPLE_LIMIT", 1677)
+    assert len(sample_traces(std, 2)) == 32
+    monkeypatch.setattr(equivalence, "SAMPLE_LIMIT", 1676)
+    with pytest.raises(ResourceLimitError):
+        sample_traces(std, 2)
