@@ -6,23 +6,36 @@ determinization variant, and wall times.  The deep depths run only with
 --full.  The subset construction is not run on nondet-plain-c at k=50: its
 output there grows about fivefold every five levels (4,093 locations at
 k=20, 20,477 at k=25), so it would not end; that cell is marked "-".
+
+--json PATH also writes, for each configuration, the location counts, the
+wall time of each stage and the solver counters of each stage to PATH.  The
+counters come from a second pass under layerbench/tracing.py's tracer, so
+the timed pass runs untraced:
+
+    python3 scripts/benchmark.py --full --json BENCH_16.json
 """
 
 import argparse
+import importlib
+import json
+import os
+import platform
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "layerbench"))
 
-from tadet.corpus import NAMED_MODELS
-from tadet.determinize import (
-    determinize_guard_oriented,
-    determinize_standard,
-    pipeline_on_the_fly,
-)
-from tadet.silent import remove_all_silent
-from tadet.unfold import rename_clocks, unfold
+from tadet.corpus import NAMED_MODELS  # noqa: E402
+from tracing import Tracer, summarize  # noqa: E402
+
+# the modules that the tracer wraps; stages call through them, so a traced
+# pass sees every call
+lib = SimpleNamespace(**{m: importlib.import_module(f"tadet.{m}") for m in (
+    "unfold", "silent", "determinize", "equivalence", "solver", "modelio")})
 
 QUICK = {
     "nondet-silent-a": [2, 5],
@@ -38,55 +51,99 @@ FULL = {
 }
 # the subset construction's output outgrows memory and time here
 SKIP_STD = {("nondet-plain-c", 50)}
+COUNTERS = ("solver.is_satisfiable.calls", "solver.feasible_systems.calls", "solver.close.calls")
+
+
+def run_configuration(make, k: int, run_std: bool, stage) -> dict:
+    """Every stage of one configuration, each run as ``stage(name, fn,
+    *args)``; returns the location counts (``std`` None when not run)."""
+    tree = stage("unfold", lib.unfold.unfold, make(), k)
+    renamed = stage("rename_clocks", lib.unfold.rename_clocks, tree)
+    removed = stage("remove_all_silent", lib.silent.remove_all_silent, renamed)
+    new = stage("new", lib.determinize.determinize_guard_oriented, removed)
+    std = stage("std", lib.determinize.determinize_standard, removed) if run_std else None
+    otf = stage("otf", lib.determinize.pipeline_on_the_fly, make(), k)
+    return {
+        "unfolded": removed.location_count(),
+        "std": None if std is None else std.location_count(),
+        "new": new.location_count(),
+        "otf": otf.location_count(),
+    }
+
+
+def timed_stage(seconds: dict):
+    def stage(name, fn, *args):
+        t0 = time.perf_counter()
+        out = fn(*args)
+        seconds[name] = time.perf_counter() - t0
+        return out
+    return stage
+
+
+def traced_stage(tracer: Tracer, counters: dict):
+    def stage(name, fn, *args):
+        out = fn(*args)
+        summary = summarize(*tracer.take(), lambda a, b: b - a)
+        counters[name] = {c: summary.get(c, 0) for c in COUNTERS}
+        return out
+    return stage
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--full", action="store_true", help="include the deep depths")
+    ap.add_argument("--json", type=Path, metavar="PATH",
+                    help="also write locations, stage times and solver counters to PATH")
     args = ap.parse_args()
     plan = FULL if args.full else QUICK
 
-    rows = []
+    configurations = []
     for name, ks in plan.items():
         make = NAMED_MODELS[name]
         for k in ks:
-            t0 = time.perf_counter()
-            removed = remove_all_silent(rename_clocks(unfold(make(), k)))
-            t_removed = time.perf_counter() - t0
-
-            t0 = time.perf_counter()
-            new = determinize_guard_oriented(removed)
-            t_new = time.perf_counter() - t0
-
-            if (name, k) in SKIP_STD:
-                std_locs, t_std = "-", "-"
-            else:
-                t0 = time.perf_counter()
-                std_locs = determinize_standard(removed).location_count()
-                t_std = f"{time.perf_counter() - t0:.2f}"
-
-            t0 = time.perf_counter()
-            otf = pipeline_on_the_fly(make(), k)
-            t_otf = time.perf_counter() - t0
-
-            rows.append((
-                name, k, removed.location_count(),
-                std_locs, new.location_count(), otf.location_count(),
-                t_std, f"{t_new:.2f}", f"{t_otf:.2f}", f"{t_removed:.2f}",
-            ))
+            seconds: dict[str, float] = {}
+            locations = run_configuration(make, k, (name, k) not in SKIP_STD, timed_stage(seconds))
+            configurations.append({"model": name, "k": k, "locations": locations, "seconds": seconds})
             print(f"done {name} k={k}", file=sys.stderr)
+
+    if args.json:
+        tracer = Tracer(time.perf_counter)
+        for conf in configurations:
+            counters: dict[str, dict] = {}
+            tracer.install(lib)
+            try:
+                run_configuration(NAMED_MODELS[conf["model"]], conf["k"], conf["locations"]["std"] is not None,
+                                  traced_stage(tracer, counters))
+            finally:
+                tracer.uninstall()
+            conf["counters"] = counters
+            print(f"traced {conf['model']} k={conf['k']}", file=sys.stderr)
+        record = {
+            "plan": "full" if args.full else "quick",
+            "environment": {"python": platform.python_version(), "machine": platform.machine(),
+                            "cpus": os.cpu_count()},
+            "configurations": configurations,
+        }
+        args.json.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+
+    def cell(value, fmt="{}"):
+        return "-" if value is None else fmt.format(value)
 
     print("\n## Locations\n")
     print("| model | k | unfolded | std det | new det | on-the-fly |")
     print("|---|---|---|---|---|---|")
-    for r in rows:
-        print(f"| {r[0]} | {r[1]} | {r[2]} | {r[3]} | {r[4]} | {r[5]} |")
+    for c in configurations:
+        n = c["locations"]
+        print(f"| {c['model']} | {c['k']} | {n['unfolded']} | {cell(n['std'])} | {n['new']} | {n['otf']} |")
 
     print("\n## Runtimes (s)\n")
     print("| model | k | unfold+remove | std det | new det | on-the-fly |")
     print("|---|---|---|---|---|---|")
-    for r in rows:
-        print(f"| {r[0]} | {r[1]} | {r[9]} | {r[6]} | {r[7]} | {r[8]} |")
+    for c in configurations:
+        s = c["seconds"]
+        staged = s["unfold"] + s["rename_clocks"] + s["remove_all_silent"]
+        print(f"| {c['model']} | {c['k']} | {staged:.2f} | {cell(s.get('std'), '{:.2f}')} "
+              f"| {s['new']:.2f} | {s['otf']:.2f} |")
     return 0
 
 

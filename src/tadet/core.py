@@ -1,13 +1,16 @@
 """Core types for timed automata with silent transitions.
 
-Clocks, guards, transitions and automata are immutable values; the trace
+Clocks, guards, transitions and automata are immutable values.  Clocks are
+interned: constructing a clock returns the one object for its name, level
+and silent index, so clocks compare and hash by identity.  The trace
 semantics (delay/jump) is implemented with exact rational arithmetic so
 that guard evaluation at integer bounds is never subject to rounding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Hashable, Iterable, Mapping, Optional, Union
 
@@ -37,7 +40,11 @@ class ResourceLimitError(RuntimeError):
 # clocks
 
 
-@dataclass(frozen=True, order=True)
+# every clock made so far, by (name, level, silent)
+_CLOCKS: dict[tuple[str, int, int], "Clock"] = {}
+
+
+@functools.total_ordering
 class Clock:
     """A clock variable.
 
@@ -45,15 +52,43 @@ class Clock:
     reset on the i-th observable transition of a path, ``x_{i,j}`` on the
     j-th consecutive silent transition after observable level i.  Original
     model clocks carry ``level == -1``.
+
+    Clocks are interned: ``Clock(name, level, silent)`` returns the same
+    object for the same triple, so equality and hashing are object
+    identity.  Clocks sort by ``(name, level, silent)``.
     """
 
+    __slots__ = ("name", "level", "silent")
     name: str
-    level: int = -1
-    silent: int = -1
+    level: int
+    silent: int
 
-    @property
-    def is_renamed(self) -> bool:
-        return self.level >= 0
+    def __new__(cls, name: str, level: int = -1, silent: int = -1) -> Clock:
+        key = (name, level, silent)
+        clock = _CLOCKS.get(key)
+        if clock is None:
+            clock = _CLOCKS[key] = object.__new__(cls)
+            object.__setattr__(clock, "name", name)
+            object.__setattr__(clock, "level", level)
+            object.__setattr__(clock, "silent", silent)
+        return clock
+
+    def __setattr__(self, attr: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {attr!r} of a clock")
+
+    def __delattr__(self, attr: str) -> None:
+        raise AttributeError(f"cannot delete field {attr!r} of a clock")
+
+    def __reduce__(self):
+        return Clock, (self.name, self.level, self.silent)
+
+    def __lt__(self, other):
+        if other.__class__ is not Clock:
+            return NotImplemented
+        return (self.name, self.level, self.silent) < (other.name, other.level, other.silent)
+
+    def __repr__(self) -> str:
+        return f"Clock(name={self.name!r}, level={self.level!r}, silent={self.silent!r})"
 
     def __str__(self) -> str:
         return self.name
@@ -100,7 +135,7 @@ TRUE = TrueGuard()
 FALSE = FalseGuard()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom(Guard):
     """``left rel bound`` or, with ``right`` present, ``left - right rel bound``."""
 
@@ -122,17 +157,19 @@ class Atom(Guard):
         return f"{lhs}{self.rel}{self.bound}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And(Guard):
     parts: tuple[Guard, ...]
+    _clocks: Optional[frozenset[Clock]] = field(default=None, init=False, repr=False, compare=False)
 
     def __str__(self) -> str:
         return "(" + " & ".join(str(p) for p in self.parts) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or(Guard):
     parts: tuple[Guard, ...]
+    _clocks: Optional[frozenset[Clock]] = field(default=None, init=False, repr=False, compare=False)
 
     def __str__(self) -> str:
         return "(" + " | ".join(str(p) for p in self.parts) + ")"
@@ -176,12 +213,21 @@ def disj(*parts: Guard) -> Guard:
 
 
 def guard_clocks(g: Guard) -> frozenset[Clock]:
+    """The clocks that ``g`` reads; a conjunction or disjunction computes
+    its set once and keeps it."""
     if isinstance(g, Atom):
         return frozenset((g.left,) if g.right is None else (g.left, g.right))
     if isinstance(g, (And, Or)):
-        out: frozenset[Clock] = frozenset()
-        for p in g.parts:
-            out |= guard_clocks(p)
+        out = g._clocks
+        if out is None:
+            # a part's set that holds every clock is kept, not copied, so
+            # nested formulas share sets and the caches cost little memory
+            out = frozenset()
+            for p in g.parts:
+                s = guard_clocks(p)
+                if not s <= out:
+                    out = s if out <= s else out | s
+            object.__setattr__(g, "_clocks", out)
         return out
     return frozenset()
 

