@@ -13,6 +13,12 @@ counters come from a second pass under layerbench/tracing.py's tracer, so
 the timed pass runs untraced:
 
     python3 scripts/benchmark.py --full --json BENCH_16.json
+
+--compare OLD NEW reads two such files and runs nothing: for each
+configuration in both it prints each stage's time in NEW over its time in
+OLD, and it exits 1 if any location count differs:
+
+    python3 scripts/benchmark.py --compare BENCH_16.json BENCH_17.json
 """
 
 import argparse
@@ -89,12 +95,45 @@ def traced_stage(tracer: Tracer, counters: dict):
     return stage
 
 
+def compare(old_path: Path, new_path: Path) -> int:
+    """Print the stage time ratios NEW / OLD per configuration; 1 if any
+    location count differs, else 0."""
+    def configurations(path: Path) -> dict:
+        record = json.loads(path.read_text(encoding="utf-8"))
+        return {(c["model"], c["k"]): c for c in record["configurations"]}
+
+    old, new = configurations(old_path), configurations(new_path)
+    common = [key for key in new if key in old]
+    stages = list(dict.fromkeys(s for key in common for s in new[key]["seconds"]))
+    print(f"\n## Stage time, {new_path.name} / {old_path.name}\n")
+    print("| model | k | " + " | ".join(stages) + " |")
+    print("|---|---|" + "---|" * len(stages))
+    differ = []
+    for key in common:
+        before, after = old[key]["seconds"], new[key]["seconds"]
+        cells = [f"{after[s] / before[s]:.2f}" if s in after and before.get(s) else "-" for s in stages]
+        print(f"| {key[0]} | {key[1]} | " + " | ".join(cells) + " |")
+        if old[key]["locations"] != new[key]["locations"]:
+            differ.append(f"{key[0]} k={key[1]}: {old[key]['locations']} -> {new[key]['locations']}")
+    for key in old.keys() - new.keys():
+        print(f"only in {old_path.name}: {key[0]} k={key[1]}")
+    for key in new.keys() - old.keys():
+        print(f"only in {new_path.name}: {key[0]} k={key[1]}")
+    for line in differ:
+        print(f"locations differ, {line}")
+    return 1 if differ else 0
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--full", action="store_true", help="include the deep depths")
     ap.add_argument("--json", type=Path, metavar="PATH",
                     help="also write locations, stage times and solver counters to PATH")
+    ap.add_argument("--compare", type=Path, nargs=2, metavar=("OLD", "NEW"),
+                    help="compare two files written by --json instead of running")
     args = ap.parse_args()
+    if args.compare:
+        return compare(*args.compare)
     plan = FULL if args.full else QUICK
 
     configurations = []

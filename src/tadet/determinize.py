@@ -5,7 +5,10 @@ same-action edges of a location into at most two target locations (one
 accepting, one not), pushing each edge's guard onto the subtree below it
 as a diagonal constraint relative to the merge reset; the accepting and
 non-accepting targets share their subtrees, so the result is a DAG.  Its
-on-the-fly variant also shares locations with identical pending content.
+on-the-fly variant also shares locations with identical pending content,
+and reads a DAG input as it would the tree that the DAG unfolds to:
+:func:`pipeline_on_the_fly` merges the stripped unfolding built as a DAG,
+so no stage before the merge pays for the full tree.
 The standard one is a subset construction over guard regions and always
 yields a tree; it walks each action's guard regions depth first on a
 carried zone, so an empty prefix prunes every region below it.
@@ -31,8 +34,8 @@ from .core import (
     level_clock,
     map_atoms,
 )
-from .silent import remove_all_silent
-from .unfold import Tree, TreeNode, rename_clocks, unfold
+from .silent import stripped_unfolding
+from .unfold import Tree, TreeNode
 from . import solver
 
 
@@ -323,8 +326,14 @@ def determinize_on_the_fly(tree: Tree) -> Tree:
 
 
 def pipeline_on_the_fly(a, k: int) -> Tree:
-    """The staged pipeline on ``a`` at depth ``k``, determinized on the fly."""
-    return determinize_on_the_fly(remove_all_silent(rename_clocks(unfold(a, k))))
+    """The staged pipeline on ``a`` at depth ``k``, determinized on the fly,
+    with the stripped unfolding built as a DAG
+    (:func:`tadet.silent.stripped_unfolding`): a location reached along
+    different runs with the same clock resets is unfolded, renamed and
+    stripped once.  The sharing merge reads the DAG as it would the tree,
+    so the output is that of :func:`determinize_on_the_fly` on the staged
+    tree."""
+    return _merge(stripped_unfolding(a, k), share=True)
 
 
 def check_deterministic(tree: Tree) -> bool:

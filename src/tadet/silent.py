@@ -17,6 +17,12 @@ The rounds share one index of the tree's edges (each node's out-edges and
 incoming edge, and the list order as a linked list) that is updated in
 place as edges move, so a round costs the size of the silent target's
 subtree, not of the whole tree.
+
+:func:`stripped_unfolding` gives the same result straight from the model,
+as a DAG: it unfolds, renames and strips each node once, with the same
+per-edge steps (:func:`_context`, :func:`enabling_guard`, the Table 2/3
+rewrite of one guard), and carries each removal down as a rewrite that the
+guards below still owe.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from .core import (
     Guard,
     Or,
     StructuralError,
+    TimedAutomaton,
     Transition,
     UnsupportedInputError,
     X0,
@@ -42,12 +49,15 @@ from .core import (
     conjunction_atoms,
     empty_interval,
     guard_clocks,
+    level_clock,
     raw_add,
+    rename_guard,
+    silent_clock,
     simplify_conjunction,
     table_guard,
     tighten,
 )
-from .unfold import Tree, TreeNode
+from .unfold import Tree, TreeNode, _out_edges
 
 
 @dataclass
@@ -62,11 +72,6 @@ class SilentContext:
     # row per clock; None when the silent transition can never fire
     bounds: Optional[BoundTable]
     exact: Optional[Clock]  # the clock of the first '=' atom of g_{s,0}, if any
-
-
-def build_context(tree: Tree, silent: Transition) -> SilentContext:
-    pred = next((t for t in tree.transitions if t.target == silent.source), None)
-    return _context(silent, pred)
 
 
 def _context(silent: Transition, pred: Optional[Transition]) -> SilentContext:
@@ -202,6 +207,85 @@ class _Edges:
         return out
 
 
+# a row of a bound table, keyed as in core.add_bounds, its raw bounds
+# frozen so that rows can be part of a key.  Module-level aliases say
+# "X | None", not Optional[X]: typing caches its subscriptions, and the
+# cache would keep every imported copy of this module alive
+_Row = tuple[tuple[Clock, None], tuple[int | None, int | None]]
+
+
+def _moved(ctx: SilentContext) -> tuple[_Row, ...]:
+    """The rows of the silent guard onto which Table 2 moves a future
+    guard's bounds on the silent clock.  With an exact silent guard
+    x_i = n_i the step fired at x_i = n_i, so x_i = x_{s,0} + n_i: only
+    x_i's row is used."""
+    if ctx.exact is not None:
+        return (((ctx.exact, None), tuple(ctx.bounds[(ctx.exact, None)])),)
+    return tuple((key, tuple(row)) for key, row in ctx.bounds.items())
+
+
+def _rewrite(g: Guard, x_s0: Clock, moved: tuple[_Row, ...], placed: tuple[_Row, ...],
+             resets: frozenset[Clock]) -> Optional[tuple[Guard, tuple[_Row, ...]]]:
+    """Tables 2 and 3 on one future guard ``g``, below a removed silent step
+    whose clock is ``x_s0``.
+
+    ``moved`` are the silent guard's rows (:func:`_moved`); ``placed``
+    holds, for each rewritten edge above on the path from the silent
+    target, its reset's row key and its bounds on the silent clock, sides
+    swapped.  Returns None when ``g`` does not read ``x_s0``; else the
+    rewritten guard and ``placed`` for the edges below, which gains the row
+    of the edge's own reset (``resets``).
+    """
+    if isinstance(g, Or):
+        raise UnsupportedInputError(f"expected a conjunction, got {g}")
+    parts = g.parts if isinstance(g, And) else (g,)
+    reads = False
+    for p in parts:
+        if not isinstance(p, Atom):
+            # only top-level atoms are rewritten
+            if x_s0 in guard_clocks(p):
+                raise UnsupportedInputError(
+                    f"future guard refers to {x_s0} inside a disjunction: {p}"
+                )
+        elif p.left == x_s0 or p.right == x_s0:
+            if p.right is not None:
+                raise UnsupportedInputError(
+                    f"future guard refers to {x_s0} diagonally: {p}"
+                )
+            reads = True
+    if not reads:
+        return None
+    bounds = add_bounds({}, (p for p in parts if isinstance(p, Atom)))
+    on = bounds.pop((x_s0, None))
+    if empty_interval(*on):
+        # contradictory constraints on the silent clock
+        new_guard: Guard = FALSE
+    else:
+        # Table 2, then Table 3: an ancestor's reset clock r is bounded
+        # here by the differences of the two guards' bounds on the silent
+        # clock
+        for key, row in (*moved, *placed):
+            _add_sums(bounds, key, row, on)
+        new_guard = conj(*(p for p in parts if not isinstance(p, Atom)),
+                         table_guard(bounds))
+    (own_reset,) = resets
+    return new_guard, (*placed, ((own_reset, None), (on[1], on[0])))
+
+
+def _bypass(ctx: SilentContext, target) -> Transition:
+    """The bypass of a removed silent step: its predecessor's source,
+    action and reset, and the predecessor's guard with the enabling guard,
+    into ``target``."""
+    pred = ctx.predecessor
+    return Transition(
+        pred.source,
+        target,
+        pred.action,
+        simplify_conjunction(conj(pred.guard, enabling_guard(ctx))),
+        frozenset((ctx.reset_clock,)),
+    )
+
+
 def _update_future_guards(ctx: SilentContext, edges: _Edges) -> None:
     """Conjoin the taken guard onto the silent target's out-edges, rewrite
     every guard below the target that reads the silent clock, and
@@ -211,56 +295,16 @@ def _update_future_guards(ctx: SilentContext, edges: _Edges) -> None:
     tg = taken_guard(ctx)
     for s in edges.out[ctx.target]:
         edges.replace(s, ctx.target, conj(edges.edge[s].guard, tg))
-
-    # Table 2 moves a future guard's bounds on the silent clock onto these
-    # rows of the silent guard.  With an exact silent guard x_i = n_i the
-    # step fired at x_i = n_i, so x_i = x_{s,0} + n_i: only x_i's row is used
-    moved = list(ctx.bounds.items())
-    if ctx.exact is not None:
-        moved = [((ctx.exact, None), ctx.bounds[(ctx.exact, None)])]
-    # depth-first over edges; ``placed`` holds, for each rewritten ancestor,
-    # its reset's row key and its bounds on the silent clock, sides swapped
-    stack: list[tuple[int, list[tuple[tuple[Clock, None], list]]]] = [
-        (s, []) for s in reversed(edges.out[ctx.target])
-    ]
+    moved = _moved(ctx)
+    # depth-first over edges, each with the ``placed`` rows of its path
+    stack: list[tuple[int, tuple[_Row, ...]]] = [(s, ()) for s in reversed(edges.out[ctx.target])]
     while stack:
         s, placed = stack.pop()
         t = edges.edge[s]
-        g = t.guard
-        if isinstance(g, Or):
-            raise UnsupportedInputError(f"expected a conjunction, got {g}")
-        parts = g.parts if isinstance(g, And) else (g,)
-        reads = False
-        for p in parts:
-            if not isinstance(p, Atom):
-                # only top-level atoms are rewritten
-                if x_s0 in guard_clocks(p):
-                    raise UnsupportedInputError(
-                        f"future guard refers to {x_s0} inside a disjunction: {p}"
-                    )
-            elif p.left == x_s0 or p.right == x_s0:
-                if p.right is not None:
-                    raise UnsupportedInputError(
-                        f"future guard refers to {x_s0} diagonally: {p}"
-                    )
-                reads = True
-        if reads:
-            bounds = add_bounds({}, (p for p in parts if isinstance(p, Atom)))
-            on = bounds.pop((x_s0, None))
-            if empty_interval(*on):
-                # contradictory constraints on the silent clock
-                new_guard: Guard = FALSE
-            else:
-                # Table 2, then Table 3: an ancestor's reset clock r is
-                # bounded here by the differences of the two guards'
-                # bounds on the silent clock
-                for key, row in moved + placed:
-                    _add_sums(bounds, key, row, on)
-                new_guard = conj(*(p for p in parts if not isinstance(p, Atom)),
-                                 table_guard(bounds))
+        step = _rewrite(t.guard, x_s0, moved, placed, t.resets)
+        if step is not None:
+            new_guard, placed = step
             edges.replace(s, t.source, new_guard)
-            (own_reset,) = t.resets
-            placed = placed + [((own_reset, None), on[::-1])]
         stack.extend((c, placed) for c in reversed(edges.out[t.target]))
 
 
@@ -295,14 +339,7 @@ def remove_all_silent(t: Tree) -> Tree:
             continue
         edges.remove(s)
         if p is not None:
-            pred = ctx.predecessor
-            edges.insert_after(p, Transition(
-                pred.source,
-                ctx.target,
-                pred.action,
-                simplify_conjunction(conj(pred.guard, enabling_guard(ctx))),
-                frozenset((ctx.reset_clock,)),
-            ))
+            edges.insert_after(p, _bypass(ctx, ctx.target))
         _update_future_guards(ctx, edges)
         if p is None:
             # silent from the root: attach the target's subtree to the root.
@@ -319,3 +356,157 @@ def remove_all_silent(t: Tree) -> Tree:
             stack += [ctx.target, n]
     out.transitions = edges.transitions()
     return out
+
+
+# ---------------------------------------------------------------------------
+# the stripped unfolding as a DAG
+
+# A node of the renamed unfolding under removal: model location, observable
+# level, silent index, the renamed clock that holds each model clock (in
+# sorted model-clock order), the rewrites that removed silent steps above
+# still owe the guards below (``_live``), and whether a removed silent
+# step's target lies strictly above.  Equal nodes root equal subtrees.
+_Node = tuple
+# A rewrite owed by one removed silent step: its silent clock, its Table 2
+# rows (``_moved``), the Table 3 rows of its path so far (``_rewrite``'s
+# ``placed``), and its taken guard while at its target, else None.
+_Owed = tuple[Clock, tuple[_Row, ...], tuple[_Row, ...], Atom | None]
+
+
+def _live(owed: list[_Owed], held: tuple[Clock, ...]) -> tuple[_Owed, ...]:
+    """The rewrites in ``owed`` that can still change a guard below a node
+    whose model clocks are held by ``held``.
+
+    A rewrite acts only on guards that read its silent clock.  Below the
+    silent target only a model clock that the clock still holds brings it
+    into a guard, or Table 3 of an earlier live rewrite, whose rows name
+    the resets of the edges it rewrote; the other rewrites are dropped, so
+    that nodes that differ only in spent history are equal.
+    """
+    reads = set(held)
+    out = []
+    for w in owed:
+        if w[3] is not None or w[0] in reads:
+            out.append(w)
+            reads.update(key[0] for key, _ in w[2])
+    return tuple(out)
+
+
+def stripped_unfolding(a: TimedAutomaton, k: int) -> Tree:
+    """``remove_all_silent(rename_clocks(unfold(a, k)))`` built directly as
+    a DAG: each node of the unfolding is unfolded, renamed and stripped
+    once, however many runs reach it.
+
+    A node is keyed by what its stripped subtree depends on (``_Node``).
+    Its out-edges are the ones that :func:`remove_all_silent` gives every
+    tree copy of it, in the same order: each observable out-edge, followed
+    by the bypasses that removing the silent steps below it puts after it,
+    the bypasses of a later silent step first.  A node's silent steps are
+    rewritten like any edge, and their removal is carried down as an owed
+    rewrite (``_Owed``), applied edge by edge as the unfolding grows.  At
+    the root, the silent targets' out-edges join the root's own, in the
+    unfolding's depth-first order.  Every walk is iterative.
+    """
+    out_edges = _out_edges(a, k)
+    clocks = sorted(a.clocks)
+    expanded: dict[_Node, list[Transition]] = {}
+
+    def expand(node: _Node) -> list[Transition]:
+        """The node's out-edges in the renamed unfolding, each guard
+        rewritten by the owed rewrites, into the child nodes."""
+        if node in expanded:
+            return expanded[node]
+        loc, level, index, held, owed, below = node
+        subst = dict(zip(clocks, held))
+        edges = []
+        for t in out_edges.get(loc, ()) if level < k else ():
+            g = rename_guard(t.guard, subst)
+            if below and isinstance(g, Or):
+                raise UnsupportedInputError(f"expected a conjunction, got {g}")
+            if t.is_silent:
+                child = (t.target, level, 0 if index is None else index + 1)
+                fresh = silent_clock(level, child[2])
+            else:
+                child = (t.target, level + 1, None)
+                fresh = level_clock(level + 1)
+            resets = frozenset((fresh,))
+            owed_below = []
+            for x_s0, moved, placed, taken in owed:
+                if taken is not None:
+                    g = conj(g, taken)
+                step = _rewrite(g, x_s0, moved, placed, resets)
+                if step is not None:
+                    g, placed = step
+                owed_below.append((x_s0, moved, placed, None))
+            child_held = tuple(fresh if c in t.resets else h for c, h in zip(clocks, held))
+            target = (*child, child_held, _live(owed_below, child_held), below or bool(owed))
+            edges.append(Transition(node, target, t.action, g, resets))
+        expanded[node] = edges
+        return edges
+
+    def owing(ctx: SilentContext) -> _Node:
+        """The silent target of ``ctx``, owing the rewrite of its removal."""
+        loc, level, index, held, owed, below = ctx.target
+        own = (ctx.silent_clock, _moved(ctx), (), taken_guard(ctx))
+        return (loc, level, index, held, (*owed, own), below)
+
+    checked: set[_Node] = set()
+
+    def pruned(node: _Node) -> None:
+        """Rewrite every guard below a silent step that can never fire, as
+        the staged removal does before it prunes them, so that both reject
+        the same inputs."""
+        stack = [node]
+        while stack:
+            n = stack.pop()
+            if n not in checked:
+                checked.add(n)
+                stack.extend(e.target for e in expand(n))
+
+    def removals(node: _Node, pred: Optional[Transition]) -> list[SilentContext]:
+        """The removal contexts of the node's silent steps that can fire, in
+        order, ``pred`` the edge into the node; the others are pruned."""
+        out = []
+        for s in expand(node):
+            if s.is_silent:
+                ctx = _context(s, pred)
+                if ctx.bounds is None:
+                    pruned(s.target)
+                else:
+                    out.append(ctx)
+        return out
+
+    def bypassed(obs: list[Transition]) -> list[Transition]:
+        """``obs``, each followed by the bypasses that removal puts after it."""
+        out = []
+        stack = obs[::-1]
+        while stack:
+            e = stack.pop()
+            out.append(e)
+            stack += [_bypass(ctx, owing(ctx)) for ctx in removals(e.target, e)]
+        return out
+
+    root: _Node = (a.initial, 0, None, (X0,) * len(clocks), (), False)
+    # silent steps from the root have no bypass: their targets' out-edges
+    # join the root's, in depth-first order of the targets
+    obs: list[Transition] = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        obs += [e for e in expand(node) if not e.is_silent]
+        stack += [owing(ctx) for ctx in removals(node, None)][::-1]
+
+    tree = Tree(root=0, renamed=True)
+    ids = {root: 0}
+    order = [root]
+    for node in order:  # grows as new nodes are reached
+        nid = ids[node]
+        loc, level, index = node[:3]
+        tree.nodes[nid] = TreeNode(loc, level, index, index is None and loc in a.accepting)
+        for e in bypassed(obs if nid == 0 else [e for e in expand(node) if not e.is_silent]):
+            tid = ids.get(e.target)
+            if tid is None:
+                tid = ids[e.target] = len(order)
+                order.append(e.target)
+            tree.transitions.append(Transition(nid, tid, e.action, e.guard, e.resets))
+    return tree

@@ -112,15 +112,7 @@ def unfold(a: TimedAutomaton, k: int, prune_nonaccepting_leaves: bool = False) -
     a silent transition is never accepting, even if it copies an accepting
     location.
     """
-    if k < 1:
-        raise ValueError("unfolding depth k must be >= 1")
-    if not check_strong_responsiveness(a):
-        raise StructuralError("automaton contains a silent loop (not strongly responsive)")
-
-    out_edges: dict[Hashable, list[Transition]] = {}
-    for t in a.transitions:
-        out_edges.setdefault(t.source, []).append(t)
-
+    out_edges = _out_edges(a, k)
     tree = Tree(root=0)
     tree.nodes[0] = TreeNode(
         origin=a.initial,
@@ -162,6 +154,19 @@ def unfold(a: TimedAutomaton, k: int, prune_nonaccepting_leaves: bool = False) -
     if prune_nonaccepting_leaves:
         _prune_nonaccepting(tree)
     return tree
+
+
+def _out_edges(a: TimedAutomaton, k: int) -> dict[Hashable, list[Transition]]:
+    """The out-edges of each location of ``a``, in transition-list order,
+    once ``a`` and ``k`` pass the checks of every unfolding."""
+    if k < 1:
+        raise ValueError("unfolding depth k must be >= 1")
+    if not check_strong_responsiveness(a):
+        raise StructuralError("automaton contains a silent loop (not strongly responsive)")
+    out_edges: dict[Hashable, list[Transition]] = {}
+    for t in a.transitions:
+        out_edges.setdefault(t.source, []).append(t)
+    return out_edges
 
 
 def _prune_nonaccepting(tree: Tree) -> None:

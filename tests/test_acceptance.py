@@ -17,11 +17,13 @@ from tadet import solver
 from tadet.core import (
     Atom,
     Clock,
+    Transition,
     check_run,
     conj,
     disj,
     eval_guard,
     level_clock,
+    make_automaton,
     run_of,
     timed_trace,
 )
@@ -33,7 +35,7 @@ from tadet.determinize import (
     pipeline_on_the_fly,
 )
 from tadet.equivalence import language_equal, sample_traces, trace_in_language
-from tadet.silent import remove_all_silent
+from tadet.silent import remove_all_silent, stripped_unfolding
 from tadet.unfold import rename_clocks, unfold
 
 X1 = level_clock(1)
@@ -102,6 +104,27 @@ def test_guard_oriented_and_on_the_fly_sizes(name, k, new, otf):
         pipeline_on_the_fly(NAMED_MODELS[name](), k).location_count(),
     )
     assert got == (new, otf)
+
+
+def test_on_the_fly_runs_deep_on_the_shared_unfolding():
+    # the staged tree would have about 2.7e9 locations at k=30; the
+    # stripped unfolding is built as a DAG, each shared node once
+    t0 = time.monotonic()
+    out = pipeline_on_the_fly(NAMED_MODELS["nondet-silent-a"](), 30)
+    assert time.monotonic() - t0 < 3.0
+    assert out.location_count() == 467
+    assert check_deterministic(out)
+
+
+def test_stripped_unfolding_is_built_iteratively():
+    # 1100 levels, beyond the interpreter's recursion limit
+    x = Clock("x")
+    loop = make_automaton(["q0"], "q0", ["q0"], [x], [
+        Transition("q0", "q0", "a", Atom(x, "<=", 1), frozenset((x,))),
+    ])
+    dag = stripped_unfolding(loop, 1100)
+    assert dag.location_count() == 1101
+    assert dag.transition_count() == 1100
 
 
 # -- criterion 3: plain and silent variants of the four-location model ------

@@ -255,3 +255,31 @@ def test_traced_names_resolve():
         if not callable(getattr(owner, meth, None)):
             missing.append(f"{mod}.{cls}.{meth}")
     assert missing == []
+
+
+def test_a_fresh_import_frees_the_old_copy():
+    # the layered benchmark imports tadet afresh several times; a copy kept
+    # alive (say, by typing's cache of a module-level Optional[...] alias)
+    # would add its memory to every later measurement
+    import gc
+    import sys
+    import weakref
+
+    def ours():
+        return [n for n in sys.modules if n == "tadet" or n.startswith("tadet.")]
+
+    saved = {n: sys.modules.pop(n) for n in ours()}
+    try:
+        modules = [importlib.import_module(f"tadet.{m}") for m in (
+            "core", "unfold", "silent", "determinize", "equivalence", "solver", "modelio", "corpus")]
+        copies = [weakref.ref(m.__dict__[name]) for m in modules for name in vars(m)
+                  if isinstance(vars(m)[name], type) and vars(m)[name].__module__ == m.__name__]
+        for n in ours():
+            del sys.modules[n]
+        del modules
+        gc.collect()
+        assert [r() for r in copies if r() is not None] == []
+    finally:
+        for n in ours():
+            del sys.modules[n]
+        sys.modules.update(saved)

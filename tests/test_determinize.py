@@ -5,7 +5,19 @@ import hashlib
 import pytest
 
 from tadet import determinize, solver
-from tadet.core import FALSE, Atom, StructuralError, conj, disj, level_clock
+from tadet.core import (
+    FALSE,
+    TRUE,
+    Atom,
+    Clock,
+    StructuralError,
+    Transition,
+    UnsupportedInputError,
+    conj,
+    disj,
+    level_clock,
+    make_automaton,
+)
 from tadet.corpus import NAMED_MODELS, coffee_machine, random_automaton
 from tadet.determinize import (
     _regions,
@@ -142,6 +154,74 @@ def test_pinned_merge_outputs(make, k, new_digest, otf_digest):
     new = determinize_guard_oriented(remove_all_silent(rename_clocks(unfold(make(), k))))
     assert digest(new) == new_digest
     assert digest(pipeline_on_the_fly(make(), k)) == otf_digest
+
+
+def staged_on_the_fly(a, k):
+    return determinize_on_the_fly(remove_all_silent(rename_clocks(unfold(a, k))))
+
+
+XC, YC, ZC = Clock("x"), Clock("y"), Clock("z")
+
+
+def _chain(*transitions):
+    # q0 -a, reset x-> q1 -silent, x >= 1, reset z-> q2, then ``transitions``
+    head = [Transition("q0", "q1", "a", TRUE, frozenset((XC,))),
+            Transition("q1", "q2", None, Atom(XC, ">=", 1), frozenset((ZC,)))]
+    locations = sorted({q for t in transitions for q in (t.source, t.target)} | {"q0", "q1", "q2"})
+    return make_automaton(locations, "q0", [locations[-1]], [XC, YC, ZC], head + list(transitions))
+
+
+def test_on_the_fly_dag_matches_the_staged_tree():
+    # pipeline_on_the_fly merges the stripped unfolding built as a DAG; the
+    # staged tree is the reference, byte for byte
+    def digest(t):
+        return hashlib.sha256(serialize_model(t.to_automaton()).encode()).hexdigest()
+
+    # the second silent step resets x, which b resets again, so no model
+    # clock holds its clock at c; but c reads z, so the first step's Table 3
+    # names that clock there, and the second step's rewrite must remove it
+    spent = _chain(
+        Transition("q2", "q3", None, Atom(XC, "<=", 3), frozenset((XC,))),
+        Transition("q3", "q4", "b", TRUE, frozenset((XC,))),
+        Transition("q4", "q5", "c", Atom(ZC, "<", 5)),
+    )
+    configurations = [(make, k) for make in NAMED_MODELS.values() for k in range(2, 7)]
+    configurations += [(lambda s=s: random_automaton(s), k) for s in range(100) for k in (2, 3)]
+    configurations += [(lambda: spent, 3)]
+    for make, k in configurations:
+        assert digest(pipeline_on_the_fly(make(), k)) == digest(staged_on_the_fly(make(), k))
+
+
+@pytest.mark.parametrize("make,k,error", [
+    pytest.param(coffee_machine, 0, ValueError, id="depth-zero"),
+    pytest.param(lambda: make_automaton(["q0", "q1"], "q0", ["q0"], [XC], [
+        Transition("q0", "q1", None, TRUE, frozenset((XC,))),
+        Transition("q1", "q0", None, TRUE, frozenset((XC,))),
+    ]), 2, StructuralError, id="silent-loop"),
+    pytest.param(lambda: _chain(
+        Transition("q2", "q3", None, Atom(XC, "<", 2, YC), frozenset((YC,))),
+        Transition("q3", "q4", "b")), 3, UnsupportedInputError, id="diagonal-silent-guard"),
+    pytest.param(lambda: _chain(
+        Transition("q2", "q3", "b", conj(Atom(XC, "<", 5), disj(Atom(ZC, "<", 1), Atom(ZC, ">", 3))))),
+        2, UnsupportedInputError, id="silent-clock-in-a-disjunction"),
+    # the silent step's rewrite is spent once z is reset again, but the
+    # staged removal still rejects a disjunctive guard below it
+    pytest.param(lambda: _chain(
+        Transition("q2", "q3", "b", TRUE, frozenset((ZC,))),
+        Transition("q3", "q4", "c", disj(Atom(XC, "<", 1), Atom(YC, ">", 3)))),
+        3, UnsupportedInputError, id="disjunction-below-a-spent-rewrite"),
+    # z < 0 never fires; the staged removal rewrites its subtree before it
+    # prunes it
+    pytest.param(lambda: _chain(
+        Transition("q2", "q3", None, Atom(ZC, "<", 0), frozenset((YC,))),
+        Transition("q3", "q4", "c", conj(Atom(XC, "<", 5), disj(Atom(ZC, "<", 1), Atom(ZC, ">", 3))))),
+        3, UnsupportedInputError, id="disjunction-below-a-pruned-step"),
+])
+def test_on_the_fly_dag_rejects_what_the_staged_tree_rejects(make, k, error):
+    with pytest.raises(error):
+        staged_on_the_fly(make(), k)
+    with pytest.raises(error):
+        pipeline_on_the_fly(make(), k)
 
 
 # serialize_model digests of subset-construction outputs; they pin the

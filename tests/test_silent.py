@@ -22,7 +22,7 @@ from tadet.core import (
 from tadet.corpus import NAMED_MODELS, coffee_machine, random_automaton, sync_chain
 from tadet.modelio import serialize_model
 from tadet.equivalence import language_equal, trace_in_language
-from tadet.silent import build_context, enabling_guard, remove_all_silent, taken_guard
+from tadet.silent import _context, enabling_guard, remove_all_silent, taken_guard
 from tadet.unfold import rename_clocks, unfold
 
 X1, X2 = level_clock(1), level_clock(2)
@@ -56,18 +56,24 @@ def test_bypass_guard_on_coffee_machine():
     assert len(bypass) == 1
 
 
+def first_silent_context(tree):
+    """The removal context of the tree's first silent edge, whose
+    predecessor is the observable edge into its source."""
+    silent = next(tr for tr in tree.transitions if tr.is_silent)
+    pred = next(tr for tr in tree.transitions if tr.target == silent.source)
+    return _context(silent, pred)
+
+
 def test_enabling_guard_drops_silent_clock_terms():
     tree = rename_clocks(unfold(coffee_machine(), 4))
-    silent = next(tr for tr in tree.transitions if tr.is_silent)
-    ctx = build_context(tree, silent)
+    ctx = first_silent_context(tree)
     eg = enabling_guard(ctx)
     assert solver.equivalent(eg, Atom(X1, "<", 2))
 
 
 def test_taken_guard_names_the_silent_clock():
     tree = rename_clocks(unfold(coffee_machine(), 4))
-    silent = next(tr for tr in tree.transitions if tr.is_silent)
-    ctx = build_context(tree, silent)
+    ctx = first_silent_context(tree)
     tg = taken_guard(ctx)
     assert solver.equivalent(tg, Atom(silent_clock(2, 0), ">=", 0))
 
