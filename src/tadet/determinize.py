@@ -16,16 +16,13 @@ carried zone, so an empty prefix prunes every region below it.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import cache
 from typing import Optional
 
 from .core import (
-    And,
     Atom,
     Clock,
     Guard,
-    Or,
     StructuralError,
     Transition,
     conj,
@@ -76,18 +73,6 @@ def _group_by_action(edges: list[_Edge]) -> list[tuple[str, list[_Edge]]]:
     return [(a, groups[a]) for a in order]
 
 
-def _guard_key(g: Guard):
-    """Sharing key of a guard that ignores the order of its parts: the atom
-    or constant itself, else (is a conjunction, frozenset of the part keys),
-    with a single distinct part collapsed to that part's key."""
-    if isinstance(g, (And, Or)):
-        keys = frozenset(_guard_key(p) for p in g.parts)
-        if len(keys) == 1:
-            return next(iter(keys))
-        return (isinstance(g, And), keys)
-    return g
-
-
 def _merge(tree: Tree, share: bool) -> Tree:
     """Merge same-action edges per location into accepting/non-accepting pairs.
 
@@ -96,7 +81,10 @@ def _merge(tree: Tree, share: bool) -> Tree:
     location ids.  With ``share``, locations and their out-edges are also
     memoized on (level, acceptance, pending out-edges up to subtree
     identity), so a location reached along different traces with the same
-    pending content is built once.
+    pending content is built once.  Out-edges are compared in order: every
+    copy of an input subtree, in the tree or in the DAG that
+    :func:`tadet.silent.stripped_unfolding` builds, has the same ordered
+    out-edges.
     """
     if not tree.renamed:
         raise StructuralError("determinization requires a renamed tree")
@@ -107,8 +95,9 @@ def _merge(tree: Tree, share: bool) -> Tree:
     # the same guards are tested many times over; the memo lives for this call
     sat = cache(solver.is_satisfiable)
 
-    # structural signature of an input subtree, interned to small ints;
-    # the entries are multisets, so equal out-edges in any order match
+    # structural signature of an input subtree, interned to small ints:
+    # its acceptance and its ordered out-edges, each with its target's
+    # signature
     sig_ids: dict = {}
     sig: dict[int, int] = {}
 
@@ -117,10 +106,7 @@ def _merge(tree: Tree, share: bool) -> Tree:
             return sig[nid]
         entry = (
             tree.nodes[nid].accepting,
-            frozenset(Counter(
-                (t.action, _guard_key(t.guard), t.resets, signature(t.target))
-                for t in children[nid]
-            ).items()),
+            tuple((t.action, t.guard, t.resets, signature(t.target)) for t in children[nid]),
         )
         sid = sig_ids.setdefault(entry, len(sig_ids))
         sig[nid] = sid
@@ -130,9 +116,7 @@ def _merge(tree: Tree, share: bool) -> Tree:
         """Memo key of the pending ``edges``; None without sharing."""
         if not share:
             return None
-        return frozenset(Counter(
-            (a, _guard_key(g), signature(t)) for a, g, t in edges
-        ).items())
+        return tuple((a, g, signature(t)) for a, g, t in edges)
 
     def pending(t: int) -> tuple[list[_Edge], object]:
         """The out-edges of input node ``t`` and their content."""
@@ -279,19 +263,28 @@ def determinize_standard(tree: Tree) -> Tree:
     non-empty subset S yields one outgoing edge guarded by the g_i of S
     conjoined with the complements of the rest, if that region has a
     point (:func:`_regions` finds them, fixing one g_i or its complement
-    per step); its target merges the member targets.  The output is a tree.
+    per step); its target merges the member targets.  The output is a tree,
+    numbered in depth-first order.
     """
     if not tree.renamed:
         raise StructuralError("determinization requires a renamed tree")
     children = tree.build_children_index()
     out = Tree(root=0, renamed=True)
-    out.nodes[0] = TreeNode(None, 0, accepting=tree.nodes[tree.root].accepting)
-    counter = [1]
-
-    def build(members: frozenset[int], nid: int, level: int) -> None:
+    # edges still to build, the next one last: source location, action,
+    # guard, and the target's level and member input nodes
+    stack = [(None, None, None, 0, frozenset((tree.root,)))]
+    while stack:
+        source, action, guard, level, members = stack.pop()
+        nid = len(out.nodes)
+        accepting = any(tree.nodes[t].accepting for t in members)
+        out.nodes[nid] = TreeNode(None, level, accepting=accepting)
+        if source is not None:
+            out.transitions.append(
+                Transition(source, nid, action, guard, frozenset((level_clock(level),))))
         edges: list[_Edge] = []
         for t in sorted(members):
             edges.extend((c.action, c.guard, c.target) for c in children[t])
+        out_edges = []
         for action, group in _group_by_action(edges):
             m = len(group)
             guards = [g for _, g, _ in group]
@@ -302,17 +295,8 @@ def determinize_standard(tree: Tree) -> Tree:
                     *(comps[i] for i in range(m) if not mask >> i & 1),
                 )
                 targets = frozenset(group[i][2] for i in range(m) if mask >> i & 1)
-                accepting = any(tree.nodes[t].accepting for t in targets)
-                cid = counter[0]
-                counter[0] += 1
-                out.nodes[cid] = TreeNode(None, level + 1, accepting=accepting)
-                out.transitions.append(
-                    Transition(nid, cid, action, guard, frozenset((level_clock(level + 1),)))
-                )
-                build(targets, cid, level + 1)
-
-    build(frozenset((tree.root,)), 0, 0)
-    build = None  # its closure refers to itself; free the index on return
+                out_edges.append((nid, action, guard, level + 1, targets))
+        stack.extend(reversed(out_edges))
     return out
 
 

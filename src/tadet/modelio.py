@@ -108,7 +108,7 @@ def parse_model(text: str) -> TimedAutomaton:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError, or an integer too long to convert
         raise ParseError(f"invalid JSON: {e}") from e
     except RecursionError:
         raise ParseError("document nested too deeply") from None
@@ -275,12 +275,15 @@ def _uppaal_guard(text: str, clocks: dict[str, Clock], where: str) -> Guard:
         for name in (left, right):
             if name is not None and name not in clocks:
                 raise UnsupportedXmlError(f"undeclared clock {name!r} in {where}")
-        parts.append(Atom(
-            clocks[left],
-            "=" if rel == "==" else rel,
-            int(const),
-            clocks[right] if right else None,
-        ))
+        try:
+            parts.append(Atom(
+                clocks[left],
+                "=" if rel == "==" else rel,
+                int(const),
+                clocks[right] if right else None,
+            ))
+        except ValueError as e:  # one clock on both sides, or a constant too long to convert
+            raise UnsupportedXmlError(f"{e} in {where}") from None
     return conj(*parts)
 
 

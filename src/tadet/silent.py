@@ -38,7 +38,6 @@ from .core import (
     Clock,
     FalseGuard,
     Guard,
-    Or,
     StructuralError,
     TimedAutomaton,
     Transition,
@@ -235,14 +234,14 @@ def _rewrite(g: Guard, x_s0: Clock, moved: tuple[_Row, ...], placed: tuple[_Row,
     swapped.  Returns None when ``g`` does not read ``x_s0``; else the
     rewritten guard and ``placed`` for the edges below, which gains the row
     of the edge's own reset (``resets``).
+
+    Only the top-level atoms of ``g`` are rewritten: any other part, a
+    top-level disjunction included, must not read ``x_s0``.
     """
-    if isinstance(g, Or):
-        raise UnsupportedInputError(f"expected a conjunction, got {g}")
     parts = g.parts if isinstance(g, And) else (g,)
     reads = False
     for p in parts:
         if not isinstance(p, Atom):
-            # only top-level atoms are rewritten
             if x_s0 in guard_clocks(p):
                 raise UnsupportedInputError(
                     f"future guard refers to {x_s0} inside a disjunction: {p}"
@@ -363,9 +362,9 @@ def remove_all_silent(t: Tree) -> Tree:
 
 # A node of the renamed unfolding under removal: model location, observable
 # level, silent index, the renamed clock that holds each model clock (in
-# sorted model-clock order), the rewrites that removed silent steps above
-# still owe the guards below (``_live``), and whether a removed silent
-# step's target lies strictly above.  Equal nodes root equal subtrees.
+# sorted model-clock order), and the rewrites that removed silent steps
+# above still owe the guards below (``_live``).  Equal nodes root equal
+# subtrees.
 _Node = tuple
 # A rewrite owed by one removed silent step: its silent clock, its Table 2
 # rows (``_moved``), the Table 3 rows of its path so far (``_rewrite``'s
@@ -416,13 +415,11 @@ def stripped_unfolding(a: TimedAutomaton, k: int) -> Tree:
         rewritten by the owed rewrites, into the child nodes."""
         if node in expanded:
             return expanded[node]
-        loc, level, index, held, owed, below = node
+        loc, level, index, held, owed = node
         subst = dict(zip(clocks, held))
         edges = []
         for t in out_edges.get(loc, ()) if level < k else ():
             g = rename_guard(t.guard, subst)
-            if below and isinstance(g, Or):
-                raise UnsupportedInputError(f"expected a conjunction, got {g}")
             if t.is_silent:
                 child = (t.target, level, 0 if index is None else index + 1)
                 fresh = silent_clock(level, child[2])
@@ -439,16 +436,16 @@ def stripped_unfolding(a: TimedAutomaton, k: int) -> Tree:
                     g, placed = step
                 owed_below.append((x_s0, moved, placed, None))
             child_held = tuple(fresh if c in t.resets else h for c, h in zip(clocks, held))
-            target = (*child, child_held, _live(owed_below, child_held), below or bool(owed))
+            target = (*child, child_held, _live(owed_below, child_held))
             edges.append(Transition(node, target, t.action, g, resets))
         expanded[node] = edges
         return edges
 
     def owing(ctx: SilentContext) -> _Node:
         """The silent target of ``ctx``, owing the rewrite of its removal."""
-        loc, level, index, held, owed, below = ctx.target
+        loc, level, index, held, owed = ctx.target
         own = (ctx.silent_clock, _moved(ctx), (), taken_guard(ctx))
-        return (loc, level, index, held, (*owed, own), below)
+        return (loc, level, index, held, (*owed, own))
 
     checked: set[_Node] = set()
 
@@ -486,7 +483,7 @@ def stripped_unfolding(a: TimedAutomaton, k: int) -> Tree:
             stack += [_bypass(ctx, owing(ctx)) for ctx in removals(e.target, e)]
         return out
 
-    root: _Node = (a.initial, 0, None, (X0,) * len(clocks), (), False)
+    root: _Node = (a.initial, 0, None, (X0,) * len(clocks), ())
     # silent steps from the root have no bypass: their targets' out-edges
     # join the root's, in depth-first order of the targets
     obs: list[Transition] = []

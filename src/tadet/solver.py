@@ -5,7 +5,6 @@ integer bounds: pure difference logic.  Satisfiability branches over the
 disjunctions lazily and closes a bound matrix over the clocks plus a zero
 reference by shortest paths; a negative cycle means UNSAT.  Implication
 subtracts federations (unions of closed matrices) in disjoint pieces.
-SMT-LIB export is kept for differential testing against an external solver.
 
 The matrix holds each bound as one raw Python int, ``c << 1 | weak``
 (:func:`tadet.core.raw_add`; the encoding of the UPPAAL DBM library), so
@@ -548,39 +547,3 @@ def implies(g1: Guard, g2: Guard) -> bool:
 
 def equivalent(g1: Guard, g2: Guard) -> bool:
     return implies(g1, g2) and implies(g2, g1)
-
-
-# ---------------------------------------------------------------------------
-# SMT-LIB export
-
-
-def _smt_symbol(c: Clock) -> str:
-    return "c_" + c.name.replace(".", "_")
-
-
-def _smt_guard(g: Guard) -> str:
-    if isinstance(g, TrueGuard):
-        return "true"
-    if isinstance(g, FalseGuard):
-        return "false"
-    if isinstance(g, Atom):
-        lhs = _smt_symbol(g.left)
-        if g.right is not None:
-            lhs = f"(- {lhs} {_smt_symbol(g.right)})"
-        bound = str(g.bound) if g.bound >= 0 else f"(- {-g.bound})"
-        return f"({g.rel} {lhs} {bound})"
-    op = "and" if isinstance(g, And) else "or"
-    return "(" + op + " " + " ".join(_smt_guard(p) for p in g.parts) + ")"
-
-
-def to_smtlib(g: Guard, clocks: Optional[Iterable[Clock]] = None) -> str:
-    """Self-contained QF_LRA script asserting ``g`` over non-negative reals."""
-    cs = sorted(set(clocks) if clocks is not None else guard_clocks(g))
-    lines = ["(set-logic QF_LRA)"]
-    for c in cs:
-        lines.append(f"(declare-const {_smt_symbol(c)} Real)")
-    for c in cs:
-        lines.append(f"(assert (>= {_smt_symbol(c)} 0))")
-    lines.append(f"(assert {_smt_guard(g)})")
-    lines.append("(check-sat)")
-    return "\n".join(lines) + "\n"

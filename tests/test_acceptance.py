@@ -15,13 +15,18 @@ import pytest
 
 from tadet import solver
 from tadet.core import (
+    And,
     Atom,
     Clock,
+    FalseGuard,
+    Or,
     Transition,
+    TrueGuard,
     check_run,
     conj,
     disj,
     eval_guard,
+    guard_clocks,
     level_clock,
     make_automaton,
     run_of,
@@ -125,6 +130,16 @@ def test_stripped_unfolding_is_built_iteratively():
     dag = stripped_unfolding(loop, 1100)
     assert dag.location_count() == 1101
     assert dag.transition_count() == 1100
+
+
+@pytest.mark.parametrize("name,k,nodes", [
+    ("nondet-silent-a", 9, 91),
+    ("nondet-silent-a", 15, 241),
+    ("nondet-silent-b", 8, 122),
+])
+def test_stripped_unfolding_sizes(name, k, nodes):
+    # a node's key holds what its stripped subtree depends on and no more
+    assert stripped_unfolding(NAMED_MODELS[name](), k).location_count() == nodes
 
 
 # -- criterion 3: plain and silent variants of the four-location model ------
@@ -348,7 +363,6 @@ def _random_guard(rng, clocks, max_atoms=6, max_const=4):
 
 def _grid_eval(g, env):
     import numpy as np
-    from tadet.core import And, Or, TrueGuard, FalseGuard
 
     if isinstance(g, TrueGuard):
         return np.ones_like(next(iter(env.values())), dtype=bool)
@@ -390,6 +404,47 @@ def test_solver_agrees_with_grid_brute_force():
         assert solver.is_satisfiable(g) == grid
 
 
+def _smt_symbol(c):
+    return "c_" + c.name.replace(".", "_")
+
+
+def _smt_guard(g):
+    if isinstance(g, TrueGuard):
+        return "true"
+    if isinstance(g, FalseGuard):
+        return "false"
+    if isinstance(g, Atom):
+        lhs = _smt_symbol(g.left)
+        if g.right is not None:
+            lhs = f"(- {lhs} {_smt_symbol(g.right)})"
+        bound = str(g.bound) if g.bound >= 0 else f"(- {-g.bound})"
+        return f"({g.rel} {lhs} {bound})"
+    op = "and" if isinstance(g, And) else "or"
+    return "(" + op + " " + " ".join(_smt_guard(p) for p in g.parts) + ")"
+
+
+def to_smtlib(g, clocks=None):
+    """Self-contained QF_LRA script asserting ``g`` over non-negative reals."""
+    cs = sorted(set(clocks) if clocks is not None else guard_clocks(g))
+    lines = ["(set-logic QF_LRA)"]
+    for c in cs:
+        lines.append(f"(declare-const {_smt_symbol(c)} Real)")
+    for c in cs:
+        lines.append(f"(assert (>= {_smt_symbol(c)} 0))")
+    lines.append(f"(assert {_smt_guard(g)})")
+    lines.append("(check-sat)")
+    return "\n".join(lines) + "\n"
+
+
+def test_smtlib_output_shape():
+    x, y = Clock("x"), Clock("y")
+    text = to_smtlib(conj(Atom(x, ">", 1), Atom(x, "<", 3, y)))
+    assert text.startswith("(set-logic QF_LRA)")
+    assert "(declare-const c_x Real)" in text
+    assert "(check-sat)" in text
+    assert "(- c_x c_y)" in text
+
+
 def test_solver_agrees_with_external_smt():
     z3 = pytest.importorskip("z3")
     clocks = [Clock("x"), Clock("y"), Clock("z")]
@@ -397,5 +452,5 @@ def test_solver_agrees_with_external_smt():
     for _ in range(1000):
         g = _random_guard(rng, clocks)
         s = z3.Solver()
-        s.from_string(solver.to_smtlib(g, clocks))
+        s.from_string(to_smtlib(g, clocks))
         assert (s.check() == z3.sat) == solver.is_satisfiable(g)

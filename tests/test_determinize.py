@@ -171,6 +171,21 @@ def _chain(*transitions):
     return make_automaton(locations, "q0", [locations[-1]], [XC, YC, ZC], head + list(transitions))
 
 
+def _disjunction_below_a_spent_rewrite():
+    # the silent step's rewrite is spent once b resets z again, so the
+    # disjunction of c reads no silent clock
+    return _chain(
+        Transition("q2", "q3", "b", TRUE, frozenset((ZC,))),
+        Transition("q3", "q4", "c", disj(Atom(XC, "<", 1), Atom(YC, ">", 3))))
+
+
+def test_removal_accepts_a_disjunction_that_reads_no_silent_clock():
+    tree = rename_clocks(unfold(_disjunction_below_a_spent_rewrite(), 3))
+    stripped = remove_all_silent(tree)
+    assert not any(t.is_silent for t in stripped.transitions)
+    assert language_equal(tree, stripped).equal
+
+
 def test_on_the_fly_dag_matches_the_staged_tree():
     # pipeline_on_the_fly merges the stripped unfolding built as a DAG; the
     # staged tree is the reference, byte for byte
@@ -187,7 +202,7 @@ def test_on_the_fly_dag_matches_the_staged_tree():
     )
     configurations = [(make, k) for make in NAMED_MODELS.values() for k in range(2, 7)]
     configurations += [(lambda s=s: random_automaton(s), k) for s in range(100) for k in (2, 3)]
-    configurations += [(lambda: spent, 3)]
+    configurations += [(lambda: spent, 3), (_disjunction_below_a_spent_rewrite, 3)]
     for make, k in configurations:
         assert digest(pipeline_on_the_fly(make(), k)) == digest(staged_on_the_fly(make(), k))
 
@@ -204,12 +219,12 @@ def test_on_the_fly_dag_matches_the_staged_tree():
     pytest.param(lambda: _chain(
         Transition("q2", "q3", "b", conj(Atom(XC, "<", 5), disj(Atom(ZC, "<", 1), Atom(ZC, ">", 3))))),
         2, UnsupportedInputError, id="silent-clock-in-a-disjunction"),
-    # the silent step's rewrite is spent once z is reset again, but the
-    # staged removal still rejects a disjunctive guard below it
+    # two edges below the silent target, a top-level disjunction that
+    # reads the silent clock
     pytest.param(lambda: _chain(
-        Transition("q2", "q3", "b", TRUE, frozenset((ZC,))),
-        Transition("q3", "q4", "c", disj(Atom(XC, "<", 1), Atom(YC, ">", 3)))),
-        3, UnsupportedInputError, id="disjunction-below-a-spent-rewrite"),
+        Transition("q2", "q3", "b"),
+        Transition("q3", "q4", "c", disj(Atom(ZC, "<", 1), Atom(YC, ">", 3)))),
+        3, UnsupportedInputError, id="disjunction-reading-the-silent-clock-two-edges-below"),
     # z < 0 never fires; the staged removal rewrites its subtree before it
     # prunes it
     pytest.param(lambda: _chain(

@@ -5,6 +5,7 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tadet.core import (
     FALSE,
@@ -312,6 +313,89 @@ def test_uppaal_rejects_malformed_locations_and_transitions(old, new, message, t
     bad.write_text(text)
     assert main(["--input", str(bad), "--depth", "2"]) == EXIT_PARSE
     assert json.loads(capsys.readouterr().err)["error"]["code"] == "parse"
+
+
+# -- the readers on malformed input ----------------------------------------
+# whatever the document, a reader returns an automaton or raises one of its
+# two documented errors, which the CLI turns into exit 2
+
+MODEL_TEXTS = [p.read_text() for p in sorted(MODELS_DIR.glob("*.json"))]
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=8,
+)
+
+# pieces of the UPPAAL subset, so that mutants reach the importer's checks
+# and not only the XML parser's
+XML_TOKENS = st.sampled_from([
+    "x", "y", "-", " ", "&lt;", "&gt;", "&lt;=", "==", "=", ":=", "0", "1", "9" * 5000,
+    ",", ";", "&amp;&amp;", "!", "?", "clock", "chan", "int", "tau", "alpha", "_acc",
+    "id0", "id1", "id7", '"', "<", ">", "/>", "</label>", '<label kind="guard">',
+    '<label kind="assignment">', '<label kind="invariant">', "<committed/>", "<init ",
+    "<location ", "<name>", "</name>", "<template>", "</template>",
+])
+
+
+def _positions(node):
+    """Every (container, key) inside a JSON value."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield node, key
+        yield from _positions(child)
+
+
+@st.composite
+def mutated_document(draw):
+    """A bundled model with a few of its values replaced or deleted."""
+    doc = json.loads(draw(st.sampled_from(MODEL_TEXTS)))
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key = draw(st.sampled_from(list(_positions(doc))))
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(json_values)
+    return json.dumps(doc)
+
+
+@st.composite
+def mutated_text(draw, texts, pieces):
+    """One of ``texts`` with a few short spans replaced by ``pieces``."""
+    text = draw(st.sampled_from(texts))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 6)))
+        text = text[:i] + "".join(draw(st.lists(pieces, max_size=3))) + text[j:]
+    return text
+
+
+def _reads_or_rejects(read, text):
+    try:
+        read(text)
+    except (ParseError, UnsupportedXmlError):
+        pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(json_values.map(json.dumps), st.text(max_size=20)))
+@example("[" + "1" * 5000 + "]")  # past the interpreter's integer-string limit
+def test_parse_model_on_random_json(text):
+    _reads_or_rejects(parse_model, text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(mutated_document(), mutated_text(MODEL_TEXTS, st.text(max_size=3))))
+def test_parse_model_on_mutated_models(text):
+    _reads_or_rejects(parse_model, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_text([UPPAAL], XML_TOKENS | st.text(max_size=3)))
+@example(UPPAAL.replace("x&lt;=3", "x - x &lt;= 3"))
+@example(UPPAAL.replace("x&lt;=3", "x&lt;=" + "9" * 5000))
+def test_uppaal_import_on_mutated_documents(text):
+    _reads_or_rejects(import_uppaal_xml, text)
 
 
 def test_dot_export_structure():

@@ -26,7 +26,6 @@ from tadet.solver import (
     implies,
     is_satisfiable,
     nonneg_zone,
-    to_smtlib,
 )
 
 X = Clock("x")
@@ -191,15 +190,6 @@ def test_minimal_constraints_round_trip():
 def entry(s, u, v):
     """The raw entry of ``s`` that bounds u - v."""
     return s.m[s.vars.index(u)][s.vars.index(v)]
-
-
-def test_smtlib_output_shape():
-    g = conj(Atom(X, ">", 1), Atom(X, "<", 3, Y))
-    text = to_smtlib(g)
-    assert text.startswith("(set-logic QF_LRA)")
-    assert "(declare-const c_x Real)" in text
-    assert "(check-sat)" in text
-    assert "(- c_x c_y)" in text
 
 
 # ---------------------------------------------------------------------------
