@@ -11,7 +11,10 @@ and reads a DAG input as it would the tree that the DAG unfolds to:
 so no stage before the merge pays for the full tree.
 The standard one is a subset construction over guard regions and always
 yields a tree; it walks each action's guard regions depth first on a
-carried zone, so an empty prefix prunes every region below it.
+carried zone, so an empty prefix prunes every region below it.  The walk
+starts from the zone that the location carries, which holds every clock
+valuation at which a run enters it, so a region that no run reaches
+yields no edge.
 """
 
 from __future__ import annotations
@@ -202,14 +205,18 @@ def determinize_guard_oriented(tree: Tree) -> Tree:
     return _merge(tree, share=False)
 
 
-def _regions(guards: list[Guard], comps: list[Guard]) -> list[int]:
-    """The non-zero masks, ascending, whose region is non-empty: the
-    conjunction of ``guards[i]`` for each set bit i and ``comps[i]``, the
-    complement, for each clear one.
+def _regions(
+    guards: list[Guard], comps: list[Guard], zone: solver.DifferenceSystem
+) -> list[tuple[int, solver.DifferenceSystem]]:
+    """The non-zero masks, ascending, whose region meets ``zone``, each
+    with ``zone`` met with the region's atoms, its disjunctions dropped.
+    The region is the conjunction of ``guards[i]`` for each set bit i and
+    ``comps[i]``, the complement, for each clear one.
 
-    A depth-first walk fixes bit m-1 first and bit 0 last, the complement
-    before the guard, so the leaves come in ascending order.  A prefix
-    carries the closed zone of its literals' atoms, their pending
+    ``zone`` is a closed satisfiable system over (at least) the guards'
+    clocks.  A depth-first walk from it fixes bit m-1 first and bit 0 last,
+    the complement before the guard, so the leaves come in ascending order.
+    A prefix carries the closed zone of its literals' atoms, their pending
     disjunctions and the branch, one zone, that its last search found.  A
     child searches its literal from the parent's branch first; only if that
     fails, and the prefix has disjunctions that another branch could meet,
@@ -218,11 +225,9 @@ def _regions(guards: list[Guard], comps: list[Guard]) -> list[int]:
     then needs no search.  An empty prefix cuts off every mask below it,
     and the all-zero path is never searched.
     """
-    root = solver.nonneg_zone(frozenset().union(*map(guard_clocks, guards)))
-    root.close()
-    masks: list[int] = []
+    leaves: list[tuple[int, solver.DifferenceSystem]] = []
     # (bit to fix next, bits fixed so far, zone, pending disjunctions, branch)
-    stack = [(len(guards) - 1, 0, root, [], root)]
+    stack = [(len(guards) - 1, 0, zone, [], zone)]
     while stack:
         i, mask, zone, ors, branch = stack.pop()
         children = []
@@ -234,68 +239,114 @@ def _regions(guards: list[Guard], comps: list[Guard]) -> list[int]:
             missed = found is None
             if missed and not ors:
                 continue  # searched from the whole zone: the region is empty
-            child, child_ors = found, ors  # without disjunctions the branch is the zone
-            if i or missed:
-                split = solver.split_parts([lit])
-                if split is None:
-                    continue
-                child_ors = ors + split[1]
-                if child_ors:
-                    child = zone.copy()
-                    for a in split[0]:
-                        child.add_atom(a)
-                    if missed:
-                        found = next(solver.feasible_systems(conj(*child_ors), child), None)
-                        if found is None:
-                            continue
+            child = found  # without disjunctions the branch is the zone
+            split = solver.split_parts([lit])
+            if split is None:
+                continue
+            child_ors = ors + split[1]
+            if child_ors:
+                child = zone.copy()
+                for a in split[0]:
+                    child.add_atom(a)
+                if missed:
+                    found = next(solver.feasible_systems(conj(*child_ors), child), None)
+                    if found is None:
+                        continue
             if i:
                 children.append((i - 1, mask | bit, child, child_ors, found))
             else:
-                masks.append(mask | bit)
+                leaves.append((mask | bit, child))
         stack.extend(reversed(children))  # the complement's subtree first
-    return masks
+    return leaves
+
+
+def _clocks_below(
+    tree: Tree, children: dict[int, list[Transition]]
+) -> dict[int, frozenset[Clock]]:
+    """For each node of ``tree``, the clocks that the guards of its
+    out-edges and of every edge below them read, from one bottom-up pass."""
+    below: dict[int, frozenset[Clock]] = {}
+    stack = [(tree.root, False)]
+    while stack:
+        nid, done = stack.pop()
+        if done:
+            # a set that holds every clock so far is kept, not copied
+            out: frozenset[Clock] = frozenset()
+            for c in children[nid]:
+                for clocks in (guard_clocks(c.guard), below[c.target]):
+                    if not clocks <= out:
+                        out = clocks if out <= clocks else out | clocks
+            below[nid] = out
+        elif nid not in below:
+            stack.append((nid, True))
+            stack.extend((c.target, False) for c in children[nid])
+    return below
 
 
 def determinize_standard(tree: Tree) -> Tree:
-    """Subset construction over guard regions.
+    """Subset construction over guard regions, pruned by reachable zones.
 
     For each location and action with edges guarded g_1..g_m, every
     non-empty subset S yields one outgoing edge guarded by the g_i of S
-    conjoined with the complements of the rest, if that region has a
-    point (:func:`_regions` finds them, fixing one g_i or its complement
-    per step); its target merges the member targets.  The output is a tree,
-    numbered in depth-first order.
+    conjoined with the complements of the rest, if that region meets the
+    location's zone (:func:`_regions` finds them, fixing one g_i or its
+    complement per step); its target merges the member targets.  The
+    output is a tree, numbered in depth-first order.
+
+    Each location carries one closed zone that holds every clock valuation
+    at which a run enters it (Bengtsson & Yi 2004): x0 = 0 at the root;
+    then time elapse, the edge's region with its disjunctions dropped, the
+    reset of the target's level clock, and the projection onto the clocks
+    that some guard below the target members reads.  An edge whose region
+    misses the zone is never taken, so it is left out with its subtree;
+    the language stays the same.
     """
     if not tree.renamed:
         raise StructuralError("determinization requires a renamed tree")
     children = tree.build_children_index()
+    below = _clocks_below(tree, children)
     out = Tree(root=0, renamed=True)
+    start = solver.DifferenceSystem(())
+    start.close()
     # edges still to build, the next one last: source location, action,
-    # guard, and the target's level and member input nodes
-    stack = [(None, None, None, 0, frozenset((tree.root,)))]
+    # guard, the target's level and member input nodes, and the zone in
+    # which the edge fires
+    stack = [(None, None, None, 0, frozenset((tree.root,)), start)]
     while stack:
-        source, action, guard, level, members = stack.pop()
+        source, action, guard, level, members, zone = stack.pop()
         nid = len(out.nodes)
         accepting = any(tree.nodes[t].accepting for t in members)
         out.nodes[nid] = TreeNode(None, level, accepting=accepting)
+        reset = level_clock(level)
         if source is not None:
-            out.transitions.append(
-                Transition(source, nid, action, guard, frozenset((level_clock(level),))))
+            out.transitions.append(Transition(source, nid, action, guard, frozenset((reset,))))
         edges: list[_Edge] = []
         for t in sorted(members):
             edges.extend((c.action, c.guard, c.target) for c in children[t])
+        if not edges:
+            continue
+        # the entry zone: the level clock reset, only the clocks read below kept
+        needed = frozenset().union(*(below[t] for t in members))
+        zone = zone.project_out(*(v for v in zone.vars[1:] if v == reset or v not in needed))
+        if reset in needed:
+            zone = zone.extend_reset(reset)
+        zone.up()
+        # a clock that no reset on the way set is only known to be >= 0
+        for c in frozenset().union(*(guard_clocks(g) for _, g, _ in edges)).difference(zone.vars):
+            zone = zone.extend(c)
+            zone.add_nonneg((c,))
         out_edges = []
         for action, group in _group_by_action(edges):
             m = len(group)
             guards = [g for _, g, _ in group]
             comps = [solver.complement_guard(g) for g in guards]
-            for mask in _regions(guards, comps):
+            for mask, leaf in _regions(guards, comps, zone):
                 guard = conj(
                     *(guards[i] for i in range(m) if mask >> i & 1),
                     *(comps[i] for i in range(m) if not mask >> i & 1),
                 )
                 targets = frozenset(group[i][2] for i in range(m) if mask >> i & 1)
-                out_edges.append((nid, action, guard, level + 1, targets))
+                out_edges.append((nid, action, guard, level + 1, targets, leaf))
         stack.extend(reversed(out_edges))
     return out
 

@@ -316,13 +316,15 @@ def import_uppaal_xml(text: str) -> TimedAutomaton:
         if not stmt:
             continue
         kind, _, names = stmt.partition(" ")
-        if kind == "clock":
-            for name in names.split(","):
-                clocks[name.strip()] = Clock(name.strip())
-        elif kind == "chan":
-            channels.update(n.strip() for n in names.split(","))
-        else:
+        if kind not in ("clock", "chan"):
             raise UnsupportedXmlError(f"unsupported declaration: {stmt!r}")
+        declared = [n.strip() for n in names.split(",")]
+        if "" in declared:
+            raise UnsupportedXmlError(f"empty {kind} name in {stmt!r}")
+        if kind == "clock":
+            clocks.update((n, Clock(n)) for n in declared)
+        else:
+            channels.update(declared)
 
     templates = root.findall("template")
     if len(templates) != 1:

@@ -124,6 +124,28 @@ class DifferenceSystem:
         out._sat = self._sat
         return out
 
+    def extend_reset(self, var: Clock) -> "DifferenceSystem":
+        """A copy with one more variable, ``var``, equal to the zero var: a
+        fresh clock just reset.  Its row and column copy the zero var's, so
+        a closed matrix stays closed."""
+        n = len(self.vars)
+        out = self.extend(var)
+        out.m[n] = out.m[0][:]
+        for row in out.m:
+            row[n] = row[0]
+        return out
+
+    def up(self) -> None:
+        """Let time elapse: drop the upper bound on every variable's value.
+
+        On a closed satisfiable matrix this gives the closed matrix of all
+        points reached by a delay from a point of the system (Bengtsson &
+        Yi 2004); an unclosed matrix is closed first.
+        """
+        if self.is_satisfiable():
+            for row in self.m[1:]:
+                row[0] = None
+
     def add_difference(self, u: Clock, v: Clock, value: int, strict: bool) -> None:
         """Constrain u - v <= value (strict: <)."""
         self._constrain(self._index[u], self._index[v], value << 1 | (not strict))

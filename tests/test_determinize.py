@@ -15,6 +15,7 @@ from tadet.core import (
     UnsupportedInputError,
     conj,
     disj,
+    guard_clocks,
     level_clock,
     make_automaton,
 )
@@ -244,11 +245,11 @@ def test_on_the_fly_dag_rejects_what_the_staged_tree_rejects(make, k, error):
 @pytest.mark.parametrize("make,k,digest", [
     pytest.param(
         NAMED_MODELS["nondet-silent-d"], 5,
-        "fa255c35ed0d85cc6ea8a54a1fdd2a44717fc366b7eb08f317f907e8693b92d4",
+        "c9b200643cfa8a20e64032aba44cb182521bd5d830edb5eda4824ad78c65de07",
         id="silent-d-5"),
     pytest.param(
         lambda: random_automaton(17), 4,
-        "762eba45f42d008d05cf2f9a524c29368759e6c1314ab26fc2b19ec6f88977dd",
+        "b1bae53e138eab4368833709dbd29ebf501c0ba783d70ec58c1bfb481f88836d",
         id="random-17-4"),
     pytest.param(
         lambda: random_automaton(141), 3,
@@ -260,20 +261,24 @@ def test_pinned_standard_outputs(make, k, digest):
     assert hashlib.sha256(serialize_model(std.to_automaton()).encode()).hexdigest() == digest
 
 
-def brute_regions(guards):
-    """Every non-empty region of ``guards``, one satisfiability query per mask."""
+def brute_regions(guards, zone=None):
+    """Every region of ``guards`` that meets ``zone`` (by default: that is
+    non-empty), one search per mask."""
     m = len(guards)
     return [
         mask for mask in range(1, 1 << m)
-        if solver.is_satisfiable(conj(
+        if next(solver.feasible_systems(conj(
             *(guards[i] for i in range(m) if mask >> i & 1),
             *(solver.complement_guard(guards[i]) for i in range(m) if not mask >> i & 1),
-        ))
+        ), zone), None) is not None
     ]
 
 
 def regions(guards):
-    return _regions(guards, [solver.complement_guard(g) for g in guards])
+    """The walk from the zone that only says each clock is >= 0."""
+    zone = solver.nonneg_zone(frozenset().union(*map(guard_clocks, guards)))
+    zone.close()
+    return [mask for mask, _ in _regions(guards, [solver.complement_guard(g) for g in guards], zone)]
 
 
 @pytest.mark.parametrize("guards,expected", [
@@ -306,15 +311,37 @@ def test_regions_match_brute_force_on_random_models(monkeypatch):
     # every action group that the subset construction meets on the corpus
     seen = []
 
-    def spy(guards, comps):
-        masks = _regions(guards, comps)
-        seen.append((guards, masks))
-        return masks
+    def spy(guards, comps, zone):
+        leaves = _regions(guards, comps, zone)
+        seen.append((guards, comps, zone, leaves))
+        return leaves
 
     monkeypatch.setattr(determinize, "_regions", spy)
     for seed in range(100):
         for k in (2, 3):
             determinize_standard(remove_all_silent(rename_clocks(unfold(random_automaton(seed), k))))
-    assert max(len(guards) for guards, _ in seen) > 8
-    for guards, masks in seen:
-        assert masks == brute_regions(guards), guards
+    assert max(len(guards) for guards, _, _, _ in seen) > 8
+    for guards, comps, zone, leaves in seen:
+        assert [mask for mask, _ in leaves] == brute_regions(guards, zone), guards
+        # each leaf zone is the start zone met with the region's atoms
+        for mask, leaf in leaves:
+            region = [guards[i] if mask >> i & 1 else comps[i] for i in range(len(guards))]
+            expected = zone.copy()
+            for a in solver.split_parts(region)[0]:
+                expected.add_atom(a)
+            assert leaf.vars == expected.vars and leaf.m == expected.m
+
+
+def test_standard_drops_an_edge_that_no_run_reaches():
+    # b's guard x < 1 is satisfiable on its own, but b follows a's x > 2
+    # and x is not reset in between
+    a = make_automaton(["q0", "q1", "q2"], "q0", ["q1", "q2"], [XC], [
+        Transition("q0", "q1", "a", Atom(XC, ">", 2)),
+        Transition("q1", "q2", "b", Atom(XC, "<", 1)),
+    ])
+    tree = rename_clocks(unfold(a, 2))
+    std = determinize_standard(remove_all_silent(tree))
+    assert [(t.action, t.guard) for t in std.transitions] == [("a", Atom(level_clock(0), ">", 2))]
+    assert std.location_count() == 2
+    assert check_deterministic(std)
+    assert language_equal(tree, std).equal

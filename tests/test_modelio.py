@@ -303,6 +303,9 @@ def test_uppaal_rejects_committed_locations():
                  "missing or duplicate location id", id="duplicate-id"),
     pytest.param('<name>q1_acc</name>', '<name>q0</name>', "duplicate location name",
                  id="duplicate-name"),
+    pytest.param('clock x;', 'clock x, ;', "empty clock name", id="empty-clock-name"),
+    pytest.param('chan alpha, tau;', 'chan alpha, , tau;', "empty chan name",
+                 id="empty-channel-name"),
 ])
 def test_uppaal_rejects_malformed_locations_and_transitions(old, new, message, tmp_path, capsys):
     assert old in UPPAAL
@@ -372,9 +375,11 @@ def mutated_text(draw, texts, pieces):
 
 def _reads_or_rejects(read, text):
     try:
-        read(text)
+        a = read(text)
     except (ParseError, UnsupportedXmlError):
-        pass
+        return
+    # what a reader accepts, the JSON reader reads back
+    assert serialize_model(parse_model(serialize_model(a))) == serialize_model(a)
 
 
 @settings(max_examples=100, deadline=None)
@@ -394,6 +399,8 @@ def test_parse_model_on_mutated_models(text):
 @given(mutated_text([UPPAAL], XML_TOKENS | st.text(max_size=3)))
 @example(UPPAAL.replace("x&lt;=3", "x - x &lt;= 3"))
 @example(UPPAAL.replace("x&lt;=3", "x&lt;=" + "9" * 5000))
+@example(UPPAAL.replace("clock x;", "clock x, ;"))  # an empty name
+@example(UPPAAL.replace("chan alpha, tau;", "chan alpha, tau, ;"))
 def test_uppaal_import_on_mutated_documents(text):
     _reads_or_rejects(import_uppaal_xml, text)
 

@@ -333,3 +333,53 @@ def test_kernel_agrees_with_reference_closure(ops):
     finished.append((s, added))
     for system, constraints in finished:
         assert_matches_reference(system, constraints)
+
+
+kernel_constraints = st.lists(
+    st.tuples(st.sampled_from(KERNEL_VARS), st.sampled_from(KERNEL_VARS), kernel_values, st.booleans()),
+    max_size=8,
+)
+D = Clock("d")
+W = Clock("w")
+
+
+def system_of(constraints):
+    s = DifferenceSystem([X, Y, Z])
+    for c in constraints:
+        s.add_difference(*c)
+    return s
+
+
+@settings(max_examples=300)
+@given(kernel_constraints)
+def test_up_agrees_with_reference_closure(constraints):
+    # after a delay d >= 0 each clock u reads u + d and the zero var stays,
+    # so a bound on u - 0 before it is a bound on u - d after it; the
+    # reference eliminates d by Fourier-Motzkin
+    s = system_of(constraints)
+    s.up()
+
+    def delayed(w, other):
+        return D if w == ZERO_VAR and other != ZERO_VAR else w
+
+    shifted = [(delayed(u, v), delayed(v, u), value, strict) for u, v, value, strict in constraints]
+    ref, sat = ref_closure(KERNEL_VARS, ref_eliminate(shifted + [(ZERO_VAR, D, 0, False)], D))
+    assert s.is_satisfiable() == sat
+    if sat:
+        for (u, v), b in ref.items():
+            assert entry(s, u, v) == ref_raw(b)
+
+
+@settings(max_examples=300)
+@given(kernel_constraints)
+def test_extend_reset_agrees_with_reference_closure(constraints):
+    s = system_of(constraints)
+    s.close()
+    r = s.extend_reset(W)
+    assert r.vars == KERNEL_VARS + [W] and s.vars == KERNEL_VARS
+    ref, sat = ref_closure(
+        KERNEL_VARS + [W], constraints + [(W, ZERO_VAR, 0, False), (ZERO_VAR, W, 0, False)])
+    assert r.is_satisfiable() == sat
+    if sat:
+        for (u, v), b in ref.items():
+            assert entry(r, u, v) == ref_raw(b)
