@@ -20,7 +20,8 @@ yields no edge.
 from __future__ import annotations
 
 from functools import cache
-from typing import Optional
+from itertools import islice
+from typing import Iterator, Optional
 
 from .core import (
     Atom,
@@ -76,6 +77,24 @@ def _group_by_action(edges: list[_Edge]) -> list[tuple[str, list[_Edge]]]:
     return [(a, groups[a]) for a in order]
 
 
+def _reaches_outside(nacc: list[Guard], acc: list[Guard], zones) -> bool:
+    """Whether some non-negative point over the guards' joint clocks
+    satisfies a guard of ``nacc`` and none of ``acc``; ``zones(g, True)``
+    gives every feasible zone of ``g``.
+
+    The zones are put over the joint clocks (a clock that a guard does not
+    read is only >= 0) and the union of ``acc``'s is subtracted from each
+    of ``nacc``'s (:func:`tadet.solver.uncovered_piece`), so the
+    complement of ``acc`` is never searched as a formula.
+    """
+    clocks = frozenset().union(*(guard_clocks(g) for g in nacc + acc))
+
+    def federation(guards: list[Guard]) -> list[solver.DifferenceSystem]:
+        return [z.over(clocks) for g in guards for z in zones(g, True)]
+
+    return solver.uncovered_piece(federation(nacc), federation(acc)) is not None
+
+
 def _merge(tree: Tree, share: bool) -> Tree:
     """Merge same-action edges per location into accepting/non-accepting pairs.
 
@@ -95,8 +114,20 @@ def _merge(tree: Tree, share: bool) -> Tree:
     out = Tree(root=0, renamed=True)
     node_memo: dict = {}
     edge_memo: dict = {}
-    # the same guards are tested many times over; the memo lives for this call
+    # the same guards are tested many times over; the memos live for this call
     sat = cache(solver.is_satisfiable)
+
+    @cache
+    def search(g: Guard) -> tuple[list[solver.DifferenceSystem], Iterator]:
+        return [], solver.feasible_systems(g)
+
+    def zones(g: Guard, every: bool = False) -> list[solver.DifferenceSystem]:
+        """The feasible zones of the member guard ``g``, searched lazily: the
+        first for a check, all of them (``every``) for a subtraction."""
+        found, rest = search(g)
+        if every or not found:
+            found.extend(rest if every else islice(rest, 1))
+        return found
 
     # structural signature of an input subtree, interned to small ints:
     # its acceptance and its ordered out-edges, each with its target's
@@ -163,7 +194,7 @@ def _merge(tree: Tree, share: bool) -> Tree:
             nacc_guards: list[Guard] = []
             merged_child: list[_Edge] = []
             for _, g, t in group:
-                if not sat(g):
+                if not zones(g):
                     continue
                 if tree.nodes[t].accepting:
                     acc_guards.append(g)
@@ -172,7 +203,7 @@ def _merge(tree: Tree, share: bool) -> Tree:
                 push = rebase_guard(g, anchor)
                 for c in children[t]:
                     cg = conj(c.guard, push)
-                    if sat(cg):
+                    if zones(cg):
                         merged_child.append((c.action, cg, c.target))
 
             child_key = content(merged_child)
@@ -182,13 +213,14 @@ def _merge(tree: Tree, share: bool) -> Tree:
                 g_acc = disj(*acc_guards)
                 nid = node(merged_child, child_key, level + 1, True, sub)
                 result.append((action, g_acc, nid))
-            if nacc_guards:
+            # so is each non-accepting one; beside accepting guards, the edge
+            # stays iff their zones leave some point of the others uncovered
+            if nacc_guards and (not acc_guards or _reaches_outside(nacc_guards, acc_guards, zones)):
                 g_nacc = disj(*nacc_guards)
                 if acc_guards:
                     g_nacc = conj(g_nacc, solver.complement_guard(g_acc))
-                if sat(g_nacc):
-                    nid = node(merged_child, child_key, level + 1, False, sub)
-                    result.append((action, g_nacc, nid))
+                nid = node(merged_child, child_key, level + 1, False, sub)
+                result.append((action, g_nacc, nid))
         if share:
             edge_memo[memo_key] = result
         return result
@@ -332,9 +364,7 @@ def determinize_standard(tree: Tree) -> Tree:
             zone = zone.extend_reset(reset)
         zone.up()
         # a clock that no reset on the way set is only known to be >= 0
-        for c in frozenset().union(*(guard_clocks(g) for _, g, _ in edges)).difference(zone.vars):
-            zone = zone.extend(c)
-            zone.add_nonneg((c,))
+        zone = zone.over(frozenset().union(*(guard_clocks(g) for _, g, _ in edges)))
         out_edges = []
         for action, group in _group_by_action(edges):
             m = len(group)

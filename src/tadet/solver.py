@@ -248,6 +248,39 @@ class DifferenceSystem:
         out._sat = self._sat
         return out
 
+    def over(self, clocks: Iterable[Clock]) -> "DifferenceSystem":
+        """The system over the sorted union of its variables and ``clocks``,
+        where each added clock is only known to be >= 0; ``self`` when it
+        has them all.
+
+        Off its diagonal, an added clock v has finite entries in the closure
+        only in its column: u - v <= (u - 0) + (0 - v) <= m[u][0].  So that
+        column copies the zero var's, and the matrix stays closed.  A
+        matrix that is not closed is closed first.
+        """
+        added = set(clocks).difference(self.vars)
+        if not added:
+            return self
+        if not self._closed:
+            self.close()
+        out = DifferenceSystem.__new__(DifferenceSystem)
+        out.vars = [ZERO_VAR] + sorted(added.union(self.vars[1:]))
+        out._index = {v: i for i, v in enumerate(out.vars)}
+        old = [self._index.get(v) for v in out.vars]
+        cols = [0 if j is None else j for j in old]
+        out.m = []
+        for k, i in enumerate(old):
+            if i is None:
+                row = [None] * len(old)
+                row[k] = RAW_ZERO
+            else:
+                src = self.m[i]
+                row = [src[j] for j in cols]
+            out.m.append(row)
+        out._closed = True
+        out._sat = self._sat
+        return out
+
     def _minimal_constraints(self) -> list[tuple[int, int, int]]:
         """``(i, j, raw)`` triples, each bounding ``vars[i] - vars[j]`` by
         the raw bound ``raw``, whose closure is this (satisfiable) system;
@@ -476,11 +509,12 @@ def is_satisfiable(g: Guard) -> bool:
     return next(feasible_systems(g), None) is not None
 
 
-def difference_witness(
+def uncovered_piece(
     g1: Guard | Sequence[DifferenceSystem],
     g2: Guard | Sequence[DifferenceSystem],
-) -> Optional[dict[Clock, Fraction]]:
-    """A point in g1 but not in g2, or None if g1 implies g2.
+) -> Optional[DifferenceSystem]:
+    """A satisfiable closed piece of g1 that no point of g2 meets, or None
+    if g1 implies g2.
 
     Both arguments are guards, or both are federations: sequences of
     satisfiable closed difference systems over one variable list, read as
@@ -491,12 +525,12 @@ def difference_witness(
     Bengtsson & Yi 2004).  Subtracting a zone with minimal constraints
     c_0 .. c_m from a piece leaves the disjoint pieces
     piece & c_0 & .. & c_{j-1} & ~c_j, one per c_j that the piece does not
-    already imply; a zone disjoint from the piece is skipped whole.  A
-    piece that outlives every zone of g2 holds the witness.  The pieces
+    already imply; a zone disjoint from the piece is skipped whole.  The
+    first piece that outlives every zone of g2 is returned.  The pieces
     wait on an explicit stack, and each zone's minimal constraints are
     computed once, when a piece is first checked against it.  A zone of
     g1 that lies within one zone of g2 (entrywise, on closed matrices) is
-    skipped before any of that.
+    skipped before any of that.  No zone of either argument is changed.
     """
     if isinstance(g1, Guard):
         zone = nonneg_zone(guard_clocks(g1) | guard_clocks(g2))
@@ -536,7 +570,7 @@ def difference_witness(
                 if overlap.is_satisfiable():
                     break
             else:
-                return piece.witness()
+                return piece
             rest_todo = todo[n + 1:]
             for u, v, b in constraints(i):
                 d = m[u][v]
@@ -549,6 +583,17 @@ def difference_witness(
                 piece._constrain(u, v, b)
             # what is left of the piece lies inside fed2[i]
     return None
+
+
+def difference_witness(
+    g1: Guard | Sequence[DifferenceSystem],
+    g2: Guard | Sequence[DifferenceSystem],
+) -> Optional[dict[Clock, Fraction]]:
+    """A point in g1 but not in g2, or None if g1 implies g2: the
+    :meth:`DifferenceSystem.witness` of :func:`uncovered_piece`, which
+    takes the same arguments."""
+    piece = uncovered_piece(g1, g2)
+    return None if piece is None else piece.witness()
 
 
 def _within(m1: list[list[Optional[int]]], m2: list[list[Optional[int]]]) -> bool:
@@ -564,7 +609,7 @@ def _within(m1: list[list[Optional[int]]], m2: list[list[Optional[int]]]) -> boo
 
 def implies(g1: Guard, g2: Guard) -> bool:
     """g1 => g2, i.e. no non-negative point satisfies g1 but not g2."""
-    return difference_witness(g1, g2) is None
+    return uncovered_piece(g1, g2) is None
 
 
 def equivalent(g1: Guard, g2: Guard) -> bool:

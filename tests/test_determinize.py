@@ -21,6 +21,7 @@ from tadet.core import (
 )
 from tadet.corpus import NAMED_MODELS, coffee_machine, random_automaton
 from tadet.determinize import (
+    _reaches_outside,
     _regions,
     check_deterministic,
     determinize_guard_oriented,
@@ -147,6 +148,11 @@ def test_silent_edge_rejected():
         "faae981998101672968e43ef87e01cd28abc9230085b7308137aadc85853dbbc",
         "092bc758740f4d6eb4221539cd7f86b46edafc01cde818194716877b6e876729",
         id="random-17-4"),
+    pytest.param(
+        NAMED_MODELS["nondet-silent-d"], 12,
+        "3192a76b6913f754ba4a299eee709555ce91d53e0ee8daa443332bb62cb56018",
+        "3192a76b6913f754ba4a299eee709555ce91d53e0ee8daa443332bb62cb56018",
+        id="silent-d-12"),
 ])
 def test_pinned_merge_outputs(make, k, new_digest, otf_digest):
     def digest(t):
@@ -155,6 +161,62 @@ def test_pinned_merge_outputs(make, k, new_digest, otf_digest):
     new = determinize_guard_oriented(remove_all_silent(rename_clocks(unfold(make(), k))))
     assert digest(new) == new_digest
     assert digest(pipeline_on_the_fly(make(), k)) == otf_digest
+
+
+def all_zones(g, every=True):
+    return list(solver.feasible_systems(g))
+
+
+def complement_search(nacc, acc):
+    """The merge's former decision: search the non-accepting guards met
+    with the complement of the accepting ones."""
+    return solver.is_satisfiable(conj(disj(*nacc), solver.complement_guard(disj(*acc))))
+
+
+def test_non_accepting_decision_matches_the_complement_search(monkeypatch):
+    # every group with accepting and non-accepting members that the merge
+    # meets on the corpus
+    seen = []
+
+    def spy(nacc, acc, zones):
+        keep = _reaches_outside(nacc, acc, zones)
+        seen.append((nacc, acc, keep))
+        return keep
+
+    monkeypatch.setattr(determinize, "_reaches_outside", spy)
+    for seed in range(100, 300):
+        for k in (2, 3):
+            determinize_guard_oriented(remove_all_silent(rename_clocks(unfold(random_automaton(seed), k))))
+    assert sum(keep for _, _, keep in seen) == 73
+    assert sum(not keep for _, _, keep in seen) == 75
+    for nacc, acc, keep in seen:
+        assert keep == complement_search(nacc, acc), (nacc, acc)
+
+
+@pytest.mark.parametrize("nacc,acc,keep", [
+    # the non-accepting guard lies inside the accepting one
+    ([Atom(X1, "<", 3)], [Atom(X1, "<", 5)], False),
+    # two accepting zones cover it together, neither alone
+    ([Atom(X1, "<", 3)], [disj(Atom(X1, "<", 2), Atom(X1, ">=", 1))], False),
+    # one of the non-accepting guard's two zones sticks out
+    ([disj(Atom(X1, "<", 1), Atom(X1, ">", 4))], [Atom(X1, "<", 2)], True),
+    # a clock that only one side reads: x2 >= 0 is all the other knows
+    ([Atom(X2, "<=", 1, X1)], [Atom(X1, ">", 0)], True),
+    # two non-accepting guards, each inside an accepting TRUE
+    ([Atom(X1, ">", 0), Atom(X1, "=", 0)], [TRUE], False),
+], ids=["inside", "covered-by-two", "several-zones", "joint-clocks", "true"])
+def test_non_accepting_decision_hand_rows(nacc, acc, keep):
+    assert _reaches_outside(nacc, acc, all_zones) == keep == complement_search(nacc, acc)
+
+
+def test_merge_drops_a_non_accepting_edge_inside_the_accepting_one():
+    a = make_automaton(["q0", "q1", "q2"], "q0", ["q1"], [XC], [
+        Transition("q0", "q1", "a", Atom(XC, "<", 5)),
+        Transition("q0", "q2", "a", Atom(XC, "<", 3)),
+    ])
+    new = determinize_guard_oriented(remove_all_silent(rename_clocks(unfold(a, 1))))
+    assert [(t.action, t.guard) for t in new.transitions] == [("a", Atom(level_clock(0), "<", 5))]
+    assert new.nodes[new.transitions[0].target].accepting
 
 
 def staged_on_the_fly(a, k):

@@ -112,6 +112,20 @@ def test_difference_witness_on_federations(g1, g2):
         assert eval_guard(g1, w) and not eval_guard(g2, w)
 
 
+@settings(max_examples=200)
+@given(guards())
+def test_over_matches_the_search_over_more_clocks(g):
+    # "d" sorts before x, y and z, and a guard may read any of those, so
+    # added clocks land before and between kept ones
+    more = [Clock("d"), X, Y, Z]
+    lifted = [s.over(more) for s in feasible_systems(g)]
+    direct = list(feasible_systems(g, nonneg_zone(more)))
+    assert [s.vars for s in lifted] == [s.vars for s in direct]
+    assert [s.m for s in lifted] == [s.m for s in direct]
+    for s in feasible_systems(g, nonneg_zone(more)):
+        assert s.over(more) is s
+
+
 @settings(max_examples=100)
 @given(guards())
 def test_feasible_systems_cover_guard(g):
