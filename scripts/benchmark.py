@@ -3,11 +3,9 @@
 
 Prints two markdown tables: location counts of the unfolding and of each
 determinization variant, and wall times.  The deep depths run only with
---full.  The subset construction is not run on nondet-plain-c at k=50: its
-output there grows about fivefold every five levels (4,093 locations at
-k=20, 20,477 at k=25), so it would not end.  Nor on nondet-silent-d at
-k=14, where it builds 13,775 locations in 5-7 s; that row is there for
-the merge.  Those cells are marked "-".
+--full.  Every variant runs on every configuration; the subset
+construction's count is of the DAG that it builds, which shares each
+(level, members, entry zone) location.
 
 --json PATH also writes, for each configuration, the location counts, the
 wall time of each stage and the solver counters of each stage to PATH.  The
@@ -57,23 +55,21 @@ FULL = {
     "nondet-plain-c": [2, 5, 10, 25, 50],
     "nondet-silent-d": [2, 5, 10, 14],
 }
-# the subset construction's output outgrows memory and time here
-SKIP_STD = {("nondet-plain-c", 50), ("nondet-silent-d", 14)}
 COUNTERS = ("solver.is_satisfiable.calls", "solver.feasible_systems.calls", "solver.close.calls")
 
 
-def run_configuration(make, k: int, run_std: bool, stage) -> dict:
+def run_configuration(make, k: int, stage) -> dict:
     """Every stage of one configuration, each run as ``stage(name, fn,
-    *args)``; returns the location counts (``std`` None when not run)."""
+    *args)``; returns the location counts."""
     tree = stage("unfold", lib.unfold.unfold, make(), k)
     renamed = stage("rename_clocks", lib.unfold.rename_clocks, tree)
     removed = stage("remove_all_silent", lib.silent.remove_all_silent, renamed)
     new = stage("new", lib.determinize.determinize_guard_oriented, removed)
-    std = stage("std", lib.determinize.determinize_standard, removed) if run_std else None
+    std = stage("std", lib.determinize.determinize_standard, removed)
     otf = stage("otf", lib.determinize.pipeline_on_the_fly, make(), k)
     return {
         "unfolded": removed.location_count(),
-        "std": None if std is None else std.location_count(),
+        "std": std.location_count(),
         "new": new.location_count(),
         "otf": otf.location_count(),
     }
@@ -143,7 +139,7 @@ def main() -> int:
         make = NAMED_MODELS[name]
         for k in ks:
             seconds: dict[str, float] = {}
-            locations = run_configuration(make, k, (name, k) not in SKIP_STD, timed_stage(seconds))
+            locations = run_configuration(make, k, timed_stage(seconds))
             configurations.append({"model": name, "k": k, "locations": locations, "seconds": seconds})
             print(f"done {name} k={k}", file=sys.stderr)
 
@@ -153,8 +149,7 @@ def main() -> int:
             counters: dict[str, dict] = {}
             tracer.install(lib)
             try:
-                run_configuration(NAMED_MODELS[conf["model"]], conf["k"], conf["locations"]["std"] is not None,
-                                  traced_stage(tracer, counters))
+                run_configuration(NAMED_MODELS[conf["model"]], conf["k"], traced_stage(tracer, counters))
             finally:
                 tracer.uninstall()
             conf["counters"] = counters
@@ -167,15 +162,12 @@ def main() -> int:
         }
         args.json.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
 
-    def cell(value, fmt="{}"):
-        return "-" if value is None else fmt.format(value)
-
     print("\n## Locations\n")
     print("| model | k | unfolded | std det | new det | on-the-fly |")
     print("|---|---|---|---|---|---|")
     for c in configurations:
         n = c["locations"]
-        print(f"| {c['model']} | {c['k']} | {n['unfolded']} | {cell(n['std'])} | {n['new']} | {n['otf']} |")
+        print(f"| {c['model']} | {c['k']} | {n['unfolded']} | {n['std']} | {n['new']} | {n['otf']} |")
 
     print("\n## Runtimes (s)\n")
     print("| model | k | unfold+remove | std det | new det | on-the-fly |")
@@ -183,7 +175,7 @@ def main() -> int:
     for c in configurations:
         s = c["seconds"]
         staged = s["unfold"] + s["rename_clocks"] + s["remove_all_silent"]
-        print(f"| {c['model']} | {c['k']} | {staged:.2f} | {cell(s.get('std'), '{:.2f}')} "
+        print(f"| {c['model']} | {c['k']} | {staged:.2f} | {s['std']:.2f} "
               f"| {s['new']:.2f} | {s['otf']:.2f} |")
     return 0
 

@@ -9,12 +9,12 @@ on-the-fly variant also shares locations with identical pending content,
 and reads a DAG input as it would the tree that the DAG unfolds to:
 :func:`pipeline_on_the_fly` merges the stripped unfolding built as a DAG,
 so no stage before the merge pays for the full tree.
-The standard one is a subset construction over guard regions and always
-yields a tree; it walks each action's guard regions depth first on a
-carried zone, so an empty prefix prunes every region below it.  The walk
-starts from the zone that the location carries, which holds every clock
-valuation at which a run enters it, so a region that no run reaches
-yields no edge.
+The standard one is a subset construction over guard regions; it walks
+each action's guard regions depth first on a carried zone, so an empty
+prefix prunes every region below it.  The walk starts from the zone that
+the location carries, which holds every clock valuation at which a run
+enters it, so a region that no run reaches yields no edge.  A location is
+built once per level, member set and zone, so its output is a DAG too.
 """
 
 from __future__ import annotations
@@ -322,8 +322,7 @@ def determinize_standard(tree: Tree) -> Tree:
     non-empty subset S yields one outgoing edge guarded by the g_i of S
     conjoined with the complements of the rest, if that region meets the
     location's zone (:func:`_regions` finds them, fixing one g_i or its
-    complement per step); its target merges the member targets.  The
-    output is a tree, numbered in depth-first order.
+    complement per step); its target merges the member targets.
 
     Each location carries one closed zone that holds every clock valuation
     at which a run enters it (Bengtsson & Yi 2004): x0 = 0 at the root;
@@ -332,6 +331,15 @@ def determinize_standard(tree: Tree) -> Tree:
     that some guard below the target members reads.  An edge whose region
     misses the zone is never taken, so it is left out with its subtree;
     the language stays the same.
+
+    A location's subtree depends only on its level, its member input nodes
+    and that zone, which, closed and satisfiable, is canonical.  So each
+    (level, members, zone) is built once, and an edge that reaches it again
+    points to it, as the zone passed list of a reachability search would
+    (Bengtsson & Yi 2004).  A location whose members have no out-edges has
+    an empty subtree and is keyed on its level and acceptance alone.  The
+    output is a DAG, numbered in depth-first order of first visit; it
+    unfolds to the tree that the construction without sharing builds.
     """
     if not tree.renamed:
         raise StructuralError("determinization requires a renamed tree")
@@ -340,31 +348,40 @@ def determinize_standard(tree: Tree) -> Tree:
     out = Tree(root=0, renamed=True)
     start = solver.DifferenceSystem(())
     start.close()
+    # the locations built so far, by what their subtrees depend on
+    built: dict = {}
     # edges still to build, the next one last: source location, action,
     # guard, the target's level and member input nodes, and the zone in
     # which the edge fires
     stack = [(None, None, None, 0, frozenset((tree.root,)), start)]
     while stack:
         source, action, guard, level, members, zone = stack.pop()
-        nid = len(out.nodes)
         accepting = any(tree.nodes[t].accepting for t in members)
-        out.nodes[nid] = TreeNode(None, level, accepting=accepting)
         reset = level_clock(level)
-        if source is not None:
-            out.transitions.append(Transition(source, nid, action, guard, frozenset((reset,))))
         edges: list[_Edge] = []
         for t in sorted(members):
             edges.extend((c.action, c.guard, c.target) for c in children[t])
-        if not edges:
+        if edges:
+            # the entry zone: the level clock reset, only the clocks read below kept
+            needed = frozenset().union(*(below[t] for t in members))
+            zone = zone.project_out(*(v for v in zone.vars[1:] if v == reset or v not in needed))
+            if reset in needed:
+                zone = zone.extend_reset(reset)
+            zone.up()
+            # a clock that no reset on the way set is only known to be >= 0
+            zone = zone.over(frozenset().union(*(guard_clocks(g) for _, g, _ in edges)))
+            key = (level, members, tuple(zone.vars), tuple(map(tuple, zone.m)))
+        else:
+            key = (level, accepting)
+        nid = built.get(key)
+        fresh = nid is None
+        if fresh:
+            nid = built[key] = len(out.nodes)
+            out.nodes[nid] = TreeNode(None, level, accepting=accepting)
+        if source is not None:
+            out.transitions.append(Transition(source, nid, action, guard, frozenset((reset,))))
+        if not (fresh and edges):
             continue
-        # the entry zone: the level clock reset, only the clocks read below kept
-        needed = frozenset().union(*(below[t] for t in members))
-        zone = zone.project_out(*(v for v in zone.vars[1:] if v == reset or v not in needed))
-        if reset in needed:
-            zone = zone.extend_reset(reset)
-        zone.up()
-        # a clock that no reset on the way set is only known to be >= 0
-        zone = zone.over(frozenset().union(*(guard_clocks(g) for _, g, _ in edges)))
         out_edges = []
         for action, group in _group_by_action(edges):
             m = len(group)

@@ -43,6 +43,8 @@ from tadet.equivalence import language_equal, sample_traces, trace_in_language
 from tadet.silent import remove_all_silent, stripped_unfolding
 from tadet.unfold import rename_clocks, unfold
 
+from dags import path_count
+
 X1 = level_clock(1)
 X2 = level_clock(2)
 
@@ -163,10 +165,11 @@ def test_study2_silent_guard_oriented_sizes(k, expected):
 @pytest.mark.parametrize("k,expected", [
     (2, 5),
     pytest.param(5, 26, marks=pytest.mark.xfail(
-        strict=True, reason="our complement splitting yields 30 locations")),
+        strict=True, reason="our complement splitting yields 30 locations unfolded, 18 shared")),
 ])
 def test_study2_silent_standard_sizes(k, expected):
-    assert determinize_standard(removed("nondet-silent-d", k)).location_count() == expected
+    # std shares locations; the tree that it unfolds to has one per root path
+    assert path_count(determinize_standard(removed("nondet-silent-d", k))) == expected
 
 
 @pytest.mark.parametrize("name,k,expected", [
@@ -179,13 +182,26 @@ def test_study2_silent_standard_sizes(k, expected):
 ])
 def test_standard_own_sizes(name, k, expected):
     # our own sizes, keeping the regions that meet the reachable zone; the
-    # paper publishes none of these
-    assert determinize_standard(removed(name, k)).location_count() == expected
+    # paper publishes none of these; counted on the unfolded tree
+    assert path_count(determinize_standard(removed(name, k))) == expected
 
 
-@pytest.mark.xfail(strict=True, reason="our complement splitting yields 989 locations")
+@pytest.mark.parametrize("k,locations,paths", [(25, 50, 20477), (50, 100, 134217725)])
+def test_standard_shares_the_plain_model(k, locations, paths):
+    # each level has at most two (members, entry zone) pairs; the tree that the
+    # output unfolds to grows about fivefold every five levels
+    tree = removed("nondet-plain-c", k)
+    t0 = time.monotonic()
+    std = determinize_standard(tree)
+    assert time.monotonic() - t0 < 1.0
+    assert std.location_count() == locations
+    assert path_count(std) == paths
+    assert check_deterministic(std)
+
+
+@pytest.mark.xfail(strict=True, reason="our complement splitting yields 989 locations unfolded, 256 shared")
 def test_study2_silent_standard_size_depth_ten():
-    assert determinize_standard(removed("nondet-silent-d", 10)).location_count() == 661
+    assert path_count(determinize_standard(removed("nondet-silent-d", 10))) == 661
 
 
 # -- criterion 4 ------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Determinization variants and their agreement."""
 
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -34,6 +35,8 @@ from tadet.equivalence import language_equal
 from tadet.modelio import serialize_model
 from tadet.silent import remove_all_silent
 from tadet.unfold import rename_clocks, unfold
+
+from dags import path_count, unfolded
 
 X1, X2 = level_clock(1), level_clock(2)
 
@@ -83,11 +86,9 @@ def test_guard_oriented_counts_plain_model(k, locations):
 
 @pytest.mark.parametrize("name,k", [("nondet-plain-c", 4), ("nondet-silent-d", 4)])
 def test_guard_oriented_not_larger_than_standard(name, k):
+    # against the tree that the shared std output unfolds to
     t = removed(name, k)
-    assert (
-        determinize_guard_oriented(t).location_count()
-        <= determinize_standard(t).location_count()
-    )
+    assert determinize_guard_oriented(t).location_count() <= path_count(determinize_standard(t))
 
 
 @pytest.mark.parametrize("name", sorted(NAMED_MODELS))
@@ -302,25 +303,68 @@ def test_on_the_fly_dag_rejects_what_the_staged_tree_rejects(make, k, error):
         pipeline_on_the_fly(make(), k)
 
 
-# serialize_model digests of subset-construction outputs; they pin the
-# region order, the emitted guards and the location numbering
-@pytest.mark.parametrize("make,k,digest", [
+# serialize_model digests of subset-construction outputs, unfolded to the
+# tree and as built; they pin the region order, the emitted guards, the
+# sharing and the location numbering
+@pytest.mark.parametrize("make,k,tree_digest,dag_digest", [
     pytest.param(
         NAMED_MODELS["nondet-silent-d"], 5,
         "c9b200643cfa8a20e64032aba44cb182521bd5d830edb5eda4824ad78c65de07",
+        "ca58f4e9e21fa76e1d10f8df104c3be9c9ca4905d60fc438579e04fc3a8ce7c7",
         id="silent-d-5"),
     pytest.param(
         lambda: random_automaton(17), 4,
         "b1bae53e138eab4368833709dbd29ebf501c0ba783d70ec58c1bfb481f88836d",
+        "f38277e8184f3fec8147af6e7549529d5d8b790b79b4e6fcb919a0b23f4de65d",
         id="random-17-4"),
     pytest.param(
         lambda: random_automaton(141), 3,
         "24b58ffe67b88d69baa1dd05fe73cc27394b4b31cb0a5718ea6d93b0548bc75c",
+        "f7fc204f75ad8a50e2c03fbf581bf072a137ee436e4340ea81db4e99344f2406",
         id="random-141-3"),
 ])
-def test_pinned_standard_outputs(make, k, digest):
+def test_pinned_standard_outputs(make, k, tree_digest, dag_digest):
     std = determinize_standard(remove_all_silent(rename_clocks(unfold(make(), k))))
-    assert hashlib.sha256(serialize_model(std.to_automaton()).encode()).hexdigest() == digest
+
+    def digest(t):
+        return hashlib.sha256(serialize_model(t.to_automaton()).encode()).hexdigest()
+
+    assert digest(unfolded(std)) == tree_digest
+    assert digest(std) == dag_digest
+
+
+def _two_ways(reset):
+    """a leads to q1 for x <= 1 and to q2 for x <= 2; b leads from q1 for
+    x < 1 and from q2 always, to q4, resetting x iff ``reset``; c below q4
+    reads x."""
+    return make_automaton(["q0", "q1", "q2", "q3", "q4", "q5"], "q0", ["q3", "q4", "q5"], [XC], [
+        Transition("q0", "q1", "a", Atom(XC, "<=", 1)),
+        Transition("q0", "q2", "a", Atom(XC, "<=", 2)),
+        Transition("q1", "q3", "b", Atom(XC, "<", 1)),
+        Transition("q2", "q4", "b", TRUE, frozenset((XC,)) if reset else frozenset()),
+        Transition("q4", "q5", "c", Atom(XC, "<=", 3)),
+    ])
+
+
+@pytest.mark.parametrize("reset,locations,b_targets", [
+    # b enters q4 alone from {q2} (1 < x <= 2 on a) and from {q1, q2} (x <= 1
+    # on a, x >= 1 on b); with x reset, both entries see only x >= 0 below
+    (True, 6, [1, 2]),
+    # without the reset, c reads x, which is > 1 on the first entry and
+    # >= 1 on the second: two locations
+    (False, 7, [1, 1, 1]),
+], ids=["same-zone", "other-zone"])
+def test_standard_shares_a_location_only_in_the_same_zone(reset, locations, b_targets):
+    tree = rename_clocks(unfold(_two_ways(reset), 3))
+    std = determinize_standard(remove_all_silent(tree))
+    assert std.location_count() == locations
+    incoming = Counter(t.target for t in std.transitions if t.action == "b")
+    assert sorted(incoming.values()) == b_targets
+    # the accepting leaves below c are one location
+    assert len({t.target for t in std.transitions if t.action == "c"}) == 1
+    assert path_count(std) == unfolded(std).location_count() == 9
+    assert check_deterministic(std)
+    assert language_equal(tree, std).equal
 
 
 def brute_regions(guards, zone=None):
