@@ -18,6 +18,16 @@ incoming edge, and the list order as a linked list) that is updated in
 place as edges move, so a round costs the size of the silent target's
 subtree, not of the whole tree.
 
+Tree copies of a silent step share its guards.  Each silent clock has a
+table (``_Shared``) that lives while a silent edge resetting that clock is
+left; it maps the values that each step reads (the silent guard's bounds,
+the bypass guard, the taken-guard conjunction, the Table 2/3 rewrite of a
+future guard) to the step's result.  So each distinct guard is built once
+per call, every copy holds the same object, and the caches that later
+stages keep per guard object (``guard_clocks``' set, the merge's search
+memo, ``serialize_model``'s text) hit across copies.  A guard that does not
+read the silent clock is passed without a lookup.
+
 :func:`stripped_unfolding` gives the same result straight from the model,
 as a DAG: it unfolds, renames and strips each node once, with the same
 per-edge steps (:func:`_context`, :func:`enabling_guard`, the Table 2/3
@@ -27,6 +37,7 @@ guards below still owe.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -73,25 +84,35 @@ class SilentContext:
     exact: Optional[Clock]  # the clock of the first '=' atom of g_{s,0}, if any
 
 
-def _context(silent: Transition, pred: Optional[Transition]) -> SilentContext:
+def _silent_bounds(guard: Guard, x_s: Clock) -> tuple[Optional[BoundTable], Optional[Clock]]:
+    """``SilentContext.bounds`` and ``.exact`` of a silent guard ``guard``
+    whose predecessor resets ``x_s``."""
+    g_aug = conj(guard, Atom(x_s, ">=", 0))
+    atoms = conjunction_atoms(g_aug)
+    if atoms is None:
+        if not isinstance(g_aug, FalseGuard):
+            raise UnsupportedInputError(f"silent guard must be a conjunction of atoms: {g_aug}")
+        return None, None
+    bounds = add_bounds({}, atoms)
+    if any(empty_interval(lo, up) for lo, up in bounds.values()):
+        return None, None
+    for a in atoms:
+        if a.right is not None:
+            raise UnsupportedInputError(f"silent guard must be unary, got {a}")
+    return bounds, next((a.left for a in atoms if a.rel == "="), None)
+
+
+def _context(silent: Transition, pred: Optional[Transition], memo: dict) -> SilentContext:
+    """The context of removing ``silent``, ``pred`` the edge into its
+    source; ``memo`` keeps :func:`_silent_bounds` by its arguments."""
     if pred is not None and pred.is_silent:
         raise StructuralError("not a first-from-root silent transition")
     x_s = next(iter(pred.resets)) if pred is not None else X0
     (x_s0,) = silent.resets
-    g_aug = conj(silent.guard, Atom(x_s, ">=", 0))
-    atoms = conjunction_atoms(g_aug)
-    bounds = exact = None
-    if atoms is None and not isinstance(g_aug, FalseGuard):
-        raise UnsupportedInputError(f"silent guard must be a conjunction of atoms: {g_aug}")
-    if atoms is not None:
-        bounds = add_bounds({}, atoms)
-        if any(empty_interval(lo, up) for lo, up in bounds.values()):
-            bounds = None
-        else:
-            for a in atoms:
-                if a.right is not None:
-                    raise UnsupportedInputError(f"silent guard must be unary, got {a}")
-            exact = next((a.left for a in atoms if a.rel == "="), None)
+    found = memo.get((silent.guard, x_s))
+    if found is None:
+        found = memo[silent.guard, x_s] = _silent_bounds(silent.guard, x_s)
+    bounds, exact = found
     return SilentContext(
         silent_clock=x_s0,
         target=silent.target,
@@ -185,16 +206,20 @@ class _Edges:
         self.out[self.edge[s].source].remove(s)
         self.edge[s] = None
 
-    def prune(self, s: int, nodes: dict[int, TreeNode]) -> None:
-        """Drop an edge that can never fire, together with everything below it."""
-        stack = [self.edge[s].target]
+    def prune(self, s: int, nodes: dict[int, TreeNode]) -> list[Transition]:
+        """Drop an edge that can never fire, together with everything below
+        it; returns the dropped edges."""
+        dropped = [self.edge[s]]
+        stack = [dropped[0].target]
         self.remove(s)
         while stack:
             n = stack.pop()
             del nodes[n], self.into[n]
             for c in self.out.pop(n):
+                dropped.append(self.edge[c])
                 stack.append(self.edge[c].target)
                 self.edge[c] = None
+        return dropped
 
     def transitions(self) -> list[Transition]:
         out: list[Transition] = []
@@ -271,21 +296,43 @@ def _rewrite(g: Guard, x_s0: Clock, moved: tuple[_Row, ...], placed: tuple[_Row,
     return new_guard, (*placed, ((own_reset, None), (on[1], on[0])))
 
 
-def _bypass(ctx: SilentContext, target) -> Transition:
-    """The bypass of a removed silent step: its predecessor's source,
-    action and reset, and the predecessor's guard with the enabling guard,
+def _bypass_guard(ctx: SilentContext) -> Guard:
+    """The guard of a removed silent step's bypass: the predecessor's guard
+    with the enabling guard."""
+    return simplify_conjunction(conj(ctx.predecessor.guard, enabling_guard(ctx)))
+
+
+def _bypass(ctx: SilentContext, target, guard: Guard) -> Transition:
+    """The bypass of a removed silent step, guarded by ``guard``
+    (:func:`_bypass_guard`): its predecessor's source, action and reset,
     into ``target``."""
     pred = ctx.predecessor
-    return Transition(
-        pred.source,
-        target,
-        pred.action,
-        simplify_conjunction(conj(pred.guard, enabling_guard(ctx))),
-        frozenset((ctx.reset_clock,)),
-    )
+    return Transition(pred.source, target, pred.action, guard, frozenset((ctx.reset_clock,)))
 
 
-def _update_future_guards(ctx: SilentContext, edges: _Edges) -> None:
+def _reads(g: Guard, clock: Clock) -> bool:
+    """Whether ``g`` reads ``clock``; an atom is tested without a set."""
+    if isinstance(g, Atom):
+        return g.left is clock or g.right is clock
+    return clock in guard_clocks(g)
+
+
+class _Shared:
+    """The results of the staged removal's steps for one silent clock, each
+    by the values that the step reads, compared by value, so that every
+    tree copy of an edge gets the same guard object.  Only results are
+    kept: a step that raises raises again on its next call."""
+
+    __slots__ = ("bounds", "bypass", "taken", "rewrite")
+
+    def __init__(self) -> None:
+        self.bounds: dict = {}   # (silent guard, x_s) -> _silent_bounds
+        self.bypass: dict = {}   # (predecessor guard, silent guard, x_s) -> _bypass_guard
+        self.taken: dict = {}    # guard -> guard & the taken guard
+        self.rewrite: dict = {}  # (guard, moved, placed, resets) -> _rewrite
+
+
+def _update_future_guards(ctx: SilentContext, edges: _Edges, shared: _Shared) -> None:
     """Conjoin the taken guard onto the silent target's out-edges, rewrite
     every guard below the target that reads the silent clock, and
     synchronize pairs of such guards on a common path.
@@ -293,15 +340,24 @@ def _update_future_guards(ctx: SilentContext, edges: _Edges) -> None:
     x_s0 = ctx.silent_clock
     tg = taken_guard(ctx)
     for s in edges.out[ctx.target]:
-        edges.replace(s, ctx.target, conj(edges.edge[s].guard, tg))
+        g = edges.edge[s].guard
+        taken = shared.taken.get(g)
+        if taken is None:
+            taken = shared.taken[g] = conj(g, tg)
+        edges.replace(s, ctx.target, taken)
     moved = _moved(ctx)
+    rewrites = shared.rewrite
     # depth-first over edges, each with the ``placed`` rows of its path
     stack: list[tuple[int, tuple[_Row, ...]]] = [(s, ()) for s in reversed(edges.out[ctx.target])]
     while stack:
         s, placed = stack.pop()
         t = edges.edge[s]
-        step = _rewrite(t.guard, x_s0, moved, placed, t.resets)
-        if step is not None:
+        if _reads(t.guard, x_s0):
+            # a guard that reads x_s0 is rewritten or raises
+            key = (t.guard, moved, placed, t.resets)
+            step = rewrites.get(key)
+            if step is None:
+                step = rewrites[key] = _rewrite(t.guard, x_s0, moved, placed, t.resets)
             new_guard, placed = step
             edges.replace(s, t.source, new_guard)
         stack.extend((c, placed) for c in reversed(edges.out[t.target]))
@@ -315,11 +371,30 @@ def remove_all_silent(t: Tree) -> Tree:
     of restarting from the root: a round leaves everything before the
     popped node unchanged, so the search goes on at that node, and after a
     bypass at the silent target, now the node's next sibling.
+
+    Tree copies of a silent step share its work: each silent clock has a
+    table (``_Shared``) of the guards that removing its steps builds, keyed
+    on the values each step reads, so each distinct guard is built once.
+    A clock's table lives from its first silent step to the removal or
+    pruning of the last silent edge that resets it, since every key reads
+    that clock; no table outlives the call.
     """
     if not t.renamed:
         raise StructuralError("silent removal requires a renamed tree")
     out = t.copy()
     edges = _Edges(out)
+    left = Counter(r for e in out.transitions if e.is_silent for r in e.resets)
+    tables: dict[Clock, _Shared] = {}
+
+    def spent(dropped: list[Transition]) -> None:
+        """Drop the table of each silent clock that no edge left resets."""
+        for e in dropped:
+            if e.is_silent:
+                (r,) = e.resets
+                left[r] -= 1
+                if not left[r]:
+                    tables.pop(r, None)
+
     stack = [out.root]
     while stack:
         n = stack.pop()
@@ -330,16 +405,25 @@ def remove_all_silent(t: Tree) -> Tree:
             stack.extend(edges.edge[c].target for c in reversed(edges.out[n]))
             continue
         silent = edges.edge[s]
+        (x_s0,) = silent.resets
+        shared = tables.get(x_s0)
+        if shared is None:
+            shared = tables[x_s0] = _Shared()
         p = edges.into.get(n)
-        ctx = _context(silent, None if p is None else edges.edge[p])
+        ctx = _context(silent, None if p is None else edges.edge[p], shared.bounds)
         if ctx.bounds is None:
-            edges.prune(s, out.nodes)
+            spent(edges.prune(s, out.nodes))
             stack.append(n)
             continue
         edges.remove(s)
         if p is not None:
-            edges.insert_after(p, _bypass(ctx, ctx.target))
-        _update_future_guards(ctx, edges)
+            key = (ctx.predecessor.guard, silent.guard, ctx.reset_clock)
+            g = shared.bypass.get(key)
+            if g is None:
+                g = shared.bypass[key] = _bypass_guard(ctx)
+            edges.insert_after(p, _bypass(ctx, ctx.target, g))
+        _update_future_guards(ctx, edges, shared)
+        spent([silent])
         if p is None:
             # silent from the root: attach the target's subtree to the root.
             # Root rounds all come before the first bypass (the root is
@@ -448,6 +532,7 @@ def stripped_unfolding(a: TimedAutomaton, k: int) -> Tree:
         return (loc, level, index, held, (*owed, own))
 
     checked: set[_Node] = set()
+    silent_bounds: dict = {}  # for _context
 
     def pruned(node: _Node) -> None:
         """Rewrite every guard below a silent step that can never fire, as
@@ -466,7 +551,7 @@ def stripped_unfolding(a: TimedAutomaton, k: int) -> Tree:
         out = []
         for s in expand(node):
             if s.is_silent:
-                ctx = _context(s, pred)
+                ctx = _context(s, pred, silent_bounds)
                 if ctx.bounds is None:
                     pruned(s.target)
                 else:
@@ -480,7 +565,8 @@ def stripped_unfolding(a: TimedAutomaton, k: int) -> Tree:
         while stack:
             e = stack.pop()
             out.append(e)
-            stack += [_bypass(ctx, owing(ctx)) for ctx in removals(e.target, e)]
+            stack += [_bypass(ctx, owing(ctx), _bypass_guard(ctx))
+                      for ctx in removals(e.target, e)]
         return out
 
     root: _Node = (a.initial, 0, None, (X0,) * len(clocks), ())

@@ -606,11 +606,3 @@ def _within(m1: list[list[Optional[int]]], m2: list[list[Optional[int]]]) -> boo
         for r1, r2 in zip(m1, m2)
     )
 
-
-def implies(g1: Guard, g2: Guard) -> bool:
-    """g1 => g2, i.e. no non-negative point satisfies g1 but not g2."""
-    return uncovered_piece(g1, g2) is None
-
-
-def equivalent(g1: Guard, g2: Guard) -> bool:
-    return implies(g1, g2) and implies(g2, g1)

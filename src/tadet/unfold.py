@@ -14,6 +14,7 @@ from typing import Hashable, Optional
 
 from .core import (
     Clock,
+    Guard,
     StructuralError,
     TimedAutomaton,
     Transition,
@@ -193,6 +194,11 @@ def rename_clocks(t: Tree) -> Tree:
     consecutive silent transition after observable level i resets x_{i,j}.
     Guard atoms are substituted by the clock of their most recent reset
     (x_0 when never reset).  Language-preserving.
+
+    Each distinct renamed guard is built once per call: a table that lives
+    for the call maps (input guard, the renamed clocks that its own clocks
+    map to) to the renamed guard, so every tree copy of an edge holds the
+    same guard object.
     """
     if not t.is_tree():
         raise StructuralError("clock renaming requires a tree")
@@ -208,6 +214,9 @@ def rename_clocks(t: Tree) -> Tree:
     renamed: list[Optional[Transition]] = [None] * len(t.transitions)
 
     root_subst = {c: X0 for tr in t.transitions for c in guard_clocks(tr.guard) | set(tr.resets)}
+    # each input guard's clocks, sorted, and its renamed guards by the
+    # clocks that those map to
+    shared: dict[Guard, tuple[tuple[Clock, ...], dict[tuple[Clock, ...], Guard]]] = {}
     stack: list[tuple[int, dict[Clock, Clock]]] = [(t.root, root_subst)]
     while stack:
         nid, subst = stack.pop()
@@ -219,7 +228,14 @@ def rename_clocks(t: Tree) -> Tree:
                 fresh = silent_clock(info.obs_level, j if j is not None else 0)
             else:
                 fresh = level_clock(t.nodes[tr.target].obs_level)
-            guard = rename_guard(tr.guard, subst)
+            found = shared.get(tr.guard)
+            if found is None:
+                found = shared[tr.guard] = (tuple(sorted(guard_clocks(tr.guard))), {})
+            cs, renamed_by = found
+            key = tuple(subst[c] for c in cs)
+            guard = renamed_by.get(key)
+            if guard is None:
+                guard = renamed_by[key] = rename_guard(tr.guard, subst)
             sub2 = dict(subst)
             for c in tr.resets:
                 sub2[c] = fresh

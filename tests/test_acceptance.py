@@ -44,6 +44,7 @@ from tadet.silent import remove_all_silent, stripped_unfolding
 from tadet.unfold import rename_clocks, unfold
 
 from dags import path_count
+from guards import equivalent
 
 X1 = level_clock(1)
 X2 = level_clock(2)
@@ -274,7 +275,7 @@ def test_golden_bypass_guard():
     t = removed("coffee-machine", 4)
     golden = conj(Atom(X1, ">", 0), Atom(X1, "<", 3), Atom(X1, "<", 2))
     assert any(
-        tr.action == "beep" and solver.equivalent(tr.guard, golden)
+        tr.action == "beep" and equivalent(tr.guard, golden)
         for tr in t.transitions
     )
 
@@ -292,7 +293,7 @@ UPDATED_COFFEE_GUARD = conj(Atom(X1, ">", 2), Atom(X1, "<", 3), Atom(X2, ">=", 1
 def test_golden_updated_coffee_guard():
     t = removed("coffee-machine", 4)
     (coffee,) = [tr.guard for tr in t.transitions if tr.action == "coffee"]
-    assert solver.equivalent(coffee, UPDATED_COFFEE_GUARD)
+    assert equivalent(coffee, UPDATED_COFFEE_GUARD)
 
 
 @pytest.mark.parametrize("beep,coffee,accepted", [
@@ -339,8 +340,8 @@ def test_golden_synchronized_outputs():
     guards = [tr.guard for tr in t.transitions if tr.action == "alpha"]
     want_first = conj(Atom(x0, ">", 3), Atom(x0, "<", 4))
     want_second = conj(Atom(x0, ">", 5), Atom(x0, "<", 6), Atom(X1, "=", 2))
-    assert any(solver.equivalent(g, want_first) for g in guards)
-    assert any(solver.equivalent(g, want_second) for g in guards)
+    assert any(equivalent(g, want_first) for g in guards)
+    assert any(equivalent(g, want_second) for g in guards)
 
 
 def test_golden_merged_beep_guard():
@@ -351,7 +352,7 @@ def test_golden_merged_beep_guard():
         Atom(X1, "=", 2),
         conj(Atom(X1, ">", 0), Atom(X1, "<", 3)),
     )
-    assert solver.equivalent(beep, golden)
+    assert equivalent(beep, golden)
 
 
 # -- criterion 7: solver differential ---------------------------------------

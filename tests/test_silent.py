@@ -4,7 +4,6 @@ import hashlib
 import pytest
 from fractions import Fraction
 
-from tadet import solver
 from tadet.core import (
     TRUE,
     Atom,
@@ -22,8 +21,16 @@ from tadet.core import (
 from tadet.corpus import NAMED_MODELS, coffee_machine, random_automaton, sync_chain
 from tadet.modelio import serialize_model
 from tadet.equivalence import language_equal, trace_in_language
-from tadet.silent import _context, enabling_guard, remove_all_silent, taken_guard
+from tadet.silent import (
+    _context,
+    enabling_guard,
+    remove_all_silent,
+    stripped_unfolding,
+    taken_guard,
+)
 from tadet.unfold import rename_clocks, unfold
+
+from guards import equivalent
 
 X1, X2 = level_clock(1), level_clock(2)
 
@@ -49,7 +56,7 @@ def test_bypass_guard_on_coffee_machine():
     t = removed_coffee()
     bypass = [
         tr for tr in t.transitions
-        if tr.action == "beep" and solver.equivalent(
+        if tr.action == "beep" and equivalent(
             tr.guard, conj(Atom(X1, ">", 0), Atom(X1, "<", 3), Atom(X1, "<", 2))
         )
     ]
@@ -61,32 +68,32 @@ def first_silent_context(tree):
     predecessor is the observable edge into its source."""
     silent = next(tr for tr in tree.transitions if tr.is_silent)
     pred = next(tr for tr in tree.transitions if tr.target == silent.source)
-    return _context(silent, pred)
+    return _context(silent, pred, {})
 
 
 def test_enabling_guard_drops_silent_clock_terms():
     tree = rename_clocks(unfold(coffee_machine(), 4))
     ctx = first_silent_context(tree)
     eg = enabling_guard(ctx)
-    assert solver.equivalent(eg, Atom(X1, "<", 2))
+    assert equivalent(eg, Atom(X1, "<", 2))
 
 
 def test_taken_guard_names_the_silent_clock():
     tree = rename_clocks(unfold(coffee_machine(), 4))
     ctx = first_silent_context(tree)
     tg = taken_guard(ctx)
-    assert solver.equivalent(tg, Atom(silent_clock(2, 0), ">=", 0))
+    assert equivalent(tg, Atom(silent_clock(2, 0), ">=", 0))
 
 
 def test_updated_coffee_guard_is_exact():
     t = removed_coffee()
     (coffee,) = [tr.guard for tr in t.transitions if tr.action == "coffee"]
     exact = conj(Atom(X1, ">", 2), Atom(X1, "<", 3), Atom(X2, ">=", 1))
-    assert solver.equivalent(coffee, exact)
+    assert equivalent(coffee, exact)
     # dropping the x2 bound admits a trace the original machine rejects:
     # beep at 1.9 then coffee at 2.5 forces the brew step before the beep
     loose = conj(Atom(X1, ">", 2), Atom(X1, "<", 3), Atom(X1, ">", 1))
-    assert not solver.equivalent(coffee, loose)
+    assert not equivalent(coffee, loose)
     original = rename_clocks(unfold(coffee_machine(), 4))
     bad = timed_trace(
         (Fraction(0), "coin"), (Fraction(19, 10), "beep"), (Fraction(5, 2), "coffee")
@@ -103,10 +110,10 @@ def test_sync_chain_couples_both_future_guards():
     )
     first, second = by_level
     x0 = level_clock(0)
-    assert solver.equivalent(
+    assert equivalent(
         first.guard, conj(Atom(x0, ">", 3), Atom(x0, "<", 4))
     )
-    assert solver.equivalent(
+    assert equivalent(
         second.guard,
         conj(Atom(x0, ">", 5), Atom(x0, "<", 6), Atom(level_clock(1), "=", 2)),
     )
@@ -309,6 +316,44 @@ def test_silent_clock_inside_a_future_disjunction_is_rejected():
     )
     with pytest.raises(UnsupportedInputError, match="disjunction"):
         remove_all_silent(rename_clocks(unfold(a, 2)))
+
+
+@pytest.mark.parametrize("name,objects,dag_edges", [
+    ("nondet-silent-a", 126, 126),
+    ("nondet-silent-b", 301, 316),
+    ("nondet-silent-d", 39, 54),
+])
+def test_stripped_copies_share_guards(name, objects, dag_edges):
+    # tree copies of a removal share the guards that it builds: the
+    # stripped tree holds no more guard objects than the stripped DAG,
+    # which builds each node once, has edges
+    a = NAMED_MODELS[name]()
+    t = remove_all_silent(rename_clocks(unfold(a, 9)))
+    assert len({id(tr.guard) for tr in t.transitions}) == objects
+    assert len(stripped_unfolding(a, 9).transitions) == dag_edges
+    assert objects <= dag_edges
+
+
+def test_silent_clock_inside_a_disjunction_is_rejected_in_every_copy():
+    # a and b lead to two tree copies of the silent step and of the
+    # disjunction below it that reads the silent clock; the removal's
+    # tables keep results only, so the copy that meets the guard first
+    # raises, and so does the one-walk DAG, which builds the guard once
+    a = _chain(
+        _edge("q0", "q1", "a"),
+        _edge("q0", "q1", "b"),
+        _edge("q1", "q2", None, Atom(XC, ">=", 1), reset=ZC),
+        Transition("q2", "q3", "c",
+                   conj(Atom(XC, "<", 5), disj(Atom(ZC, "<", 1), Atom(ZC, ">", 3)))),
+        accepting=["q3"],
+    )
+    tree = rename_clocks(unfold(a, 2))
+    copies = [tr for tr in tree.transitions if tr.action == "c"]
+    assert len(copies) == 2 and copies[0].guard is copies[1].guard
+    with pytest.raises(UnsupportedInputError, match="disjunction"):
+        remove_all_silent(tree)
+    with pytest.raises(UnsupportedInputError, match="disjunction"):
+        stripped_unfolding(a, 2)
 
 
 def test_removal_on_a_deep_tree():

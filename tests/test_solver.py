@@ -7,7 +7,6 @@ from itertools import product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tadet import solver
 from tadet.core import (
     Atom,
     Clock,
@@ -23,10 +22,11 @@ from tadet.solver import (
     complement_guard,
     difference_witness,
     feasible_systems,
-    implies,
     is_satisfiable,
     nonneg_zone,
 )
+
+from guards import equivalent, implies
 
 X = Clock("x")
 Y = Clock("y")
@@ -149,7 +149,7 @@ def test_implies_and_equivalent():
     g = conj(Atom(X, ">", 1), Atom(X, "<", 2))
     assert implies(g, Atom(X, ">", 0))
     assert not implies(Atom(X, ">", 0), g)
-    assert solver.equivalent(
+    assert equivalent(
         disj(Atom(X, "<", 1), Atom(X, ">=", 1)), Atom(X, ">=", 0)
     )
 

@@ -11,6 +11,8 @@ from tadet.corpus import (
     coffee_machine,
     nondet_plain_c,
     nondet_silent_a,
+    nondet_silent_b,
+    nondet_silent_d,
     random_automaton,
 )
 from tadet.unfold import Tree, rename_clocks, unfold
@@ -130,6 +132,20 @@ def test_rename_depth_equals_level_on_silent_free(seed):
         depth[tr.target] = depth[tr.source] + 1
         assert tr.resets == frozenset((level_clock(depth[tr.target]),))
         assert t.nodes[tr.target].obs_level == depth[tr.target]
+
+
+@pytest.mark.parametrize("make,edges,guards", [
+    (nondet_silent_a, 1277, 34),
+    (nondet_silent_b, 8360, 34),
+    (nondet_silent_d, 107, 27),
+])
+def test_renamed_copies_share_each_guard(make, edges, guards):
+    # every tree copy of an edge whose guard renames to the same value
+    # holds the same guard object
+    t = rename_clocks(unfold(make(), 9))
+    assert len(t.transitions) == edges
+    assert len({tr.guard for tr in t.transitions}) == guards
+    assert len({id(tr.guard) for tr in t.transitions}) == guards
 
 
 def test_named_models_unfold_without_silent_at_leaf_frontier():
