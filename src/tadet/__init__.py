@@ -9,13 +9,11 @@ from .core import (
     Guard,
     Or,
     ResourceLimitError,
-    Run,
     StructuralError,
     TimedAutomaton,
     TimedTrace,
     Transition,
     UnsupportedInputError,
-    check_run,
     check_strong_responsiveness,
     conj,
     disj,
@@ -31,13 +29,11 @@ __all__ = [
     "Guard",
     "Or",
     "ResourceLimitError",
-    "Run",
     "StructuralError",
     "TimedAutomaton",
     "TimedTrace",
     "Transition",
     "UnsupportedInputError",
-    "check_run",
     "check_strong_responsiveness",
     "conj",
     "disj",

@@ -4,11 +4,13 @@ Two constructions are provided.  The guard-oriented one merges all
 same-action edges of a location into at most two target locations (one
 accepting, one not), pushing each edge's guard onto the subtree below it
 as a diagonal constraint relative to the merge reset; the accepting and
-non-accepting targets share their subtrees, so the result is a DAG.  Its
-on-the-fly variant also shares locations with identical pending content,
-and reads a DAG input as it would the tree that the DAG unfolds to:
-:func:`pipeline_on_the_fly` merges the stripped unfolding built as a DAG,
-so no stage before the merge pays for the full tree.
+non-accepting targets share their subtrees, so the result is a DAG.  It
+merges each (level, pending content) once per call and copies the block
+that it built where the content repeats.  Its on-the-fly variant shares
+those locations instead of copying them, and reads a DAG input as it
+would the tree that the DAG unfolds to: :func:`pipeline_on_the_fly`
+merges the stripped unfolding built as a DAG, so no stage before the
+merge pays for the full tree.
 The standard one is a subset construction over guard regions; it walks
 each action's guard regions depth first on a carried zone, so an empty
 prefix prunes every region below it.  The walk starts from the zone that
@@ -100,19 +102,27 @@ def _merge(tree: Tree, share: bool) -> Tree:
 
     The two merged locations have identical outgoing behaviour, so they
     share one jointly constructed subtree; the output is a DAG over fresh
-    location ids.  With ``share``, locations and their out-edges are also
-    memoized on (level, acceptance, pending out-edges up to subtree
-    identity), so a location reached along different traces with the same
-    pending content is built once.  Out-edges are compared in order: every
-    copy of an input subtree, in the tree or in the DAG that
-    :func:`tadet.silent.stripped_unfolding` builds, has the same ordered
-    out-edges.
+    location ids.  A location's out-edges depend only on its level and its
+    pending out-edges up to subtree identity (its content), so each (level,
+    content) is expanded once per call.  With ``share``, locations are also
+    memoized on (level, acceptance, content), so a location reached along
+    different traces with the same pending content is built once, and a
+    repeated expansion returns the first one's out-edges.  Without it, a
+    repeated expansion copies the block of locations and transitions that
+    the first one appended, every id shifted to fresh ones: a subtree built
+    without sharing refers only to locations inside its own block, so the
+    copy is what a fresh expansion would number and emit.  Out-edges are
+    compared in order: every copy of an input subtree, in the tree or in
+    the DAG that :func:`tadet.silent.stripped_unfolding` builds, has the
+    same ordered out-edges.
     """
     if not tree.renamed:
         raise StructuralError("determinization requires a renamed tree")
     children = tree.build_children_index()
     out = Tree(root=0, renamed=True)
     node_memo: dict = {}
+    # (level, content) -> its out-edges and the ranges of locations and
+    # transitions that its first expansion appended
     edge_memo: dict = {}
     # the same guards are tested many times over; the memos live for this call
     sat = cache(solver.is_satisfiable)
@@ -147,9 +157,7 @@ def _merge(tree: Tree, share: bool) -> Tree:
         return sid
 
     def content(edges: list[_Edge]):
-        """Memo key of the pending ``edges``; None without sharing."""
-        if not share:
-            return None
+        """Memo key of the pending ``edges``."""
         return tuple((a, g, signature(t)) for a, g, t in edges)
 
     def pending(t: int) -> tuple[list[_Edge], object]:
@@ -173,13 +181,29 @@ def _merge(tree: Tree, share: bool) -> Tree:
             out.transitions.append(Transition(nid, t, a, g, resets))
         return nid
 
+    def copy(
+        result: list[tuple[str, Guard, int]], n0: int, n1: int, e0: int, e1: int
+    ) -> list[tuple[str, Guard, int]]:
+        """Append the locations ``[n0, n1)`` and transitions ``[e0, e1)``
+        again under fresh ids; ``result`` with its targets renumbered."""
+        shift = len(out.nodes) - n0
+        for nid in range(n0, n1):
+            n = out.nodes[nid]
+            out.nodes[nid + shift] = TreeNode(None, n.obs_level, accepting=n.accepting)
+        out.transitions.extend(
+            Transition(t.source + shift, t.target + shift, t.action, t.guard, t.resets)
+            for t in out.transitions[e0:e1]
+        )
+        return [(a, g, t + shift) for a, g, t in result]
+
     def expand(edges: list[_Edge], level: int, key) -> list[tuple[str, Guard, int]]:
         """Out-edges of the (merged) location at ``level`` with ``edges``
         pending, whose content is ``key``."""
-        if share:
-            memo_key = (level, key)
-            if memo_key in edge_memo:
-                return edge_memo[memo_key]
+        memo_key = (level, key)
+        hit = edge_memo.get(memo_key)
+        if hit is not None:
+            return hit[0] if share else copy(*hit)
+        n0, e0 = len(out.nodes), len(out.transitions)
         result: list[tuple[str, Guard, int]] = []
         for action, group in _group_by_action(edges):
             if len(group) == 1:
@@ -221,8 +245,7 @@ def _merge(tree: Tree, share: bool) -> Tree:
                     g_nacc = conj(g_nacc, solver.complement_guard(g_acc))
                 nid = node(merged_child, child_key, level + 1, False, sub)
                 result.append((action, g_nacc, nid))
-        if share:
-            edge_memo[memo_key] = result
+        edge_memo[memo_key] = (result, n0, len(out.nodes), e0, len(out.transitions))
         return result
 
     node(*pending(tree.root), 0, tree.nodes[tree.root].accepting)
@@ -233,7 +256,12 @@ def _merge(tree: Tree, share: bool) -> Tree:
 
 
 def determinize_guard_oriented(tree: Tree) -> Tree:
-    """The guard-oriented merge; the output is a DAG over fresh location ids."""
+    """The guard-oriented merge; the output is a DAG over fresh location ids.
+
+    A location whose (level, pending content) was merged before gets a copy
+    of the locations and transitions built then, under fresh ids and with
+    the same guard objects, so the output is what merging it again would
+    give."""
     return _merge(tree, share=False)
 
 

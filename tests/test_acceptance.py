@@ -22,15 +22,11 @@ from tadet.core import (
     Or,
     Transition,
     TrueGuard,
-    check_run,
     conj,
     disj,
-    eval_guard,
     guard_clocks,
     level_clock,
     make_automaton,
-    run_of,
-    timed_trace,
 )
 from tadet.corpus import NAMED_MODELS, random_automaton
 from tadet.determinize import (
@@ -45,6 +41,7 @@ from tadet.unfold import rename_clocks, unfold
 
 from dags import path_count
 from guards import equivalent
+from runs import check_run, eval_guard, run_of, timed_trace
 
 X1 = level_clock(1)
 X2 = level_clock(2)

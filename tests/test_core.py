@@ -18,24 +18,22 @@ from tadet.core import (
     Clock,
     FalseGuard,
     StructuralError,
-    check_run,
     check_strong_responsiveness,
     conj,
     disj,
-    eval_guard,
     guard_atoms,
     guard_clocks,
     level_clock,
     make_automaton,
     Or,
-    run_of,
     silent_clock,
     simplify_conjunction,
-    timed_trace,
     Transition,
 )
 from tadet.corpus import coffee_machine
 from tadet.unfold import unfold
+
+from runs import check_run, eval_guard, run_of, timed_trace
 
 X = Clock("x")
 Y = Clock("y")

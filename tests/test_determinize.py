@@ -221,6 +221,63 @@ def test_merge_drops_a_non_accepting_edge_inside_the_accepting_one():
     assert new.nodes[new.transitions[0].target].accepting
 
 
+def test_guard_oriented_unfolds_to_the_on_the_fly_tree():
+    # new copies where otf shares; both unfold to the same tree, byte for byte
+    def tree_text(dag):
+        return serialize_model(unfolded(dag).to_automaton())
+
+    configurations = [(make, k) for make in NAMED_MODELS.values() for k in range(1, 7)]
+    configurations += [(lambda s=s: random_automaton(s), k) for s in range(100, 300) for k in (2, 3)]
+    for make, k in configurations:
+        t = remove_all_silent(rename_clocks(unfold(make(), k)))
+        assert tree_text(determinize_guard_oriented(t)) == tree_text(determinize_on_the_fly(t))
+
+
+def test_guard_oriented_pushes_each_pending_content_once(monkeypatch):
+    # a repeated (level, pending content) is copied, not merged again, so
+    # new rebases as many guards as otf, which builds it once
+    calls = []
+
+    def counted(g, anchor):
+        calls.append(g)
+        return rebase_guard(g, anchor)
+
+    monkeypatch.setattr(determinize, "rebase_guard", counted)
+    t = removed("nondet-silent-a", 9)
+    determinize_on_the_fly(t)
+    otf_calls = len(calls)
+    calls.clear()
+    new = determinize_guard_oriented(t)
+    assert len(calls) == otf_calls == 72
+    assert new.location_count() == 1023
+
+
+def test_guard_oriented_copies_a_repeated_subtree():
+    # a and b both reach q1 with no reset, so the tree's two copies of q1's
+    # subtree have the same content: the second is the first block of
+    # locations and transitions again, under fresh consecutive ids, with the
+    # same guard objects
+    a = make_automaton(["q0", "q1", "q2", "q3", "q4", "q5"], "q0", ["q2", "q4", "q5"], [XC], [
+        Transition("q0", "q1", "a", TRUE),
+        Transition("q0", "q1", "b", TRUE),
+        Transition("q1", "q2", "c", Atom(XC, "<", 3)),
+        Transition("q1", "q3", "c", Atom(XC, ">", 1)),
+        Transition("q2", "q4", "d", Atom(XC, "<", 5)),
+        Transition("q3", "q5", "d", Atom(XC, "<", 4)),
+    ])
+    t = remove_all_silent(rename_clocks(unfold(a, 3)))
+    new = determinize_guard_oriented(t)
+    assert [(e.source, e.target, e.action) for e in new.transitions] == [
+        (3, 2, "d"), (4, 2, "d"), (1, 3, "c"), (1, 4, "c"),
+        (7, 6, "d"), (8, 6, "d"), (5, 7, "c"), (5, 8, "c"),
+        (0, 1, "a"), (0, 5, "b"),
+    ]
+    assert [new.nodes[n] for n in range(1, 5)] == [new.nodes[n] for n in range(5, 9)]
+    first, second = new.transitions[:4], new.transitions[4:8]
+    assert all(e.guard is f.guard and e.resets == f.resets for e, f in zip(first, second))
+    assert determinize_on_the_fly(t).location_count() == 5
+
+
 def staged_on_the_fly(a, k):
     return determinize_on_the_fly(remove_all_silent(rename_clocks(unfold(a, k))))
 

@@ -10,7 +10,7 @@ import pytest
 from tadet import equivalence
 from tadet.core import (
     Atom, Clock, ResourceLimitError, TRUE, TimedTrace, Transition, conj,
-    guard_atoms, make_automaton, map_atoms, timed_trace,
+    guard_atoms, make_automaton, map_atoms,
 )
 from tadet.corpus import (
     NAMED_MODELS, coffee_machine, nondet_plain_c, nondet_silent_a, random_automaton,
@@ -26,6 +26,8 @@ from tadet.equivalence import (
 from tadet.silent import remove_all_silent
 from tadet.solver import DifferenceSystem, ZERO_VAR
 from tadet.unfold import rename_clocks, unfold
+
+from runs import timed_trace
 
 X = Clock("x")
 Y = Clock("y")

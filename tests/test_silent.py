@@ -16,7 +16,6 @@ from tadet.core import (
     level_clock,
     make_automaton,
     silent_clock,
-    timed_trace,
 )
 from tadet.corpus import NAMED_MODELS, coffee_machine, random_automaton, sync_chain
 from tadet.modelio import serialize_model
@@ -31,6 +30,7 @@ from tadet.silent import (
 from tadet.unfold import rename_clocks, unfold
 
 from guards import equivalent
+from runs import timed_trace
 
 X1, X2 = level_clock(1), level_clock(2)
 

@@ -12,7 +12,6 @@ from tadet.core import (
     Clock,
     conj,
     disj,
-    eval_guard,
     guard_clocks,
 )
 from tadet.solver import (
@@ -27,6 +26,7 @@ from tadet.solver import (
 )
 
 from guards import equivalent, implies
+from runs import eval_guard
 
 X = Clock("x")
 Y = Clock("y")
