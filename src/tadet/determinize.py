@@ -7,10 +7,10 @@ as a diagonal constraint relative to the merge reset; the accepting and
 non-accepting targets share their subtrees, so the result is a DAG.  It
 merges each (level, pending content) once per call and copies the block
 that it built where the content repeats.  Its on-the-fly variant shares
-those locations instead of copying them, and reads a DAG input as it
-would the tree that the DAG unfolds to: :func:`pipeline_on_the_fly`
-merges the stripped unfolding built as a DAG, so no stage before the
-merge pays for the full tree.
+those locations instead of copying them.  Both read a DAG input as the
+tree that it unfolds to: :func:`pipeline_on_the_fly` and the CLI merge
+the stripped unfolding built as a DAG, so no stage before the merge
+pays for the full tree.
 The standard one is a subset construction over guard regions; it walks
 each action's guard regions depth first on a carried zone, so an empty
 prefix prunes every region below it.  The walk starts from the zone that
@@ -326,20 +326,14 @@ def _clocks_below(
     """For each node of ``tree``, the clocks that the guards of its
     out-edges and of every edge below them read, from one bottom-up pass."""
     below: dict[int, frozenset[Clock]] = {}
-    stack = [(tree.root, False)]
-    while stack:
-        nid, done = stack.pop()
-        if done:
-            # a set that holds every clock so far is kept, not copied
-            out: frozenset[Clock] = frozenset()
-            for c in children[nid]:
-                for clocks in (guard_clocks(c.guard), below[c.target]):
-                    if not clocks <= out:
-                        out = clocks if out <= clocks else out | clocks
-            below[nid] = out
-        elif nid not in below:
-            stack.append((nid, True))
-            stack.extend((c.target, False) for c in children[nid])
+    for nid in tree.post_order(children):
+        # a set that holds every clock so far is kept, not copied
+        out: frozenset[Clock] = frozenset()
+        for c in children[nid]:
+            for clocks in (guard_clocks(c.guard), below[c.target]):
+                if not clocks <= out:
+                    out = clocks if out <= clocks else out | clocks
+        below[nid] = out
     return below
 
 
@@ -438,11 +432,11 @@ def determinize_on_the_fly(tree: Tree) -> Tree:
 def pipeline_on_the_fly(a, k: int) -> Tree:
     """The staged pipeline on ``a`` at depth ``k``, determinized on the fly,
     with the stripped unfolding built as a DAG
-    (:func:`tadet.silent.stripped_unfolding`): a location reached along
-    different runs with the same clock resets is unfolded, renamed and
-    stripped once.  The sharing merge reads the DAG as it would the tree,
-    so the output is that of :func:`determinize_on_the_fly` on the staged
-    tree."""
+    (:func:`tadet.silent.stripped_unfolding`), as ``tadet --variant otf``
+    runs it: a location reached along different runs with the same clock
+    resets is unfolded, renamed and stripped once.  The sharing merge reads
+    the DAG as it would the tree, so the output is that of
+    :func:`determinize_on_the_fly` on the staged tree."""
     return _merge(stripped_unfolding(a, k), share=True)
 
 

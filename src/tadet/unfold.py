@@ -10,7 +10,7 @@ observable level i resets x_{i,j}.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Optional
+from typing import Hashable, Iterator, Optional
 
 from .core import (
     Clock,
@@ -52,6 +52,18 @@ class Tree:
         for t in self.transitions:
             idx[t.source].append(t)
         return idx
+
+    def post_order(self, children: dict[int, list[Transition]]) -> Iterator[int]:
+        """Each node under the root once, after every node below it, without recursion."""
+        seen: set[int] = set()
+        stack = [(self.root, False)]
+        while stack:
+            nid, done = stack.pop()
+            if done:
+                yield nid
+            elif nid not in seen:
+                seen.add(nid)
+                stack += [(nid, True)] + [(t.target, False) for t in children[nid]]
 
     def clocks(self) -> frozenset[Clock]:
         cs: set[Clock] = {X0} if self.renamed else set()
@@ -104,7 +116,7 @@ class Tree:
 # unfolding
 
 
-def unfold(a: TimedAutomaton, k: int, prune_nonaccepting_leaves: bool = False) -> Tree:
+def unfold(a: TimedAutomaton, k: int) -> Tree:
     """Unfold ``a`` into the tree of all runs with at most k observable steps.
 
     Cutting convention: silent transitions are expanded only from nodes at
@@ -151,9 +163,6 @@ def unfold(a: TimedAutomaton, k: int, prune_nonaccepting_leaves: bool = False) -
             )
             children.append(cid)
         stack.extend(reversed(children))
-
-    if prune_nonaccepting_leaves:
-        _prune_nonaccepting(tree)
     return tree
 
 
@@ -170,17 +179,15 @@ def _out_edges(a: TimedAutomaton, k: int) -> dict[Hashable, list[Transition]]:
     return out_edges
 
 
-def _prune_nonaccepting(tree: Tree) -> None:
+def prune_nonaccepting(tree: Tree) -> None:
+    """Drop, in place, every node but the root that reaches no accepting
+    one, in one bottom-up pass over each node of a DAG."""
     children = tree.build_children_index()
-    order = [tree.root]  # every node after its parent
-    for nid in order:
-        order.extend(t.target for t in children[nid])
-    keep: set[int] = {tree.root}
-    for nid in reversed(order):
-        if tree.nodes[nid].accepting or any(t.target in keep for t in children[nid]):
-            keep.add(nid)
-    tree.nodes = {n: i for n, i in tree.nodes.items() if n in keep}
-    tree.transitions = [t for t in tree.transitions if t.source in keep and t.target in keep]
+    live: dict[int, bool] = {}
+    for nid in tree.post_order(children):
+        live[nid] = tree.nodes[nid].accepting or any(live[t.target] for t in children[nid])
+    tree.nodes = {n: i for n, i in tree.nodes.items() if live.get(n) or n == tree.root}
+    tree.transitions = [t for t in tree.transitions if live.get(t.source) and live[t.target]]
 
 
 # ---------------------------------------------------------------------------

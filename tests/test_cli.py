@@ -16,9 +16,19 @@ from tadet.cli import (
     run_pipeline,
 )
 from tadet import solver
-from tadet.corpus import coffee_machine
+from tadet.core import guard_atoms
+from tadet.corpus import NAMED_MODELS, coffee_machine, random_automaton
+from tadet.determinize import (
+    check_deterministic,
+    determinize_guard_oriented,
+    determinize_standard,
+)
+from tadet.equivalence import language_equal
 from tadet.modelio import parse_model, serialize_model
-from tadet.unfold import unfold
+from tadet.silent import remove_all_silent
+from tadet.unfold import rename_clocks, unfold
+
+from dags import path_count
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 COFFEE = str(MODELS / "coffee-machine.json")
@@ -57,7 +67,8 @@ def test_depth_zero_is_usage_error():
 
 
 def test_prune_leaves_with_check_equiv_for_every_variant():
-    # every variant determinizes the staged tree, which is also the reference
+    # every variant determinizes the pruned stripped unfolding; the check
+    # compares it with the raw unfolding
     for variant in ("std", "new", "otf"):
         assert main([
             "--input", COFFEE, "--depth", "3", "--variant", variant,
@@ -66,6 +77,84 @@ def test_prune_leaves_with_check_equiv_for_every_variant():
         # at depth 2 every leaf is a non-accepting coin.beep
         pruned = run_pipeline(coffee_machine(), 2, variant, prune_leaves=True)
         assert pruned.final.location_count() == 1
+
+
+def test_prune_leaves_does_not_decide_support(tmp_path, capsys):
+    # the non-accepting a.b branch reads the silent step's clock z inside a
+    # disjunction, which removal does not support; pruning runs on the
+    # stripped unfolding, after removal, so it cannot hide that branch
+    def atom(clock, rel, const):
+        return {"left": clock, "rel": rel, "const": const}
+
+    doc = {
+        "format": "ta/1",
+        "clocks": ["x", "y", "z"],
+        "locations": [{"id": f"q{i}", "accepting": i == 4} for i in range(5)],
+        "initial": "q0",
+        "transitions": [
+            {"source": "q0", "target": "q1", "action": "a", "guard": [], "resets": ["x"]},
+            {"source": "q1", "target": "q2", "action": "eps",
+             "guard": [atom("x", ">=", 1)], "resets": ["z"]},
+            {"source": "q2", "target": "q3", "action": "b",
+             "guard": [{"any": [atom("z", "<", 1), atom("y", "<", 1)]}], "resets": []},
+            {"source": "q0", "target": "q4", "action": "c", "guard": [], "resets": []},
+        ],
+    }
+    path = tmp_path / "pruned.json"
+    path.write_text(json.dumps(doc))
+    for flags in ([], ["--prune-leaves"]):
+        assert main(["--input", str(path), "--depth", "2", *flags]) == EXIT_PRECONDITION
+        assert json.loads(capsys.readouterr().err)["error"]["code"] == "precondition"
+
+
+SWEEP = [(make(), k) for make in NAMED_MODELS.values() for k in range(1, 6)] + [
+    (random_automaton(seed), k) for seed in range(100, 140) for k in (2, 3)]
+
+
+def _staged(a, k):
+    return remove_all_silent(rename_clocks(unfold(a, k)))
+
+
+def test_new_on_the_dag_gives_the_staged_bytes():
+    # the merge reads the stripped unfolding as it reads the staged tree;
+    # otf on the DAG is pipeline_on_the_fly, which test_determinize pins
+    for a, k in SWEEP:
+        final = run_pipeline(a, k, "new").final
+        assert serialize_model(final.to_automaton()) == serialize_model(
+            determinize_guard_oriented(_staged(a, k)).to_automaton())
+
+
+def _atoms(t):
+    return sum(len(guard_atoms(tr.guard)) for tr in t.transitions)
+
+
+def test_standard_on_the_dag_is_no_larger():
+    # two tree copies that are one DAG node are one member, so a region's
+    # guard may lose a repeated conjunct and a location may be shared more
+    smaller = 0
+    for a, k in SWEEP:
+        final = run_pipeline(a, k, "std").final
+        staged = determinize_standard(_staged(a, k))
+        assert path_count(final) == path_count(staged)
+        assert final.location_count() <= staged.location_count()
+        assert _atoms(final) <= _atoms(staged)
+        assert language_equal(unfold(a, k), final).equal
+        assert check_deterministic(final)
+        smaller += _atoms(final) < _atoms(staged)
+    assert smaller > 0
+
+
+def test_otf_runs_deep_on_the_dag(tmp_path):
+    # the staged tree would have about 2.7e9 nodes at this depth
+    report = tmp_path / "report.json"
+    assert main([
+        "--input", str(MODELS / "nondet-silent-a.json"), "--depth", "30",
+        "--variant", "otf", "--report", str(report),
+    ]) == EXIT_OK
+    dag, final = json.loads(report.read_text())["stages"]
+    assert dag["name"] == "stripped-unfolding"
+    assert (dag["locations"], dag["transitions"]) == (931, 1365)
+    assert final["locations"] == 467
 
 
 def test_missing_input_is_usage_error(tmp_path):
@@ -206,7 +295,7 @@ def test_report_has_check_equiv_stage(variant, tmp_path, capsys):
     emitted = parse_model(capsys.readouterr().out)
     stages = json.loads(report.read_text())["stages"]
     assert [s["name"] for s in stages] == [
-        "unfold", "rename-clocks", "remove-silent", f"determinize-{variant}", "check-equiv"]
+        "stripped-unfolding", f"determinize-{variant}", "check-equiv"]
     # the check is sized by the output it verified, like the stage before it
     for s in stages[-2:]:
         assert (s["locations"], s["transitions"]) == (
@@ -216,7 +305,8 @@ def test_report_has_check_equiv_stage(variant, tmp_path, capsys):
 
 @pytest.mark.parametrize("variant", ["std", "new", "otf"])
 def test_check_equiv_unfolds_once(variant, monkeypatch):
-    # every variant compares against the tree it staged
+    # every variant compares against the raw unfolding, which only the
+    # check builds
     import tadet.cli as cli
 
     calls = []
@@ -228,6 +318,8 @@ def test_check_equiv_unfolds_once(variant, monkeypatch):
     monkeypatch.setattr(cli, "unfold", counted)
     result = cli.run_pipeline(coffee_machine(), 3, variant, check_equiv=True)
     assert result.counterexample is None
+    assert len(calls) == 1
+    cli.run_pipeline(coffee_machine(), 3, variant)
     assert len(calls) == 1
 
 

@@ -15,7 +15,10 @@ from tadet.corpus import (
     nondet_silent_d,
     random_automaton,
 )
-from tadet.unfold import Tree, rename_clocks, unfold
+from tadet.silent import stripped_unfolding
+from tadet.unfold import Tree, prune_nonaccepting, rename_clocks, unfold
+
+from dags import path_count, unfolded
 
 X0 = level_clock(0)
 
@@ -58,12 +61,37 @@ def test_silent_reached_copies_are_never_accepting():
 
 def test_prune_nonaccepting_leaves():
     full = unfold(nondet_plain_c(), 3)
-    pruned = unfold(nondet_plain_c(), 3, prune_nonaccepting_leaves=True)
+    pruned = unfold(nondet_plain_c(), 3)
+    prune_nonaccepting(pruned)
     assert pruned.location_count() < full.location_count()
     children = pruned.build_children_index()
     for nid, node in pruned.nodes.items():
         if not children[nid]:
             assert node.accepting
+
+
+@pytest.mark.parametrize("make,k", [
+    pytest.param(nondet_silent_a, 6, id="silent-a-6"),
+    pytest.param(nondet_silent_b, 5, id="silent-b-5"),
+    pytest.param(nondet_silent_d, 6, id="silent-d-6"),
+])
+def test_pruning_a_dag_prunes_the_tree_it_unfolds_to(make, k):
+    dag = stripped_unfolding(make(), k)
+    tree = unfolded(dag)
+    prune_nonaccepting(dag)
+    prune_nonaccepting(tree)
+    assert path_count(dag) == tree.location_count()
+    assert dag.location_count() < tree.location_count()
+
+
+def test_pruning_visits_each_dag_node_once():
+    # the tree that this DAG unfolds to has about 2.7e9 nodes
+    dag = stripped_unfolding(nondet_silent_a(), 30)
+    assert (dag.location_count(), dag.transition_count()) == (931, 1365)
+    prune_nonaccepting(dag)
+    assert (dag.location_count(), dag.transition_count()) == (466, 900)
+    children = dag.build_children_index()
+    assert all(dag.nodes[n].accepting for n in dag.nodes if not children[n])
 
 
 def test_deep_tree_is_pruned_and_renamed_iteratively():
@@ -76,7 +104,9 @@ def test_deep_tree_is_pruned_and_renamed_iteratively():
         Transition("q0", "q2", "b"),
     ])
     assert unfold(a, 1100).location_count() == 3301
-    t = rename_clocks(unfold(a, 1100, prune_nonaccepting_leaves=True))
+    t = unfold(a, 1100)
+    prune_nonaccepting(t)
+    t = rename_clocks(t)
     assert t.location_count() == 2201
     assert {tr.action for tr in t.transitions} == {None, "a"}
     assert t.transitions[-1].resets == frozenset((level_clock(1100),))
