@@ -1,47 +1,39 @@
 #!/usr/bin/env python3
-"""Replay the bundled nondeterministic models across depths and variants.
+"""Time the CLI's pipeline on the bundled nondeterministic models across
+depths and variants.
 
-Prints two markdown tables: location counts of the unfolding and of each
-determinization variant, and wall times.  The deep depths run only with
---full.  Every variant runs on every configuration; the subset
-construction's count is of the DAG that it builds, which shares each
-(level, members, entry zone) location.
+Each configuration runs ``tadet.cli.run_pipeline`` once for every variant
+(``std``, ``new``, ``otf``): the stripped unfolding, built as a DAG in one
+walk, then the variant's determinizer on that DAG.  Prints two markdown
+tables, location counts and wall times.  The deep depths run only with
+--full.
 
---json PATH also writes, for each configuration, the location counts, the
-wall time of each stage and the solver counters of each stage to PATH.  The
-counters come from a second pass under layerbench/tracing.py's tracer, so
-the timed pass runs untraced:
+--json PATH also writes, for each configuration, the location count, the
+wall time and the solver call counts (``is_satisfiable``,
+``feasible_systems``, ``close``) of every stage of every variant's report
+to PATH, each keyed ``<variant>/<stage>``:
 
-    python3 scripts/benchmark.py --full --json BENCH_16.json
+    python3 scripts/benchmark.py --full --json BENCH_25.json
 
 --compare OLD NEW reads two such files and runs nothing: for each
 configuration in both it prints each stage's time in NEW over its time in
 OLD, and it exits 1 if any location count differs:
 
-    python3 scripts/benchmark.py --compare BENCH_16.json BENCH_17.json
+    python3 scripts/benchmark.py --compare BENCH_23.json BENCH_25.json
 """
 
 import argparse
-import importlib
 import json
 import os
 import platform
 import sys
-import time
 from pathlib import Path
-from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
-sys.path.insert(0, str(ROOT / "layerbench"))
 
+from tadet.cli import DETERMINIZERS, run_pipeline  # noqa: E402
 from tadet.corpus import NAMED_MODELS  # noqa: E402
-from tracing import Tracer, summarize  # noqa: E402
-
-# the modules that the tracer wraps; stages call through them, so a traced
-# pass sees every call
-lib = SimpleNamespace(**{m: importlib.import_module(f"tadet.{m}") for m in (
-    "unfold", "silent", "determinize", "equivalence", "solver", "modelio")})
 
 QUICK = {
     "nondet-silent-a": [2, 5],
@@ -55,42 +47,19 @@ FULL = {
     "nondet-plain-c": [2, 5, 10, 25, 50],
     "nondet-silent-d": [2, 5, 10, 14],
 }
-COUNTERS = ("solver.is_satisfiable.calls", "solver.feasible_systems.calls", "solver.close.calls")
 
 
-def run_configuration(make, k: int, stage) -> dict:
-    """Every stage of one configuration, each run as ``stage(name, fn,
-    *args)``; returns the location counts."""
-    tree = stage("unfold", lib.unfold.unfold, make(), k)
-    renamed = stage("rename_clocks", lib.unfold.rename_clocks, tree)
-    removed = stage("remove_all_silent", lib.silent.remove_all_silent, renamed)
-    new = stage("new", lib.determinize.determinize_guard_oriented, removed)
-    std = stage("std", lib.determinize.determinize_standard, removed)
-    otf = stage("otf", lib.determinize.pipeline_on_the_fly, make(), k)
-    return {
-        "unfolded": removed.location_count(),
-        "std": std.location_count(),
-        "new": new.location_count(),
-        "otf": otf.location_count(),
-    }
-
-
-def timed_stage(seconds: dict):
-    def stage(name, fn, *args):
-        t0 = time.perf_counter()
-        out = fn(*args)
-        seconds[name] = time.perf_counter() - t0
-        return out
-    return stage
-
-
-def traced_stage(tracer: Tracer, counters: dict):
-    def stage(name, fn, *args):
-        out = fn(*args)
-        summary = summarize(*tracer.take(), lambda a, b: b - a)
-        counters[name] = {c: summary.get(c, 0) for c in COUNTERS}
-        return out
-    return stage
+def run_configuration(make, k: int) -> dict:
+    """Every variant's pipeline on one configuration: each report stage's
+    locations, seconds and solver call counts, keyed ``<variant>/<stage>``."""
+    conf: dict = {"locations": {}, "seconds": {}, "counters": {}}
+    for variant in DETERMINIZERS:
+        for stage in run_pipeline(make(), k, variant).report["stages"]:
+            key = f"{variant}/{stage['name']}"
+            conf["locations"][key] = stage["locations"]
+            conf["seconds"][key] = round(stage["millis"] / 1000, 6)
+            conf["counters"][key] = stage["calls"]
+    return conf
 
 
 def compare(old_path: Path, new_path: Path) -> int:
@@ -136,24 +105,11 @@ def main() -> int:
 
     configurations = []
     for name, ks in plan.items():
-        make = NAMED_MODELS[name]
         for k in ks:
-            seconds: dict[str, float] = {}
-            locations = run_configuration(make, k, timed_stage(seconds))
-            configurations.append({"model": name, "k": k, "locations": locations, "seconds": seconds})
+            configurations.append({"model": name, "k": k, **run_configuration(NAMED_MODELS[name], k)})
             print(f"done {name} k={k}", file=sys.stderr)
 
     if args.json:
-        tracer = Tracer(time.perf_counter)
-        for conf in configurations:
-            counters: dict[str, dict] = {}
-            tracer.install(lib)
-            try:
-                run_configuration(NAMED_MODELS[conf["model"]], conf["k"], traced_stage(tracer, counters))
-            finally:
-                tracer.uninstall()
-            conf["counters"] = counters
-            print(f"traced {conf['model']} k={conf['k']}", file=sys.stderr)
         record = {
             "plan": "full" if args.full else "quick",
             "environment": {"python": platform.python_version(), "machine": platform.machine(),
@@ -162,21 +118,16 @@ def main() -> int:
         }
         args.json.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
 
-    print("\n## Locations\n")
-    print("| model | k | unfolded | std det | new det | on-the-fly |")
-    print("|---|---|---|---|---|---|")
-    for c in configurations:
-        n = c["locations"]
-        print(f"| {c['model']} | {c['k']} | {n['unfolded']} | {n['std']} | {n['new']} | {n['otf']} |")
-
-    print("\n## Runtimes (s)\n")
-    print("| model | k | unfold+remove | std det | new det | on-the-fly |")
-    print("|---|---|---|---|---|---|")
-    for c in configurations:
-        s = c["seconds"]
-        staged = s["unfold"] + s["rename_clocks"] + s["remove_all_silent"]
-        print(f"| {c['model']} | {c['k']} | {staged:.2f} | {s['std']:.2f} "
-              f"| {s['new']:.2f} | {s['otf']:.2f} |")
+    # the DAG is the same for every variant; the first variant's run gives it
+    variants = list(DETERMINIZERS)
+    columns = [f"{variants[0]}/stripped-unfolding"] + [f"{v}/determinize-{v}" for v in variants]
+    for title, field, cell in (("Locations", "locations", str),
+                               ("Runtimes (ms)", "seconds", lambda t: f"{t * 1000:.2f}")):
+        print(f"\n## {title}\n")
+        print("| model | k | stripped unfolding | " + " | ".join(f"{v} det" for v in variants) + " |")
+        print("|---|---|" + "---|" * len(columns))
+        for c in configurations:
+            print(f"| {c['model']} | {c['k']} | " + " | ".join(cell(c[field][s]) for s in columns) + " |")
     return 0
 
 

@@ -4,7 +4,8 @@ Reads a model (JSON, or UPPAAL XML by extension), builds its stripped
 unfolding to the requested depth as a DAG in one walk, optionally drops
 the nodes that reach no accepting one, and determinizes the DAG with the
 chosen variant (``std``, ``new`` or ``otf``).  It emits the result as JSON
-or DOT, and writes a JSON report with each stage's sizes and timing.
+or DOT, and writes a JSON report with each stage's sizes, timing and
+solver call counts.
 
 Exit codes: 0 ok, 1 usage, 2 parse, 3 precondition, 4 resource limit,
 5 equivalence failure.
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+from . import solver
 from .core import (
     ResourceLimitError,
     StructuralError,
@@ -73,35 +75,41 @@ def run_pipeline(
     prune_leaves: bool = False,
     check_equiv: bool = False,
 ) -> PipelineResult:
-    """Build the stripped unfolding, prune it if asked, determinize it; timed stages."""
+    """Build the stripped unfolding, prune it if asked, determinize it; each
+    stage is timed and counts its solver calls."""
     determinize = DETERMINIZERS[variant]
     stages: list[dict] = []
     report = {"variant": variant, "depth": depth, "stages": stages}
 
-    def record(name: str, sized: Tree, t0: float) -> None:
+    def start() -> tuple[float, dict[str, int]]:
+        return time.perf_counter(), dict(solver.CALLS)
+
+    def record(name: str, sized: Tree, started: tuple[float, dict[str, int]]) -> None:
+        t0, calls = started
         stages.append({
             "name": name,
             "locations": sized.location_count(),
             "transitions": sized.transition_count(),
             "millis": round((time.perf_counter() - t0) * 1000, 3),
+            "calls": {f: n - calls[f] for f, n in solver.CALLS.items()},
         })
 
-    t0 = time.perf_counter()
+    started = start()
     dag = stripped_unfolding(a, depth)
     if prune_leaves:
         prune_nonaccepting(dag)
-    record("stripped-unfolding", dag, t0)
-    t0 = time.perf_counter()
+    record("stripped-unfolding", dag, started)
+    started = start()
     final = determinize(dag)
-    record(f"determinize-{variant}", final, t0)
+    record(f"determinize-{variant}", final, started)
 
     counterexample = None
     if check_equiv:
-        t0 = time.perf_counter()
+        started = start()
         # the raw unfolding puts renaming, removal and pruning under test
         verdict = language_equal(unfold(a, depth), final)
         # sized by the output, so the last stage always describes it
-        record("check-equiv", final, t0)
+        record("check-equiv", final, started)
         if not verdict.equal:
             counterexample = {
                 "word": list(verdict.word),

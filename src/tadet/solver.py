@@ -42,6 +42,11 @@ from .core import (
 
 DEFAULT_DNF_LIMIT = 10**6
 
+# calls since import of is_satisfiable, feasible_systems and
+# DifferenceSystem.close, each bumped on entry; a caller reads the
+# difference over a span of its own (cli.run_pipeline, per stage)
+CALLS = {"is_satisfiable": 0, "feasible_systems": 0, "close": 0}
+
 
 # ---------------------------------------------------------------------------
 # complement
@@ -203,6 +208,7 @@ class DifferenceSystem:
 
     def close(self) -> None:
         """Floyd-Warshall closure; stops at the first negative cycle."""
+        CALLS["close"] += 1
         m = self.m
         self._closed = True
         self._sat = False
@@ -443,8 +449,10 @@ def feasible_systems(g: Guard, zone: Optional[DifferenceSystem] = None):
     Disjunctions are branched one at a time with the accumulated system
     checked before descending, so an infeasible prefix cuts off all DNF
     conjuncts below it.  More than ``DEFAULT_DNF_LIMIT`` branches raise
-    :class:`ResourceLimitError`.
+    :class:`ResourceLimitError`.  The zone is copied at the call; the
+    search runs as the systems are drawn.
     """
+    CALLS["feasible_systems"] += 1
     base = zone.copy() if zone is not None else nonneg_zone(guard_clocks(g))
     visited = [0]
 
@@ -501,43 +509,36 @@ def feasible_systems(g: Guard, zone: Optional[DifferenceSystem] = None):
         for d in first:
             yield from expand(sys.copy(), [d, *tail])
 
-    yield from expand(base, [g])
+    return expand(base, [g])
 
 
 def is_satisfiable(g: Guard) -> bool:
     """True iff some non-negative assignment satisfies g."""
+    CALLS["is_satisfiable"] += 1
     return next(feasible_systems(g), None) is not None
 
 
 def uncovered_piece(
-    g1: Guard | Sequence[DifferenceSystem],
-    g2: Guard | Sequence[DifferenceSystem],
+    fed1: Sequence[DifferenceSystem], fed2: Sequence[DifferenceSystem]
 ) -> Optional[DifferenceSystem]:
-    """A satisfiable closed piece of g1 that no point of g2 meets, or None
-    if g1 implies g2.
+    """A satisfiable closed piece of ``fed1`` that no point of ``fed2``
+    meets, or None if ``fed1`` implies ``fed2``.
 
-    Both arguments are guards, or both are federations: sequences of
-    satisfiable closed difference systems over one variable list, read as
-    their union.  Guards are first expanded by :func:`feasible_systems`
-    from one :func:`nonneg_zone` of their joint clocks.
+    Both arguments are federations: sequences of satisfiable closed
+    difference systems over one variable list, read as their union.
 
-    Each zone of g1 is cut by the zones of g2 in turn (DBM subtraction,
+    Each zone of fed1 is cut by the zones of fed2 in turn (DBM subtraction,
     Bengtsson & Yi 2004).  Subtracting a zone with minimal constraints
     c_0 .. c_m from a piece leaves the disjoint pieces
     piece & c_0 & .. & c_{j-1} & ~c_j, one per c_j that the piece does not
     already imply; a zone disjoint from the piece is skipped whole.  The
-    first piece that outlives every zone of g2 is returned.  The pieces
+    first piece that outlives every zone of fed2 is returned.  The pieces
     wait on an explicit stack, and each zone's minimal constraints are
     computed once, when a piece is first checked against it.  A zone of
-    g1 that lies within one zone of g2 (entrywise, on closed matrices) is
+    fed1 that lies within one zone of fed2 (entrywise, on closed matrices) is
     skipped before any of that.  No zone of either argument is changed.
     """
-    if isinstance(g1, Guard):
-        zone = nonneg_zone(guard_clocks(g1) | guard_clocks(g2))
-        fed1, fed2 = (list(feasible_systems(g, zone)) for g in (g1, g2))
-    else:
-        fed1, fed2 = list(g1), list(g2)
-    zones = fed1 + fed2
+    zones = [*fed1, *fed2]
     if any(z.vars != zones[0].vars for z in zones):
         raise ValueError("federations must range over one variable list")
 
@@ -552,7 +553,7 @@ def uncovered_piece(
     for zone in fed1:
         if any(_within(zone.m, z.m) for z in fed2):
             continue  # nothing of the zone is left to subtract
-        # (piece, the zones of g2 still to subtract from it)
+        # (piece, the zones of fed2 still to subtract from it)
         stack: list[tuple[DifferenceSystem, Sequence[int]]] = [(zone.copy(), range(len(fed2)))]
         while stack:
             piece, todo = stack.pop()
@@ -586,13 +587,12 @@ def uncovered_piece(
 
 
 def difference_witness(
-    g1: Guard | Sequence[DifferenceSystem],
-    g2: Guard | Sequence[DifferenceSystem],
+    fed1: Sequence[DifferenceSystem], fed2: Sequence[DifferenceSystem]
 ) -> Optional[dict[Clock, Fraction]]:
-    """A point in g1 but not in g2, or None if g1 implies g2: the
-    :meth:`DifferenceSystem.witness` of :func:`uncovered_piece`, which
-    takes the same arguments."""
-    piece = uncovered_piece(g1, g2)
+    """A point in ``fed1`` but not in ``fed2``, or None if ``fed1`` implies
+    ``fed2``: the :meth:`DifferenceSystem.witness` of
+    :func:`uncovered_piece`, which takes the same arguments."""
+    piece = uncovered_piece(fed1, fed2)
     return None if piece is None else piece.witness()
 
 

@@ -1,4 +1,4 @@
-"""scripts/benchmark.py --compare on two hand-written trajectory files."""
+"""scripts/benchmark.py: its --json record of a quick run, and --compare."""
 
 import json
 import subprocess
@@ -35,3 +35,28 @@ def test_compare_fails_on_a_location_count(tmp_path):
     run = compare(tmp_path, record(5, 2.0), record(6, 1.0))
     assert run.returncode == 1
     assert "locations differ, m k=2" in run.stdout
+
+
+def test_quick_plan_records_every_report_stage(tmp_path):
+    # one pass per configuration: every variant's run_pipeline report, each
+    # stage keyed <variant>/<stage>
+    out = tmp_path / "quick.json"
+    run = subprocess.run([sys.executable, "-B", str(SCRIPT), "--json", str(out)],
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    configurations = json.loads(out.read_text(encoding="utf-8"))["configurations"]
+    assert configurations
+    for conf in configurations:
+        keys = [f"{v}/{s}" for v in ("std", "new", "otf")
+                for s in ("stripped-unfolding", f"determinize-{v}")]
+        for field in ("locations", "seconds", "counters"):
+            assert sorted(conf[field]) == sorted(keys)
+        for key in keys:
+            assert type(conf["locations"][key]) is int
+            assert type(conf["seconds"][key]) is float
+            calls = conf["counters"][key]
+            assert sorted(calls) == ["close", "feasible_systems", "is_satisfiable"]
+            assert all(type(n) is int for n in calls.values())
+    same = subprocess.run([sys.executable, "-B", str(SCRIPT), "--compare", str(out), str(out)],
+                          capture_output=True, text=True)
+    assert same.returncode == 0, same.stdout

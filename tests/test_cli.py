@@ -350,3 +350,69 @@ def test_emit_dot_and_smt2(capsys):
     assert "digraph" in capsys.readouterr().out
     # smt2 lost the word (a disjunction over all words): no longer offered
     assert main(["--input", COFFEE, "--depth", "3", "--emit", "smt2"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("variant", ["std", "new", "otf"])
+def test_report_calls_match_the_tracer(variant, monkeypatch):
+    # the solver's own counters agree with layerbench's tracer, which wraps
+    # the same functions from outside, over every stage of one run.  The
+    # tracer's source is executed in a fresh namespace, so nothing is
+    # written next to it
+    import importlib
+    from types import SimpleNamespace
+
+    import tadet.cli as cli
+
+    path = Path(__file__).resolve().parent.parent / "layerbench" / "tracing.py"
+    tracing: dict = {}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracing)
+    tracer = tracing["Tracer"](lambda: 0.0)
+    traced = []
+
+    def stage(fn):
+        def run(*args):
+            tracer.take()
+            out = fn(*args)
+            counts = tracer.take()[1]
+            traced.append({f: counts.get(f"solver.{f}.calls", 0)
+                           for f in ("is_satisfiable", "feasible_systems", "close")})
+            return out
+        return run
+
+    monkeypatch.setattr(cli, "stripped_unfolding", stage(cli.stripped_unfolding))
+    monkeypatch.setitem(cli.DETERMINIZERS, variant, stage(cli.DETERMINIZERS[variant]))
+    monkeypatch.setattr(cli, "language_equal", stage(cli.language_equal))
+    lib = SimpleNamespace(**{m: importlib.import_module(f"tadet.{m}") for m in (
+        "unfold", "silent", "determinize", "equivalence", "solver", "modelio")})
+    tracer.install(lib)
+    try:
+        result = cli.run_pipeline(NAMED_MODELS["nondet-silent-b"](), 4, variant, check_equiv=True)
+    finally:
+        tracer.uninstall()
+    assert result.counterexample is None
+    stages = result.report["stages"]
+    assert [s["name"] for s in stages] == [
+        "stripped-unfolding", f"determinize-{variant}", "check-equiv"]
+    assert [s["calls"] for s in stages] == traced
+    assert any(n for s in stages for n in s["calls"].values())
+
+
+def test_not_equivalent_payload_keeps_its_keys(tmp_path, monkeypatch, capsys):
+    # exit 5 reports the separating word, its times and the direction
+    import tadet.cli as cli
+
+    def broken_equal(a, b):
+        class R:
+            equal = False
+            word = ("coin",)
+            times = (1,)
+            direction = "left-only"
+        return R()
+
+    monkeypatch.setattr(cli, "language_equal", broken_equal)
+    assert main(["--input", COFFEE, "--depth", "2", "--check-equiv"]) == EXIT_NOT_EQUIVALENT
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert sorted(error) == ["code", "message"]
+    assert error["code"] == "not-equivalent"
+    assert json.loads(error["message"]) == {
+        "word": ["coin"], "times": ["1"], "direction": "left-only"}

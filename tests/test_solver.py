@@ -25,7 +25,7 @@ from tadet.solver import (
     nonneg_zone,
 )
 
-from guards import equivalent, implies
+from guards import equivalent, federations, implies
 from runs import eval_guard
 
 X = Clock("x")
@@ -91,7 +91,7 @@ def test_satisfiability_agrees_with_grid(g):
 @settings(max_examples=100)
 @given(guards(), guards())
 def test_difference_witness_separates(g1, g2):
-    w = difference_witness(g1, g2)
+    w = difference_witness(*federations(g1, g2))
     if w is None:
         assert not is_satisfiable(conj(g1, complement_guard(g2)))
     else:
@@ -107,7 +107,7 @@ def test_difference_witness_on_federations(g1, g2):
     clocks = guard_clocks(g1) | guard_clocks(g2) | {X}
     fed1, fed2 = (list(feasible_systems(g, nonneg_zone(clocks))) for g in (g1, g2))
     w = difference_witness(fed1, fed2)
-    assert (w is None) == (difference_witness(g1, g2) is None)
+    assert (w is None) == (difference_witness(*federations(g1, g2)) is None)
     if w is not None:
         assert eval_guard(g1, w) and not eval_guard(g2, w)
 
