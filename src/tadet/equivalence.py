@@ -89,8 +89,9 @@ def _translate_guard(g: Guard, now: Clock, reset_at: dict[Clock, Clock]) -> Guar
             return Atom(now, a.rel, a.bound, r)
         ra = reset_at.get(a.left)
         rb = reset_at.get(a.right)
-        # x - y = (now - ra) - (now - rb) = rb - ra
-        if ra is None and rb is None:
+        # x - y = (now - ra) - (now - rb) = rb - ra; equal reset times
+        # (both reset on one edge, or neither reset) cancel to 0
+        if ra == rb:
             return TRUE if compare(0, a.rel, a.bound) else FALSE
         if rb is None:
             # -ra rel bound, i.e. ra (>=rel flipped) -bound

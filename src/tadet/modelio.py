@@ -415,15 +415,20 @@ def _pretty_guard(g: Guard) -> str:
     return " ∨ ".join(f"({_pretty_guard(p)})" for p in g.parts)
 
 
+def _dot_quote(s: object) -> str:
+    """``s`` as a DOT quoted string, its ``\\`` and ``"`` escaped."""
+    return '"' + str(s).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(a: TimedAutomaton) -> str:
     """Graphviz rendering; accepting locations are double circles."""
     lines = ["digraph ta {", "  rankdir=LR;", '  node [shape=circle];']
     order = sorted(a.locations, key=str)
     for q in order:
         shape = "doublecircle" if q in a.accepting else "circle"
-        lines.append(f'  "{q}" [shape={shape}];')
+        lines.append(f'  {_dot_quote(q)} [shape={shape}];')
     lines.append(f'  __init__ [shape=point,label=""];')
-    lines.append(f'  __init__ -> "{a.initial}";')
+    lines.append(f'  __init__ -> {_dot_quote(a.initial)};')
     for t in a.transitions:
         label = "ε" if t.is_silent else t.action
         pieces = [label]
@@ -431,6 +436,7 @@ def export_dot(a: TimedAutomaton) -> str:
             pieces.append(_pretty_guard(t.guard))
         if t.resets:
             pieces.append("{" + ",".join(sorted(c.name for c in t.resets)) + "}")
-        lines.append(f'  "{t.source}" -> "{t.target}" [label="{"  ".join(pieces)}"];')
+        lines.append(f'  {_dot_quote(t.source)} -> {_dot_quote(t.target)}'
+                     f' [label={_dot_quote("  ".join(pieces))}];')
     lines.append("}")
     return "\n".join(lines) + "\n"

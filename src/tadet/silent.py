@@ -18,15 +18,15 @@ incoming edge, and the list order as a linked list) that is updated in
 place as edges move, so a round costs the size of the silent target's
 subtree, not of the whole tree.
 
-Tree copies of a silent step share its guards.  Each silent clock has a
-table (``_Shared``) that lives while a silent edge resetting that clock is
-left; it maps the values that each step reads (the silent guard's bounds,
-the bypass guard, the taken-guard conjunction, the Table 2/3 rewrite of a
-future guard) to the step's result.  So each distinct guard is built once
-per call, every copy holds the same object, and the caches that later
-stages keep per guard object (``guard_clocks``' set, the merge's search
-memo, ``serialize_model``'s text) hit across copies.  A guard that does not
-read the silent clock is passed without a lookup.
+Tree copies of a silent step share its guards.  One memo, kept for the
+call as :func:`stripped_unfolding` keeps its own, maps the values that each
+step reads (the silent guard's bounds, and with the silent clock the bypass
+guard, the taken-guard conjunction and the Table 2/3 rewrite of a future
+guard) to the step's result.  So each distinct guard is built once per
+call, every copy holds the same object, and the caches that later stages
+keep per guard object (``guard_clocks``' set, the merge's search memo,
+``serialize_model``'s text) hit across copies.  A guard that does not read
+the silent clock is passed without a lookup.
 
 :func:`stripped_unfolding` gives the same result straight from the model,
 as a DAG: it unfolds, renames and strips each node once, with the same
@@ -37,7 +37,6 @@ guards below still owe.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -206,20 +205,17 @@ class _Edges:
         self.out[self.edge[s].source].remove(s)
         self.edge[s] = None
 
-    def prune(self, s: int, nodes: dict[int, TreeNode]) -> list[Transition]:
+    def prune(self, s: int, nodes: dict[int, TreeNode]) -> None:
         """Drop an edge that can never fire, together with everything below
-        it; returns the dropped edges."""
-        dropped = [self.edge[s]]
-        stack = [dropped[0].target]
+        it."""
+        stack = [self.edge[s].target]
         self.remove(s)
         while stack:
             n = stack.pop()
             del nodes[n], self.into[n]
             for c in self.out.pop(n):
-                dropped.append(self.edge[c])
                 stack.append(self.edge[c].target)
                 self.edge[c] = None
-        return dropped
 
     def transitions(self) -> list[Transition]:
         out: list[Transition] = []
@@ -317,36 +313,21 @@ def _reads(g: Guard, clock: Clock) -> bool:
     return clock in guard_clocks(g)
 
 
-class _Shared:
-    """The results of the staged removal's steps for one silent clock, each
-    by the values that the step reads, compared by value, so that every
-    tree copy of an edge gets the same guard object.  Only results are
-    kept: a step that raises raises again on its next call."""
-
-    __slots__ = ("bounds", "bypass", "taken", "rewrite")
-
-    def __init__(self) -> None:
-        self.bounds: dict = {}   # (silent guard, x_s) -> _silent_bounds
-        self.bypass: dict = {}   # (predecessor guard, silent guard, x_s) -> _bypass_guard
-        self.taken: dict = {}    # guard -> guard & the taken guard
-        self.rewrite: dict = {}  # (guard, moved, placed, resets) -> _rewrite
-
-
-def _update_future_guards(ctx: SilentContext, edges: _Edges, shared: _Shared) -> None:
+def _update_future_guards(ctx: SilentContext, edges: _Edges, memo: dict) -> None:
     """Conjoin the taken guard onto the silent target's out-edges, rewrite
     every guard below the target that reads the silent clock, and
-    synchronize pairs of such guards on a common path.
+    synchronize pairs of such guards on a common path; ``memo`` keeps each
+    result by the silent clock and the values that the step reads.
     """
     x_s0 = ctx.silent_clock
     tg = taken_guard(ctx)
     for s in edges.out[ctx.target]:
         g = edges.edge[s].guard
-        taken = shared.taken.get(g)
+        taken = memo.get((x_s0, g))
         if taken is None:
-            taken = shared.taken[g] = conj(g, tg)
+            taken = memo[x_s0, g] = conj(g, tg)
         edges.replace(s, ctx.target, taken)
     moved = _moved(ctx)
-    rewrites = shared.rewrite
     # depth-first over edges, each with the ``placed`` rows of its path
     stack: list[tuple[int, tuple[_Row, ...]]] = [(s, ()) for s in reversed(edges.out[ctx.target])]
     while stack:
@@ -354,10 +335,10 @@ def _update_future_guards(ctx: SilentContext, edges: _Edges, shared: _Shared) ->
         t = edges.edge[s]
         if _reads(t.guard, x_s0):
             # a guard that reads x_s0 is rewritten or raises
-            key = (t.guard, moved, placed, t.resets)
-            step = rewrites.get(key)
+            key = (x_s0, t.guard, moved, placed, t.resets)
+            step = memo.get(key)
             if step is None:
-                step = rewrites[key] = _rewrite(t.guard, x_s0, moved, placed, t.resets)
+                step = memo[key] = _rewrite(t.guard, x_s0, moved, placed, t.resets)
             new_guard, placed = step
             edges.replace(s, t.source, new_guard)
         stack.extend((c, placed) for c in reversed(edges.out[t.target]))
@@ -372,29 +353,20 @@ def remove_all_silent(t: Tree) -> Tree:
     popped node unchanged, so the search goes on at that node, and after a
     bypass at the silent target, now the node's next sibling.
 
-    Tree copies of a silent step share its work: each silent clock has a
-    table (``_Shared``) of the guards that removing its steps builds, keyed
-    on the values each step reads, so each distinct guard is built once.
-    A clock's table lives from its first silent step to the removal or
-    pruning of the last silent edge that resets it, since every key reads
-    that clock; no table outlives the call.
+    Tree copies of a silent step share its work: one memo, kept for the
+    call, maps the values that each step reads to its result, so each
+    distinct guard is built once.  The guard-building steps (taken guard,
+    bypass guard, Table 2/3 rewrite) key on the silent clock too, so
+    copies share a guard only under one silent clock.  Only results are
+    kept: a step that raises raises again on its next call.
     """
     if not t.renamed:
         raise StructuralError("silent removal requires a renamed tree")
     out = t.copy()
     edges = _Edges(out)
-    left = Counter(r for e in out.transitions if e.is_silent for r in e.resets)
-    tables: dict[Clock, _Shared] = {}
-
-    def spent(dropped: list[Transition]) -> None:
-        """Drop the table of each silent clock that no edge left resets."""
-        for e in dropped:
-            if e.is_silent:
-                (r,) = e.resets
-                left[r] -= 1
-                if not left[r]:
-                    tables.pop(r, None)
-
+    # the steps' keys never meet: they differ in length, and the two pairs,
+    # (silent guard, x_s) and (x_{s,0}, guard), in the order of their parts
+    memo: dict = {}
     stack = [out.root]
     while stack:
         n = stack.pop()
@@ -405,25 +377,20 @@ def remove_all_silent(t: Tree) -> Tree:
             stack.extend(edges.edge[c].target for c in reversed(edges.out[n]))
             continue
         silent = edges.edge[s]
-        (x_s0,) = silent.resets
-        shared = tables.get(x_s0)
-        if shared is None:
-            shared = tables[x_s0] = _Shared()
         p = edges.into.get(n)
-        ctx = _context(silent, None if p is None else edges.edge[p], shared.bounds)
+        ctx = _context(silent, None if p is None else edges.edge[p], memo)
         if ctx.bounds is None:
-            spent(edges.prune(s, out.nodes))
+            edges.prune(s, out.nodes)
             stack.append(n)
             continue
         edges.remove(s)
         if p is not None:
-            key = (ctx.predecessor.guard, silent.guard, ctx.reset_clock)
-            g = shared.bypass.get(key)
+            key = (ctx.silent_clock, ctx.predecessor.guard, silent.guard, ctx.reset_clock)
+            g = memo.get(key)
             if g is None:
-                g = shared.bypass[key] = _bypass_guard(ctx)
+                g = memo[key] = _bypass_guard(ctx)
             edges.insert_after(p, _bypass(ctx, ctx.target, g))
-        _update_future_guards(ctx, edges, shared)
-        spent([silent])
+        _update_future_guards(ctx, edges, memo)
         if p is None:
             # silent from the root: attach the target's subtree to the root.
             # Root rounds all come before the first bypass (the root is

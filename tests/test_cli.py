@@ -1,9 +1,13 @@
 """Pipeline driver: exit codes, reports, artifact determinism."""
 
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tadet.cli import (
     EXIT_NOT_EQUIVALENT,
@@ -416,3 +420,82 @@ def test_not_equivalent_payload_keeps_its_keys(tmp_path, monkeypatch, capsys):
     assert error["code"] == "not-equivalent"
     assert json.loads(error["message"]) == {
         "word": ["coin"], "times": ["1"], "direction": "left-only"}
+
+
+# both clocks of the diagonal are reset on the same edge, so it reads 0
+DIAGONAL_RESET_TOGETHER = json.dumps({
+    "format": "ta/1", "clocks": ["y", "z"],
+    "locations": [{"id": "q0"}, {"id": "q1"}, {"id": "q2", "accepting": True}],
+    "initial": "q0",
+    "transitions": [
+        {"source": "q0", "target": "q1", "action": "a", "resets": ["y", "z"]},
+        {"source": "q1", "target": "q2", "action": "b",
+         "guard": [{"left": "z", "rel": "<=", "const": 3, "right": "y"}]},
+    ],
+})
+
+
+@pytest.mark.parametrize("variant", ["std", "new", "otf"])
+def test_check_equiv_on_a_diagonal_reset_together(tmp_path, variant):
+    path = tmp_path / "diagonal.json"
+    path.write_text(DIAGONAL_RESET_TOGETHER)
+    assert main([
+        "--input", str(path), "--depth", "2", "--variant", variant, "--check-equiv"
+    ]) == EXIT_OK
+
+
+@st.composite
+def _guard_nodes(draw, clocks, depth=2):
+    """A "ta/1" guard node: an atom, diagonal or not, or a nested all/any."""
+    if depth and draw(st.integers(0, 3)) == 0:
+        parts = draw(st.lists(_guard_nodes(clocks, depth - 1), max_size=3))
+        return {draw(st.sampled_from(["all", "any"])): parts}
+    left = draw(st.sampled_from(clocks))
+    atom = {"left": left, "rel": draw(st.sampled_from(["<", "<=", "=", ">=", ">"])),
+            "const": draw(st.integers(0, 3))}
+    others = [c for c in clocks if c != left]
+    if others and draw(st.booleans()):
+        atom["right"] = draw(st.sampled_from(others))
+    return atom
+
+
+@st.composite
+def _ta_documents(draw):
+    """A small "ta/1" document: 1-3 clocks, at most 4 locations and 5
+    transitions, with diagonals, nested guards and eps edges."""
+    clocks = ["x", "y", "z"][:draw(st.integers(1, 3))]
+    ids = [f"q{i}" for i in range(draw(st.integers(1, 4)))]
+    transitions = [{
+        "source": draw(st.sampled_from(ids)),
+        "target": draw(st.sampled_from(ids)),
+        "action": draw(st.sampled_from(["a", "b", "eps"])),
+        "guard": draw(st.lists(_guard_nodes(clocks), max_size=2)),
+        "resets": draw(st.lists(st.sampled_from(clocks), max_size=2, unique=True)),
+    } for _ in range(draw(st.integers(0, 5)))]
+    return json.dumps({
+        "format": "ta/1", "clocks": clocks,
+        "locations": [{"id": q, "accepting": draw(st.booleans())} for q in ids],
+        "initial": "q0", "transitions": transitions,
+    })
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(text=_ta_documents(), depth=st.integers(1, 3),
+       variant=st.sampled_from(["std", "new", "otf"]), check=st.booleans())
+@example(text=DIAGONAL_RESET_TOGETHER, depth=2, variant="new", check=True)
+def test_random_models_end_in_an_exit_code(text, depth, variant, check):
+    # every input ends in a documented exit code; a failure is one JSON
+    # error object on stderr, never a traceback
+    argv = ["--depth", str(depth), "--variant", variant]
+    if check and depth <= 2:
+        argv.append("--check-equiv")
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        path.write_text(text)
+        with contextlib.redirect_stderr(err):
+            code = main(["--input", str(path), *argv])
+    assert code in range(6)
+    if code:
+        (line,) = err.getvalue().splitlines()
+        assert sorted(json.loads(line)["error"]) == ["code", "message"]

@@ -130,6 +130,19 @@ def test_trace_membership_matches_path_constraints():
     assert accepted and rejected
 
 
+@pytest.mark.parametrize("rel, bound, accepts_b", [("<=", 3, True), ("<", 0, False)])
+def test_diagonal_on_clocks_reset_together(rel, bound, accepts_b):
+    # z - y reads 0 after a resets both: the raw unfolding's diagonal
+    # compares two equal reset times, the renamed one two equal clocks
+    z = Clock("z")
+    m = make_automaton(["q0", "q1", "q2"], "q0", ["q2"], [Y, z], [
+        Transition("q0", "q1", "a", TRUE, frozenset((Y, z))),
+        Transition("q1", "q2", "b", Atom(z, rel, bound, Y), frozenset()),
+    ])
+    assert language_equal(unfold(m, 2), rename_clocks(unfold(m, 2))).equal
+    assert (("a", "b") in path_constraints(unfold(m, 2))) == accepts_b
+
+
 def test_bound_k_restricts_word_length():
     t1, t2 = tree_of(chain(2, 3)), tree_of(chain(2, 4))
     assert not language_equal(t1, t2).equal

@@ -419,3 +419,15 @@ def test_dot_export_shows_disjunction():
     )
     text = export_dot(d.to_automaton())
     assert "∨" in text
+
+
+def test_dot_export_escapes_quotes_and_backslashes():
+    a = make_automaton(['q"0', "q\\1"], 'q"0', ["q\\1"], [],
+                       [Transition('q"0', "q\\1", 'say "hi"', TRUE, frozenset())])
+    lines = export_dot(a).splitlines()
+    assert '  "q\\"0" [shape=circle];' in lines
+    assert '  "q\\\\1" [shape=doublecircle];' in lines
+    assert '  __init__ -> "q\\"0";' in lines
+    assert '  "q\\"0" -> "q\\\\1" [label="say \\"hi\\""];' in lines
+    # strings with neither character are written as they are
+    assert '  "q2" -> "q3" [label="ε  x>1 ∧ x<2  {x}"];' in export_dot(coffee_machine()).splitlines()
