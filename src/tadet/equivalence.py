@@ -7,21 +7,21 @@ and by the edge's guard atoms, each atom on clock x becoming a difference
 atom between t and the timestamp of x's most recent reset.  A shared
 prefix is thus extended once, not once per path below it.  Guard parts
 that are not atoms (the disjunctions of complements in determinized
-outputs) are deferred and expanded once at each accepting node, seeded
-with its zone.  Silent steps contribute internal timestamps that are
-projected out exactly, so each observable word gets a federation (a list
-of zones) over its observable timestamps: :func:`path_constraints`.  The
-zone is the one form of a word's timed language here.  Two automata
-accept the same traces for a word iff
+outputs) are deferred to the next accepting node, which meets the path's
+last branch zones with its zone and expands only the parts deferred
+since: each part once per root path.  Silent steps contribute internal
+timestamps that are projected out exactly, so each observable word gets
+a federation (a list of zones) over its observable timestamps:
+:func:`path_constraints`.  The zone is the one form of a word's timed
+language here.  Two automata accept the same traces for a word iff
 :func:`tadet.solver.difference_witness` finds no point of one federation
 outside the other.  Membership tests a trace's concrete timestamps
-against the zones, and grid sampling reads the interval that each grid
-prefix leaves the next timestamp off them.
+against the zones, and grid sampling reads the grid steps that each
+prefix leaves the next timestamp off their raw bounds.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -114,25 +114,29 @@ def path_constraints(
 
     Depth-first; each node's zone is its parent's, extended by the edge's
     timestamp, ``t >= previous``, and the edge's guard atoms.  The guard's
-    other parts wait until an accepting node, where they are expanded once
-    from its zone before the silent timestamps are projected out.
+    other parts wait until an accepting node.  There the branch zones of
+    the path's last expansion (at first, the node's zone) are met with its
+    zone and expanded by the parts deferred since; the distinct results
+    are carried below, a node left with none ends the walk, and the
+    silent timestamps are projected out.
     """
     children = tree.build_children_index()
     root = DifferenceSystem(())
     root.close()
     out: dict[tuple[str, ...], dict[tuple, DifferenceSystem]] = {}
     # (edge into the node or None at the root, the state above the edge:
-    # zone, last timestamp, reset times, deferred guard parts, observable
-    # word, silent timestamps)
+    # zone, last timestamp, reset times, guard parts deferred since the
+    # last expansion, its branch zones or None before the first one,
+    # observable word, silent timestamps)
     stack: list[tuple[Optional[Transition], tuple]] = [
-        (None, (root, ZERO_VAR, {}, (), (), ()))
+        (None, (root, ZERO_VAR, {}, (), None, (), ()))
     ]
     while stack:
         edge, state = stack.pop()
         if edge is None:
             nid = tree.root
         else:
-            zone, prev, reset_at, deferred, seen, silent = state
+            zone, prev, reset_at, deferred, branches, seen, silent = state
             if edge.is_silent:
                 var = _silent_var(len(silent) + 1)
                 silent += (var,)
@@ -155,11 +159,22 @@ def path_constraints(
             if edge.resets:
                 reset_at = {**reset_at, **dict.fromkeys(edge.resets, var)}
             nid = edge.target
-            state = (zone, var, reset_at, deferred, seen, silent)
-        zone, _, _, deferred, seen, silent = state
+            state = (zone, var, reset_at, deferred, branches, seen, silent)
+        zone, prev, reset_at, deferred, branches, seen, silent = state
         if tree.nodes[nid].accepting and (word is None or len(seen) == len(word)):
             zones = out.setdefault(seen, {})
-            systems = solver.feasible_systems(conj(*deferred), zone=zone) if deferred else (zone,)
+            systems = [zone] if branches is None else [
+                z for z in map(zone.meet, branches) if z.is_satisfiable()
+            ]
+            if deferred:
+                # distinct branches only: many choices of disjuncts give one zone
+                systems = branches = list({
+                    tuple(map(tuple, z.m)): z for met in systems
+                    for z in solver.feasible_systems(conj(*deferred), zone=met)
+                }.values())
+                state = (zone, prev, reset_at, (), branches, seen, silent)
+            if not systems:
+                continue  # no zone below is satisfiable either
             for z in systems:
                 z = z.project_out(*silent)
                 zones.setdefault(tuple(map(tuple, z.m)), z)
@@ -204,12 +219,13 @@ def sample_traces(t: Tree, grid_denominator: int) -> set[TimedTrace]:
     Each word's grid prefixes are walked depth first, each with the zones
     of the word that hold it.  A closed zone's projection onto its first
     variables is their sub-matrix, so given a prefix the next timestamp
-    ranges over one interval per holding zone
-    (:meth:`DifferenceSystem.next_bounds`).  The prefix's children are
-    the grid steps in the union of these intervals, each held by the
-    zones whose interval has it.  Every expanded prefix counts all of its
-    (max constant + 1) * d + 1 steps toward ``SAMPLE_LIMIT``, as if it
-    probed each one.  A ``grid_denominator`` that is not a positive int
+    ranges over one interval per holding zone, read off its raw bounds
+    with timestamps as ints in units of 1/d (a strict end moves by one
+    step; ``Fraction`` times are built only for emitted traces).  The
+    prefix's children are the grid steps in the union of these intervals,
+    each held by the zones whose interval has it.  Every expanded prefix
+    counts all of its (max constant + 1) * d + 1 steps toward
+    ``SAMPLE_LIMIT``, as if it probed each one.  A ``grid_denominator`` that is not a positive int
     raises :class:`ValueError`.
     """
     if not isinstance(grid_denominator, int) or grid_denominator < 1:
@@ -228,14 +244,13 @@ def sample_traces(t: Tree, grid_denominator: int) -> set[TimedTrace]:
             out.add(TimedTrace(()))
             continue
         # a prefix: the zero var's 0, then the timestamps of a prefix of
-        # the word; and the zones whose projection holds it
-        stack: list[tuple[tuple[Fraction, ...], list[DifferenceSystem]]] = [
-            ((Fraction(0),), zones)
-        ]
+        # the word, in steps of 1/d; and the zones whose projection holds it
+        stack: list[tuple[tuple[int, ...], list[DifferenceSystem]]] = [((0,), zones)]
         while stack:
             point, holding = stack.pop()
-            if len(point) > n:
-                out.add(TimedTrace(tuple(zip(point[1:], word))))
+            i = len(point)
+            if i > n:
+                out.add(TimedTrace(tuple(zip((Fraction(p, d) for p in point[1:]), word))))
                 continue
             explored += top + 1
             if explored > SAMPLE_LIMIT:
@@ -243,17 +258,16 @@ def sample_traces(t: Tree, grid_denominator: int) -> set[TimedTrace]:
             prev = point[-1]
             children: dict[int, list[DifferenceSystem]] = {}
             for z in holding:
-                low, low_strict, high, high_strict = z.next_bounds(point)
-                first, last = 0, top
-                if low is not None:
-                    # the least step s with prev + s/d at or (strict) past low
-                    s = (low - prev) * d
-                    first = max(first, math.floor(s) + 1 if low_strict else math.ceil(s))
-                if high is not None:
-                    s = (high - prev) * d
-                    last = min(last, math.ceil(s) - 1 if high_strict else math.floor(s))
+                first, last = 0, top  # steps past prev
+                for j, p in enumerate(point):
+                    b = z.m[j][i]  # p - x <= c: x >= p - c
+                    if b is not None:
+                        first = max(first, p - prev - (b >> 1) * d + (not b & 1))
+                    b = z.m[i][j]  # x - p <= c: x <= p + c
+                    if b is not None:
+                        last = min(last, p - prev + (b >> 1) * d - (not b & 1))
                 for step in range(first, last + 1):
                     children.setdefault(step, []).append(z)
             for step, inside in children.items():
-                stack.append((point + (prev + Fraction(step, d),), inside))
+                stack.append((point + (prev + step,), inside))
     return out

@@ -201,6 +201,32 @@ class DifferenceSystem:
         if lo is not None:
             self._constrain(j, i, lo)
 
+    def admits(self, a: Atom) -> bool:
+        """Whether this closed matrix stays satisfiable with the atom ``a``,
+        without a copy: each new bound against the opposite entry, as in
+        :meth:`_tighten` (an ``=`` atom's own two bounds sum to ``<= 0``)."""
+        if not self._sat:
+            return False
+        m = self.m
+        i = self._index[a.left]
+        j = 0 if a.right is None else self._index[a.right]
+        lo, up = atom_bounds(a)
+        return not (
+            up is not None and m[j][i] is not None and raw_add(m[j][i], up) < RAW_ZERO
+            or lo is not None and m[i][j] is not None and raw_add(m[i][j], lo) < RAW_ZERO
+        )
+
+    def meet(self, other: "DifferenceSystem") -> "DifferenceSystem":
+        """A copy of this closed system tightened by every entry of the
+        closed system ``other``, whose variables begin this one's: the
+        intersection of the two, closed without a full closure."""
+        out = self.copy()
+        for i, row in enumerate(other.m):
+            for j, b in enumerate(row):
+                if b is not None:
+                    out._constrain(i, j, b)
+        return out
+
     def add_nonneg(self, clocks: Iterable[Clock]) -> None:
         for c in clocks:
             if c in self._index and c != ZERO_VAR:
@@ -448,7 +474,10 @@ def feasible_systems(g: Guard, zone: Optional[DifferenceSystem] = None):
     guard's clocks; by default from ``nonneg_zone(guard_clocks(g))``.
     Disjunctions are branched one at a time with the accumulated system
     checked before descending, so an infeasible prefix cuts off all DNF
-    conjuncts below it.  More than ``DEFAULT_DNF_LIMIT`` branches raise
+    conjuncts below it.  Unit propagation drops the disjuncts that the
+    system refuses, deciding a single atom on the system itself
+    (:meth:`DifferenceSystem.admits`), any other on a copy, and commits a
+    disjunction left with one.  More than ``DEFAULT_DNF_LIMIT`` branches raise
     :class:`ResourceLimitError`.  The zone is copied at the call; the
     search runs as the systems are drawn.
     """
@@ -458,6 +487,8 @@ def feasible_systems(g: Guard, zone: Optional[DifferenceSystem] = None):
 
     def compatible(sys: DifferenceSystem, d: Guard) -> bool:
         # necessary check only: nested disjunctions of d are ignored
+        if isinstance(d, Atom):
+            return sys.admits(d)
         split = split_parts([d])
         if split is None:
             return False
@@ -558,13 +589,10 @@ def uncovered_piece(
         while stack:
             piece, todo = stack.pop()
             m = piece.m
-            # a piece of this one can only meet zones that this one meets;
-            # a negative two-cycle shows disjointness without a copy
-            todo = [
-                i for i in todo
-                if not any(m[v][u] is not None and m[v][u] <= 1 - b for u, v, b in constraints(i))
-            ]
             for n, i in enumerate(todo):
+                # a negative two-cycle shows disjointness without a copy
+                if any(m[v][u] is not None and m[v][u] <= 1 - b for u, v, b in constraints(i)):
+                    continue
                 overlap = piece.copy()
                 for u, v, b in constraints(i):
                     overlap._constrain(u, v, b)

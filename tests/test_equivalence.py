@@ -7,10 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from tadet import equivalence
+from tadet import equivalence, solver
+from tadet.cli import DETERMINIZERS, run_pipeline
 from tadet.core import (
-    Atom, Clock, ResourceLimitError, TRUE, TimedTrace, Transition, conj,
-    guard_atoms, make_automaton, map_atoms,
+    And, Atom, Clock, FalseGuard, ResourceLimitError, TRUE, TimedTrace, Transition,
+    TrueGuard, conj, guard_atoms, make_automaton, map_atoms,
 )
 from tadet.corpus import (
     NAMED_MODELS, coffee_machine, nondet_plain_c, nondet_silent_a, random_automaton,
@@ -200,6 +201,84 @@ def test_deferred_disjunctions_on_random_7_depth_3():
     new = determinize_guard_oriented(stripped)
     assert language_equal(tree, new).equal
     assert language_equal(new, determinize_standard(stripped)).equal
+
+
+def _reference_path_constraints(tree, word=None):
+    """The walk that ``path_constraints`` replaced: every guard part
+    deferred on the path is expanded from each accepting node's own zone."""
+    children = tree.build_children_index()
+    root = DifferenceSystem(())
+    root.close()
+    out = {}
+    stack = [(None, (root, ZERO_VAR, {}, (), (), ()))]
+    while stack:
+        edge, state = stack.pop()
+        if edge is None:
+            nid = tree.root
+        else:
+            zone, prev, reset_at, deferred, seen, silent = state
+            if edge.is_silent:
+                var = Clock(f"t{len(silent) + 1}'")
+                silent += (var,)
+            else:
+                var = obs_var(len(seen) + 1)
+                seen += (edge.action,)
+            zone = zone.extend(var)
+            zone.add_difference(prev, var, 0, False)
+            g = equivalence._translate_guard(edge.guard, var, reset_at)
+            for p in g.parts if isinstance(g, And) else (g,):
+                if isinstance(p, Atom):
+                    zone.add_atom(p)
+                elif isinstance(p, FalseGuard):
+                    zone = None
+                    break
+                elif not isinstance(p, TrueGuard):
+                    deferred += (p,)
+            if zone is None or not zone.is_satisfiable():
+                continue
+            if edge.resets:
+                reset_at = {**reset_at, **dict.fromkeys(edge.resets, var)}
+            nid = edge.target
+            state = (zone, var, reset_at, deferred, seen, silent)
+        zone, _, _, deferred, seen, silent = state
+        if tree.nodes[nid].accepting and (word is None or len(seen) == len(word)):
+            systems = solver.feasible_systems(conj(*deferred), zone=zone) if deferred else (zone,)
+            for z in systems:
+                out.setdefault(seen, set()).add(tuple(map(tuple, z.project_out(*silent).m)))
+        for t in reversed(children[nid]):
+            if t.is_silent or word is None or (
+                len(seen) < len(word) and t.action == word[len(seen)]
+            ):
+                stack.append((t, state))
+    return out
+
+
+def _zone_sets(found):
+    return {w: {tuple(map(tuple, z.m)) for z in zones} for w, zones in found.items()}
+
+
+def test_path_constraints_expand_each_deferred_part_once_per_path():
+    # the branches of the last accepting node, met with the next one's zone
+    # and expanded by the parts deferred since, give the zones that
+    # expanding every deferred part from that node's zone gives
+    configurations = [(NAMED_MODELS[name], k) for name, k in (
+        ("nondet-plain-c", 10), ("nondet-silent-b", 4), ("nondet-silent-d", 6))]
+    configurations += [(functools.partial(random_automaton, seed), k)
+                       for seed in range(12, 32) for k in (2, 3, 4)]
+    deferred = 0
+    for make, k in configurations:
+        for variant in DETERMINIZERS:
+            out = run_pipeline(make(), k, variant).final
+            assert _zone_sets(path_constraints(out)) == _reference_path_constraints(out)
+            deferred += any(not isinstance(g, (Atom, TrueGuard)) for t in out.transitions
+                            for g in (t.guard.parts if isinstance(t.guard, And) else (t.guard,)))
+    assert deferred >= 60  # outputs with a guard part that waits
+    out = run_pipeline(nondet_plain_c(), 10, "new").final
+    word = max(path_constraints(out), key=len)
+    assert len(word) == 10
+    restricted = path_constraints(out, word)
+    assert list(restricted) == [word]
+    assert _zone_sets(restricted) == _reference_path_constraints(out, word)
 
 
 def _move_bound(tree, rng):

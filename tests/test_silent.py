@@ -337,7 +337,7 @@ def test_stripped_copies_share_guards(name, objects, dag_edges):
 def test_silent_clock_inside_a_disjunction_is_rejected_in_every_copy():
     # a and b lead to two tree copies of the silent step and of the
     # disjunction below it that reads the silent clock; the removal's
-    # tables keep results only, so the copy that meets the guard first
+    # memo keeps results only, so the copy that meets the guard first
     # raises, and so does the one-walk DAG, which builds the guard once
     a = _chain(
         _edge("q0", "q1", "a"),

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from tadet.core import (
     Atom,
@@ -397,3 +397,49 @@ def test_extend_reset_agrees_with_reference_closure(constraints):
     if sat:
         for (u, v), b in ref.items():
             assert entry(r, u, v) == ref_raw(b)
+
+
+RELS = ["<", "<=", "=", ">=", ">"]
+
+
+def atom_over(draw, clocks):
+    left = draw(st.sampled_from(clocks))
+    right = draw(st.sampled_from([None, *(c for c in clocks if c != left)]))
+    return Atom(left, draw(st.sampled_from(RELS)), draw(st.integers(-3, 3)), right)
+
+
+def admits_by_copy(s, a):
+    probe = s.copy()
+    probe.add_atom(a)
+    return probe.is_satisfiable()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.data())
+def test_admits_agrees_with_a_copy(data):
+    # feasible_systems decides a single-atom disjunct on the closed system
+    # itself; it must agree with adding the atom to a copy
+    clocks = [X, Y, Z, W][:data.draw(st.integers(2, 4))]
+    names = [ZERO_VAR, *clocks]
+    s = DifferenceSystem(clocks)
+    for _ in range(data.draw(st.integers(0, 6))):
+        s.add_difference(data.draw(st.sampled_from(names)), data.draw(st.sampled_from(names)),
+                         data.draw(st.integers(-3, 3)), data.draw(st.booleans()))
+    assume(s.is_satisfiable())
+    before = [row[:] for row in s.m]
+    for _ in range(4):
+        a = atom_over(data.draw, clocks)
+        assert s.admits(a) == admits_by_copy(s, a)
+    assert s.m == before
+
+
+def test_an_unsatisfiable_zone_admits_no_atom():
+    s = DifferenceSystem([X, Y])
+    s.add_difference(X, ZERO_VAR, 1, False)
+    s.add_difference(ZERO_VAR, X, -2, False)
+    assert not s.is_satisfiable()
+    for left, right in ((X, None), (Y, None), (X, Y), (Y, X)):
+        for rel in RELS:
+            for bound in range(-3, 4):
+                a = Atom(left, rel, bound, right)
+                assert not s.admits(a) and not admits_by_copy(s, a)
