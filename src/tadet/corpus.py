@@ -1,144 +1,40 @@
-"""Benchmark automata: the vending machine, four small nondeterministic
-automata exercising every combination of silent transitions and
-nondeterminism, a synchronization stress example, and a seeded random
-generator of strongly responsive automata.
+"""Benchmark automata: the six bundled models and a seeded generator of
+random strongly responsive automata.
+
+``NAMED_MODELS`` maps each model's name to a zero-argument callable that
+reads ``models/<name>.json`` afresh; the README's "Model format" section
+describes the six files.
 """
 
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
-from .core import (
-    TRUE,
-    Atom,
-    Clock,
-    Guard,
-    TimedAutomaton,
-    Transition,
-    conj,
-    make_automaton,
-)
+from .core import Atom, Clock, Guard, TimedAutomaton, Transition, conj, make_automaton
+from .modelio import parse_model
 
-X = Clock("x")
-Y = Clock("y")
+MODELS_DIR = Path(__file__).resolve().parents[2] / "models"
 
 
-def _edges(rows) -> list[Transition]:
-    return [
-        Transition(src, dst, action, guard if guard is not None else TRUE, frozenset(resets))
-        for src, dst, action, guard, resets in rows
-    ]
+def _bundled(name: str):
+    def read() -> TimedAutomaton:
+        return parse_model((MODELS_DIR / f"{name}.json").read_text(encoding="utf-8"))
 
-
-def coffee_machine() -> TimedAutomaton:
-    """Vending machine with a silent internal brewing step."""
-    return make_automaton(
-        locations=["q0", "q1", "q2", "q3", "q4"],
-        initial="q0",
-        accepting=["q0"],
-        clocks=[X],
-        transitions=_edges([
-            ("q0", "q1", "coin", None, [X]),
-            ("q1", "q4", "beep", Atom(X, "=", 2), []),
-            ("q1", "q2", "beep", conj(Atom(X, ">", 0), Atom(X, "<", 3)), []),
-            ("q2", "q3", None, conj(Atom(X, ">", 1), Atom(X, "<", 2)), [X]),
-            ("q3", "q0", "coffee", Atom(X, "=", 1), []),
-            ("q4", "q0", "refund", Atom(X, "<", 4), []),
-        ]),
-    )
-
-
-def nondet_silent_a() -> TimedAutomaton:
-    """Two locations, an observable loop, and a silent way back."""
-    return make_automaton(
-        locations=["q0", "q1"],
-        initial="q0",
-        accepting=["q0"],
-        clocks=[X],
-        transitions=_edges([
-            ("q0", "q0", "alpha", Atom(X, "=", 1), [X]),
-            ("q0", "q1", "beta", conj(Atom(X, ">", 0), Atom(X, "<", 1)), []),
-            ("q1", "q0", None, Atom(X, "=", 1), [X]),
-        ]),
-    )
-
-
-def nondet_silent_b() -> TimedAutomaton:
-    """Variant of :func:`nondet_silent_a` with an extra observable loop."""
-    return make_automaton(
-        locations=["q0", "q1"],
-        initial="q0",
-        accepting=["q0"],
-        clocks=[X],
-        transitions=_edges([
-            ("q0", "q0", "alpha", Atom(X, "=", 1), [X]),
-            ("q0", "q1", "beta", conj(Atom(X, ">", 0), Atom(X, "<", 1)), []),
-            ("q1", "q1", "alpha", Atom(X, "=", 1), [X]),
-            ("q1", "q0", None, Atom(X, "=", 1), [X]),
-        ]),
-    )
-
-
-def nondet_plain_c() -> TimedAutomaton:
-    """Nondeterministic, no silent transitions."""
-    return make_automaton(
-        locations=["p1", "p2", "p3", "p4"],
-        initial="p2",
-        accepting=["p4"],
-        clocks=[X],
-        transitions=_edges([
-            ("p1", "p2", "alpha", Atom(X, ">", 0), [X]),
-            ("p2", "p1", "alpha", Atom(X, ">", 0), [X]),
-            ("p2", "p3", "alpha", Atom(X, ">", 0), []),
-            ("p3", "p4", "alpha", Atom(X, "=", 1), []),
-        ]),
-    )
-
-
-def nondet_silent_d() -> TimedAutomaton:
-    """:func:`nondet_plain_c` plus a silent transition back into the cycle."""
-    return make_automaton(
-        locations=["p1", "p2", "p3", "p4"],
-        initial="p2",
-        accepting=["p4"],
-        clocks=[X],
-        transitions=_edges([
-            ("p1", "p2", "alpha", Atom(X, ">", 0), [X]),
-            ("p2", "p1", "alpha", Atom(X, ">", 0), [X]),
-            ("p2", "p3", "alpha", Atom(X, ">", 0), []),
-            ("p3", "p4", "alpha", Atom(X, "=", 1), []),
-            ("p4", "p2", None, conj(Atom(X, ">", 1), Atom(X, "<", 3)), [X]),
-        ]),
-    )
-
-
-def sync_chain() -> TimedAutomaton:
-    """Leading silent transition whose reset is read by two later guards.
-
-    Exercises the synchronization step of silent removal: the two later
-    guards both constrain the silent clock, so removing the silent
-    transition must couple them.
-    """
-    return make_automaton(
-        locations=["q0", "q1", "q2", "q3"],
-        initial="q0",
-        accepting=["q3"],
-        clocks=[X],
-        transitions=_edges([
-            ("q0", "q1", None, conj(Atom(X, ">", 1), Atom(X, "<", 2)), [X]),
-            ("q1", "q2", "alpha", Atom(X, "=", 2), []),
-            ("q2", "q3", "alpha", Atom(X, "=", 4), []),
-        ]),
-    )
+    read.__name__ = name.replace("-", "_")  # e.g. coffee_machine, as pytest ids print it
+    return read
 
 
 NAMED_MODELS = {
-    "coffee-machine": coffee_machine,
-    "nondet-silent-a": nondet_silent_a,
-    "nondet-silent-b": nondet_silent_b,
-    "nondet-plain-c": nondet_plain_c,
-    "nondet-silent-d": nondet_silent_d,
-    "sync-chain": sync_chain,
+    name: _bundled(name)
+    for name in (
+        "coffee-machine",
+        "nondet-silent-a",
+        "nondet-silent-b",
+        "nondet-plain-c",
+        "nondet-silent-d",
+        "sync-chain",
+    )
 }
 
 
@@ -186,8 +82,7 @@ def random_automaton(seed: int) -> TimedAutomaton:
         transitions.append(
             Transition(locs[si], locs[ti], action, guard, frozenset(resets))
         )
-    # every location needs an observable way onward for strong responsiveness
-    # to be meaningful; acceptance is a random nonempty subset
+    # acceptance is a random nonempty subset
     n_acc = rng.randint(1, n)
     accepting = rng.sample(locs, n_acc)
     return make_automaton(

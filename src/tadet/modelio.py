@@ -299,7 +299,8 @@ def import_uppaal_xml(text: str) -> TimedAutomaton:
     synchronization labels naming a channel (``tau`` for silent).  State
     variables, committed or urgent locations, location labels (invariants
     among them), and multiple templates are rejected, and so are
-    transitions whose source or target is missing or names no location.
+    transitions whose source or target is missing or names no location,
+    and a channel named ``eps``, the name "ta/1" reserves for silent steps.
     """
     try:
         root = ET.fromstring(text)
@@ -323,6 +324,8 @@ def import_uppaal_xml(text: str) -> TimedAutomaton:
             raise UnsupportedXmlError(f"empty {kind} name in {stmt!r}")
         if kind == "clock":
             clocks.update((n, Clock(n)) for n in declared)
+        elif "eps" in declared:  # "ta/1" writes silent steps as "eps"
+            raise UnsupportedXmlError(f"reserved channel name 'eps' in {stmt!r}")
         else:
             channels.update(declared)
 

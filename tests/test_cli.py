@@ -21,7 +21,7 @@ from tadet.cli import (
 )
 from tadet import solver
 from tadet.core import guard_atoms
-from tadet.corpus import NAMED_MODELS, coffee_machine, random_automaton
+from tadet.corpus import NAMED_MODELS, random_automaton
 from tadet.determinize import (
     check_deterministic,
     determinize_guard_oriented,
@@ -33,6 +33,8 @@ from tadet.silent import remove_all_silent
 from tadet.unfold import rename_clocks, unfold
 
 from dags import path_count
+
+coffee_machine = NAMED_MODELS["coffee-machine"]
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 COFFEE = str(MODELS / "coffee-machine.json")

@@ -30,10 +30,12 @@ from tadet.core import (
     simplify_conjunction,
     Transition,
 )
-from tadet.corpus import coffee_machine
+from tadet.corpus import NAMED_MODELS
 from tadet.unfold import unfold
 
 from runs import check_run, eval_guard, run_of, timed_trace
+
+coffee_machine = NAMED_MODELS["coffee-machine"]
 
 X = Clock("x")
 Y = Clock("y")

@@ -20,7 +20,7 @@ from tadet.core import (
     level_clock,
     make_automaton,
 )
-from tadet.corpus import NAMED_MODELS, coffee_machine, random_automaton
+from tadet.corpus import NAMED_MODELS, random_automaton
 from tadet.determinize import (
     _reaches_outside,
     _regions,
@@ -38,6 +38,8 @@ from tadet.unfold import rename_clocks, unfold
 
 from dags import path_count, unfolded
 from guards import equivalent
+
+coffee_machine = NAMED_MODELS["coffee-machine"]
 
 X1, X2 = level_clock(1), level_clock(2)
 

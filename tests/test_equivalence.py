@@ -13,9 +13,7 @@ from tadet.core import (
     And, Atom, Clock, FalseGuard, ResourceLimitError, TRUE, TimedTrace, Transition,
     TrueGuard, conj, guard_atoms, make_automaton, map_atoms,
 )
-from tadet.corpus import (
-    NAMED_MODELS, coffee_machine, nondet_plain_c, nondet_silent_a, random_automaton,
-)
+from tadet.corpus import NAMED_MODELS, random_automaton
 from tadet.determinize import determinize_guard_oriented, determinize_standard
 from tadet.equivalence import (
     language_equal,
@@ -29,6 +27,10 @@ from tadet.solver import DifferenceSystem, ZERO_VAR
 from tadet.unfold import rename_clocks, unfold
 
 from runs import timed_trace
+
+coffee_machine = NAMED_MODELS["coffee-machine"]
+nondet_plain_c = NAMED_MODELS["nondet-plain-c"]
+nondet_silent_a = NAMED_MODELS["nondet-silent-a"]
 
 X = Clock("x")
 Y = Clock("y")

@@ -22,7 +22,7 @@ from tadet.core import (
     make_automaton,
 )
 from tadet.cli import EXIT_PARSE, main
-from tadet.corpus import NAMED_MODELS, coffee_machine, random_automaton
+from tadet.corpus import NAMED_MODELS, random_automaton
 from tadet.determinize import (
     determinize_guard_oriented,
     determinize_standard,
@@ -38,6 +38,8 @@ from tadet.modelio import (
 )
 from tadet.silent import remove_all_silent
 from tadet.unfold import rename_clocks, unfold
+
+coffee_machine = NAMED_MODELS["coffee-machine"]
 
 MODELS_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -56,9 +58,13 @@ def test_serialize_parse_round_trip(name):
 
 @pytest.mark.parametrize("name", sorted(NAMED_MODELS))
 def test_bundled_files_match_corpus(name):
+    # NAMED_MODELS reads exactly the bundled files, each canonical, afresh
+    assert sorted(NAMED_MODELS) == sorted(p.stem for p in MODELS_DIR.glob("*.json"))
     text = (MODELS_DIR / f"{name}.json").read_text()
-    assert serialize_model(NAMED_MODELS[name]()) == text
     assert serialize_model(parse_model(text)) == text
+    first = NAMED_MODELS[name]()
+    assert NAMED_MODELS[name]() == first
+    assert serialize_model(first) == text
 
 
 def test_pipeline_output_round_trips():
@@ -306,6 +312,7 @@ def test_uppaal_rejects_committed_locations():
     pytest.param('clock x;', 'clock x, ;', "empty clock name", id="empty-clock-name"),
     pytest.param('chan alpha, tau;', 'chan alpha, , tau;', "empty chan name",
                  id="empty-channel-name"),
+    pytest.param('alpha', 'eps', "reserved channel name 'eps'", id="eps-channel"),
 ])
 def test_uppaal_rejects_malformed_locations_and_transitions(old, new, message, tmp_path, capsys):
     assert old in UPPAAL
@@ -378,8 +385,11 @@ def _reads_or_rejects(read, text):
         a = read(text)
     except (ParseError, UnsupportedXmlError):
         return
-    # what a reader accepts, the JSON reader reads back
-    assert serialize_model(parse_model(serialize_model(a))) == serialize_model(a)
+    # what a reader accepts, the JSON reader reads back, as text and as value
+    text = serialize_model(a)
+    b = parse_model(text)
+    assert serialize_model(b) == text
+    assert b == a
 
 
 @settings(max_examples=100, deadline=None)
@@ -401,6 +411,7 @@ def test_parse_model_on_mutated_models(text):
 @example(UPPAAL.replace("x&lt;=3", "x&lt;=" + "9" * 5000))
 @example(UPPAAL.replace("clock x;", "clock x, ;"))  # an empty name
 @example(UPPAAL.replace("chan alpha, tau;", "chan alpha, tau, ;"))
+@example(UPPAAL.replace("alpha", "eps"))  # an observable step on a silent name
 def test_uppaal_import_on_mutated_documents(text):
     _reads_or_rejects(import_uppaal_xml, text)
 

@@ -17,7 +17,7 @@ from tadet.core import (
     make_automaton,
     silent_clock,
 )
-from tadet.corpus import NAMED_MODELS, coffee_machine, random_automaton, sync_chain
+from tadet.corpus import NAMED_MODELS, random_automaton
 from tadet.modelio import serialize_model
 from tadet.equivalence import language_equal, trace_in_language
 from tadet.silent import (
@@ -31,6 +31,9 @@ from tadet.unfold import rename_clocks, unfold
 
 from guards import equivalent
 from runs import timed_trace
+
+coffee_machine = NAMED_MODELS["coffee-machine"]
+sync_chain = NAMED_MODELS["sync-chain"]
 
 X1, X2 = level_clock(1), level_clock(2)
 

@@ -6,19 +6,17 @@ from tadet.core import (
     Atom, Clock, StructuralError, Transition, TrueGuard, guard_clocks,
     level_clock, make_automaton,
 )
-from tadet.corpus import (
-    NAMED_MODELS,
-    coffee_machine,
-    nondet_plain_c,
-    nondet_silent_a,
-    nondet_silent_b,
-    nondet_silent_d,
-    random_automaton,
-)
+from tadet.corpus import NAMED_MODELS, random_automaton
 from tadet.silent import stripped_unfolding
 from tadet.unfold import Tree, prune_nonaccepting, rename_clocks, unfold
 
 from dags import path_count, unfolded
+
+coffee_machine = NAMED_MODELS["coffee-machine"]
+nondet_plain_c = NAMED_MODELS["nondet-plain-c"]
+nondet_silent_a = NAMED_MODELS["nondet-silent-a"]
+nondet_silent_b = NAMED_MODELS["nondet-silent-b"]
+nondet_silent_d = NAMED_MODELS["nondet-silent-d"]
 
 X0 = level_clock(0)
 
