@@ -429,6 +429,8 @@ class TimedAutomaton:
         for i, t in enumerate(self.transitions):
             if t.source not in self.locations or t.target not in self.locations:
                 raise StructuralError(f"transition {i} endpoint not declared")
+            if t.action == "eps":  # "ta/1" reads the name as silent
+                raise StructuralError(f"transition {i} is observable on the silent name 'eps'")
             for c in guard_clocks(t.guard) | t.resets:
                 if c not in self.clocks:
                     raise StructuralError(f"transition {i} references undeclared clock {c.name}")

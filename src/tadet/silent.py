@@ -1,11 +1,11 @@
 """Removal of silent transitions from a renamed unfolded tree.
 
-Each round removes the first-from-root silent transition by building a
-bypass transition guarded with the enabling guard, conjoining the taken
-guard onto the silent target's successors, rewriting every future guard
-that refers to the silent transition's reset clock, and adding
-synchronization constraints between such future guards on the same path.
-The output accepts exactly the same observable timed traces.
+Removing a silent transition builds a bypass transition guarded with the
+enabling guard, conjoins the taken guard onto the silent target's
+successors, rewrites every future guard that refers to the silent
+transition's reset clock, and adds synchronization constraints between such
+future guards on the same path.  The output accepts exactly the same
+observable timed traces.
 
 Guards are read as bound tables (:func:`tadet.core.add_bounds`), the same
 table behind :func:`tadet.core.simplify_conjunction`, whose rows are raw
@@ -13,32 +13,28 @@ difference bounds.  The enabling guard and Tables 2/3 tighten a table by
 sums of such bounds (:func:`tadet.core.raw_add`), and every rewritten
 guard is written back from one.
 
-The rounds share one index of the tree's edges (each node's out-edges and
-incoming edge, and the list order as a linked list) that is updated in
-place as edges move, so a round costs the size of the silent target's
-subtree, not of the whole tree.
+Both routes make one walk down the tree.  A removal is carried down as a
+rewrite that the guards below still owe (``_Owed``), and each edge pays
+what it owes once (:func:`_pay`): :func:`remove_all_silent` on a renamed
+tree, and :func:`stripped_unfolding` straight from the model, which
+unfolds, renames and strips each node of the unfolding once, as a DAG.
 
 Tree copies of a silent step share its guards.  One memo, kept for the
-call as :func:`stripped_unfolding` keeps its own, maps the values that each
-step reads (the silent guard's bounds, and with the silent clock the bypass
-guard, the taken-guard conjunction and the Table 2/3 rewrite of a future
-guard) to the step's result.  So each distinct guard is built once per
-call, every copy holds the same object, and the caches that later stages
-keep per guard object (``guard_clocks``' set, the merge's search memo,
-``serialize_model``'s text) hit across copies.  A guard that does not read
-the silent clock is passed without a lookup.
-
-:func:`stripped_unfolding` gives the same result straight from the model,
-as a DAG: it unfolds, renames and strips each node once, with the same
-per-edge steps (:func:`_context`, :func:`enabling_guard`, the Table 2/3
-rewrite of one guard), and carries each removal down as a rewrite that the
-guards below still owe.
+call, maps the values that each step reads (the silent guard's bounds, and
+with the silent clock the bypass guard, the taken-guard conjunction and
+the Table 2/3 rewrite of a future guard) to the step's result.  So each
+distinct guard is built once per call, every copy holds the same object,
+and the caches that later stages keep per guard object (``guard_clocks``'
+set, the merge's search memo, ``serialize_model``'s text) hit across
+copies.  A guard that does not read the silent clock is passed without a
+lookup.  Only results are kept: a step that raises raises again on its
+next call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .core import (
     FALSE,
@@ -74,6 +70,7 @@ class SilentContext:
     """Everything Algorithm 1 needs about one first-from-root silent transition."""
 
     silent_clock: Clock         # x_{s,0}, the clock reset on tau_{s,0}
+    guard: Guard                # g_{s,0}
     target: int                 # q_{s,0}
     predecessor: Optional[Transition]  # tau_s, observable edge into q_s (None at root)
     reset_clock: Clock          # x_s: reset of tau_s, or x_0 at the root
@@ -114,6 +111,7 @@ def _context(silent: Transition, pred: Optional[Transition], memo: dict) -> Sile
     bounds, exact = found
     return SilentContext(
         silent_clock=x_s0,
+        guard=silent.guard,
         target=silent.target,
         predecessor=pred,
         reset_clock=x_s,
@@ -168,63 +166,6 @@ def _add_sums(bounds: BoundTable, key: tuple[Clock, None], row: list, on: list) 
     for side in (0, 1):
         if row[side] is not None and on[side] is not None:
             tighten(bounds, key, side, raw_add(row[side], on[side]))
-
-
-class _Edges:
-    """The edges of a tree under removal, by slot, with the structural
-    indexes kept up to date as edges move.
-
-    The input edges take slots 0..m-1 in list order; a bypass takes the
-    next free slot and is linked into the list order right after its
-    predecessor.
-    """
-
-    def __init__(self, tree: Tree) -> None:
-        self.edge: list[Optional[Transition]] = list(tree.transitions)  # None once removed
-        self.after: list[int] = [*range(1, len(self.edge)), -1]  # next slot in list order
-        self.out: dict[int, list[int]] = {n: [] for n in tree.nodes}  # in list order
-        self.into: dict[int, int] = {}
-        for s, t in enumerate(self.edge):
-            self.out[t.source].append(s)
-            self.into[t.target] = s
-
-    def replace(self, s: int, source: int, guard: Guard) -> None:
-        t = self.edge[s]
-        self.edge[s] = Transition(source, t.target, t.action, guard, t.resets)
-
-    def insert_after(self, pred: int, t: Transition) -> None:
-        s = len(self.edge)
-        self.edge.append(t)
-        self.after.append(self.after[pred])
-        self.after[pred] = s
-        siblings = self.out[t.source]
-        siblings.insert(siblings.index(pred) + 1, s)
-        self.into[t.target] = s
-
-    def remove(self, s: int) -> None:
-        self.out[self.edge[s].source].remove(s)
-        self.edge[s] = None
-
-    def prune(self, s: int, nodes: dict[int, TreeNode]) -> None:
-        """Drop an edge that can never fire, together with everything below
-        it."""
-        stack = [self.edge[s].target]
-        self.remove(s)
-        while stack:
-            n = stack.pop()
-            del nodes[n], self.into[n]
-            for c in self.out.pop(n):
-                stack.append(self.edge[c].target)
-                self.edge[c] = None
-
-    def transitions(self) -> list[Transition]:
-        out: list[Transition] = []
-        s = 0 if self.edge else -1
-        while s != -1:
-            if self.edge[s] is not None:
-                out.append(self.edge[s])
-            s = self.after[s]
-        return out
 
 
 # a row of a bound table, keyed as in core.add_bounds, its raw bounds
@@ -292,20 +233,6 @@ def _rewrite(g: Guard, x_s0: Clock, moved: tuple[_Row, ...], placed: tuple[_Row,
     return new_guard, (*placed, ((own_reset, None), (on[1], on[0])))
 
 
-def _bypass_guard(ctx: SilentContext) -> Guard:
-    """The guard of a removed silent step's bypass: the predecessor's guard
-    with the enabling guard."""
-    return simplify_conjunction(conj(ctx.predecessor.guard, enabling_guard(ctx)))
-
-
-def _bypass(ctx: SilentContext, target, guard: Guard) -> Transition:
-    """The bypass of a removed silent step, guarded by ``guard``
-    (:func:`_bypass_guard`): its predecessor's source, action and reset,
-    into ``target``."""
-    pred = ctx.predecessor
-    return Transition(pred.source, target, pred.action, guard, frozenset((ctx.reset_clock,)))
-
-
 def _reads(g: Guard, clock: Clock) -> bool:
     """Whether ``g`` reads ``clock``; an atom is tested without a set."""
     if isinstance(g, Atom):
@@ -313,98 +240,113 @@ def _reads(g: Guard, clock: Clock) -> bool:
     return clock in guard_clocks(g)
 
 
-def _update_future_guards(ctx: SilentContext, edges: _Edges, memo: dict) -> None:
-    """Conjoin the taken guard onto the silent target's out-edges, rewrite
-    every guard below the target that reads the silent clock, and
-    synchronize pairs of such guards on a common path; ``memo`` keeps each
-    result by the silent clock and the values that the step reads.
-    """
-    x_s0 = ctx.silent_clock
-    tg = taken_guard(ctx)
-    for s in edges.out[ctx.target]:
-        g = edges.edge[s].guard
-        taken = memo.get((x_s0, g))
-        if taken is None:
-            taken = memo[x_s0, g] = conj(g, tg)
-        edges.replace(s, ctx.target, taken)
-    moved = _moved(ctx)
-    # depth-first over edges, each with the ``placed`` rows of its path
-    stack: list[tuple[int, tuple[_Row, ...]]] = [(s, ()) for s in reversed(edges.out[ctx.target])]
-    while stack:
-        s, placed = stack.pop()
-        t = edges.edge[s]
-        if _reads(t.guard, x_s0):
+# A rewrite owed by one removed silent step: its silent clock, its Table 2
+# rows (``_moved``), the Table 3 rows of its path so far (``_rewrite``'s
+# ``placed``), and its taken guard while at its target, else None.
+_Owed = tuple[Clock, tuple[_Row, ...], tuple[_Row, ...], Atom | None]
+
+
+def _pay(g: Guard, resets: frozenset[Clock], owed: Iterable[_Owed],
+         memo: dict) -> tuple[Guard, list[_Owed]]:
+    """Pay the rewrites ``owed`` on one edge, its guard ``g`` and its reset
+    ``resets``: each conjoins its taken guard, then rewrites the guard by
+    Tables 2/3 if it reads the silent clock.  Returns the guard and the
+    rewrites that the edge's target owes; ``memo`` keeps each result by the
+    silent clock and the values that the step reads."""
+    below = []
+    for x_s0, moved, placed, taken in owed:
+        if taken is not None:
+            found = memo.get((x_s0, g))
+            if found is None:
+                found = memo[x_s0, g] = conj(g, taken)
+            g = found
+        if _reads(g, x_s0):
             # a guard that reads x_s0 is rewritten or raises
-            key = (x_s0, t.guard, moved, placed, t.resets)
+            key = (x_s0, g, moved, placed, resets)
             step = memo.get(key)
             if step is None:
-                step = memo[key] = _rewrite(t.guard, x_s0, moved, placed, t.resets)
-            new_guard, placed = step
-            edges.replace(s, t.source, new_guard)
-        stack.extend((c, placed) for c in reversed(edges.out[t.target]))
+                step = memo[key] = _rewrite(g, x_s0, moved, placed, resets)
+            g, placed = step
+        below.append((x_s0, moved, placed, None))
+    return g, below
+
+
+def _bypass(ctx: SilentContext, target, memo: dict) -> Transition:
+    """The bypass of a removed silent step: its predecessor's source, action
+    and reset, into ``target``, guarded by the predecessor's guard with the
+    enabling guard; ``memo`` keeps that guard by the silent clock and the
+    values that it reads."""
+    pred = ctx.predecessor
+    key = (ctx.silent_clock, pred.guard, ctx.guard, ctx.reset_clock)
+    g = memo.get(key)
+    if g is None:
+        g = memo[key] = simplify_conjunction(conj(pred.guard, enabling_guard(ctx)))
+    return Transition(pred.source, target, pred.action, g, frozenset((ctx.reset_clock,)))
 
 
 def remove_all_silent(t: Tree) -> Tree:
-    """Iterate Algorithm 1 until no silent transitions remain.
+    """Algorithm 1 on every silent transition of ``t``, in one walk down
+    the tree.
 
-    Each round removes the first silent transition in depth-first
-    (transition-list) order.  The search resumes after each round instead
-    of restarting from the root: a round leaves everything before the
-    popped node unchanged, so the search goes on at that node, and after a
-    bypass at the silent target, now the node's next sibling.
+    A silent step that can fire is replaced by its bypass, and its removal
+    is owed by the guards below its target (``_Owed``).  The bypass follows
+    the edge into the step's source, so a chain of silent steps gives a
+    chain of bypasses; the out-edges of a silent target at the root join
+    the root's instead.  A silent step that can never fire is dropped with
+    its subtree, whose guards still pay what they owe, so that this and
+    :func:`stripped_unfolding` reject the same inputs.
 
-    Tree copies of a silent step share its work: one memo, kept for the
-    call, maps the values that each step reads to its result, so each
-    distinct guard is built once.  The guard-building steps (taken guard,
-    bypass guard, Table 2/3 rewrite) key on the silent clock too, so
-    copies share a guard only under one silent clock.  Only results are
-    kept: a step that raises raises again on its next call.
+    Node ids are the input's.  Edges keep the input's list order, each kept
+    observable edge followed by the bypasses that removal puts after it,
+    the bypasses of a later silent step first; the walk does not depend on
+    that order.  Tree copies of a silent step share its guards: one memo,
+    kept for the call, maps the values that each step reads to its result,
+    and the guard-building steps key on the silent clock too, so copies
+    share a guard only under one silent clock.
     """
     if not t.renamed:
         raise StructuralError("silent removal requires a renamed tree")
-    out = t.copy()
-    edges = _Edges(out)
+    children = t.build_children_index()
     # the steps' keys never meet: they differ in length, and the two pairs,
     # (silent guard, x_s) and (x_{s,0}, guard), in the order of their parts
     memo: dict = {}
-    stack = [out.root]
+    kept: dict[int, Transition] = {}  # kept observable edges, by target
+    bypasses: dict[int, list[Transition]] = {}  # by the silent steps' source
+    # a node, the edge into it (None at the root and at the root's silent
+    # targets, whose out-edges leave the root), the rewrites that it owes
+    stack: list[tuple[int, Optional[Transition], list[_Owed]]] = [(t.root, None, [])]
     while stack:
-        n = stack.pop()
-        if n not in out.nodes:
-            continue  # pruned
-        s = next((s for s in edges.out[n] if edges.edge[s].is_silent), None)
-        if s is None:
-            stack.extend(edges.edge[c].target for c in reversed(edges.out[n]))
-            continue
-        silent = edges.edge[s]
-        p = edges.into.get(n)
-        ctx = _context(silent, None if p is None else edges.edge[p], memo)
-        if ctx.bounds is None:
-            edges.prune(s, out.nodes)
-            stack.append(n)
-            continue
-        edges.remove(s)
-        if p is not None:
-            key = (ctx.silent_clock, ctx.predecessor.guard, silent.guard, ctx.reset_clock)
-            g = memo.get(key)
-            if g is None:
-                g = memo[key] = _bypass_guard(ctx)
-            edges.insert_after(p, _bypass(ctx, ctx.target, g))
-        _update_future_guards(ctx, edges, memo)
-        if p is None:
-            # silent from the root: attach the target's subtree to the root.
-            # Root rounds all come before the first bypass (the root is
-            # searched first and never gets a silent edge back), so slot
-            # numbers are still list positions here.
-            moved = edges.out.pop(ctx.target)
-            for c in moved:
-                edges.replace(c, n, edges.edge[c].guard)
-            edges.out[n] = sorted(edges.out[n] + moved)
-            del out.nodes[ctx.target], edges.into[ctx.target]
-            stack.append(n)
-        else:
-            stack += [ctx.target, n]
-    out.transitions = edges.transitions()
+        n, pred, owed = stack.pop()
+        for e in children[n]:
+            g, below = _pay(e.guard, e.resets, owed, memo)
+            if not e.is_silent:
+                kept[e.target] = out = Transition(
+                    t.root if pred is None else n, e.target, e.action, g, e.resets)
+                stack.append((e.target, out, below))
+                continue
+            ctx = _context(Transition(n, e.target, None, g, e.resets), pred, memo)
+            if ctx.bounds is None:
+                dead = [(e.target, below)]
+                while dead:
+                    m, owed_m = dead.pop()
+                    dead += [(c.target, _pay(c.guard, c.resets, owed_m, memo)[1])
+                             for c in children[m]]
+                continue
+            below.append((ctx.silent_clock, _moved(ctx), (), taken_guard(ctx)))
+            b = None if pred is None else _bypass(ctx, e.target, memo)
+            if b is not None:
+                bypasses.setdefault(n, []).append(b)
+            stack.append((e.target, b, below))
+
+    out = Tree(root=t.root, renamed=True)
+    for e in t.transitions:
+        chain = [kept[e.target]] if e.target in kept else []
+        while chain:
+            b = chain.pop()
+            out.transitions.append(b)
+            chain += bypasses.get(b.target, ())
+    reached = {t.root, *(e.target for e in out.transitions)}
+    out.nodes = {n: info for n, info in t.nodes.items() if n in reached}
     return out
 
 
@@ -417,10 +359,6 @@ def remove_all_silent(t: Tree) -> Tree:
 # above still owe the guards below (``_live``).  Equal nodes root equal
 # subtrees.
 _Node = tuple
-# A rewrite owed by one removed silent step: its silent clock, its Table 2
-# rows (``_moved``), the Table 3 rows of its path so far (``_rewrite``'s
-# ``placed``), and its taken guard while at its target, else None.
-_Owed = tuple[Clock, tuple[_Row, ...], tuple[_Row, ...], Atom | None]
 
 
 def _live(owed: list[_Owed], held: tuple[Clock, ...]) -> tuple[_Owed, ...]:
@@ -448,18 +386,19 @@ def stripped_unfolding(a: TimedAutomaton, k: int) -> Tree:
     once, however many runs reach it.
 
     A node is keyed by what its stripped subtree depends on (``_Node``).
-    Its out-edges are the ones that :func:`remove_all_silent` gives every
-    tree copy of it, in the same order: each observable out-edge, followed
-    by the bypasses that removing the silent steps below it puts after it,
-    the bypasses of a later silent step first.  A node's silent steps are
-    rewritten like any edge, and their removal is carried down as an owed
-    rewrite (``_Owed``), applied edge by edge as the unfolding grows.  At
-    the root, the silent targets' out-edges join the root's own, in the
-    unfolding's depth-first order.  Every walk is iterative.
+    Its out-edges are the ones that :func:`remove_all_silent` gives each
+    tree copy of it, in the same order, with the same guards: each
+    observable out-edge, followed by the bypasses that removing the silent
+    steps below it puts after it, the bypasses of a later silent step
+    first.  Each edge pays the rewrites that its node owes (:func:`_pay`)
+    as the unfolding grows.  At the root, the silent targets' out-edges
+    join the root's own, in the unfolding's depth-first order.  Every walk
+    is iterative.
     """
     out_edges = _out_edges(a, k)
     clocks = sorted(a.clocks)
     expanded: dict[_Node, list[Transition]] = {}
+    memo: dict = {}  # as in remove_all_silent
 
     def expand(node: _Node) -> list[Transition]:
         """The node's out-edges in the renamed unfolding, each guard
@@ -478,14 +417,7 @@ def stripped_unfolding(a: TimedAutomaton, k: int) -> Tree:
                 child = (t.target, level + 1, None)
                 fresh = level_clock(level + 1)
             resets = frozenset((fresh,))
-            owed_below = []
-            for x_s0, moved, placed, taken in owed:
-                if taken is not None:
-                    g = conj(g, taken)
-                step = _rewrite(g, x_s0, moved, placed, resets)
-                if step is not None:
-                    g, placed = step
-                owed_below.append((x_s0, moved, placed, None))
+            g, owed_below = _pay(g, resets, owed, memo)
             child_held = tuple(fresh if c in t.resets else h for c, h in zip(clocks, held))
             target = (*child, child_held, _live(owed_below, child_held))
             edges.append(Transition(node, target, t.action, g, resets))
@@ -499,12 +431,11 @@ def stripped_unfolding(a: TimedAutomaton, k: int) -> Tree:
         return (loc, level, index, held, (*owed, own))
 
     checked: set[_Node] = set()
-    silent_bounds: dict = {}  # for _context
 
     def pruned(node: _Node) -> None:
         """Rewrite every guard below a silent step that can never fire, as
-        the staged removal does before it prunes them, so that both reject
-        the same inputs."""
+        :func:`remove_all_silent` does before it drops them, so that both
+        reject the same inputs."""
         stack = [node]
         while stack:
             n = stack.pop()
@@ -518,7 +449,7 @@ def stripped_unfolding(a: TimedAutomaton, k: int) -> Tree:
         out = []
         for s in expand(node):
             if s.is_silent:
-                ctx = _context(s, pred, silent_bounds)
+                ctx = _context(s, pred, memo)
                 if ctx.bounds is None:
                     pruned(s.target)
                 else:
@@ -532,7 +463,7 @@ def stripped_unfolding(a: TimedAutomaton, k: int) -> Tree:
         while stack:
             e = stack.pop()
             out.append(e)
-            stack += [_bypass(ctx, owing(ctx), _bypass_guard(ctx))
+            stack += [_bypass(ctx, owing(ctx), memo)
                       for ctx in removals(e.target, e)]
         return out
 

@@ -102,15 +102,6 @@ class Tree:
             transitions=self.transitions,
         )
 
-    def copy(self) -> "Tree":
-        return Tree(
-            root=self.root,
-            nodes={n: TreeNode(i.origin, i.obs_level, i.silent_index, i.accepting)
-                   for n, i in self.nodes.items()},
-            transitions=list(self.transitions),
-            renamed=self.renamed,
-        )
-
 
 # ---------------------------------------------------------------------------
 # unfolding

@@ -192,6 +192,13 @@ def test_run_ending_silently_is_not_well_behaving():
     assert check_run(a, r, require_well_behaving=False)
 
 
+def test_observable_step_on_the_silent_name_is_rejected():
+    # "ta/1" writes a silent step's action as "eps" and reads it back as
+    # silent, so an observable "eps" would not round-trip
+    with pytest.raises(StructuralError, match="eps"):
+        make_automaton(["p", "q"], "p", ["q"], [], [Transition("p", "q", "eps")])
+
+
 def test_strong_responsiveness():
     assert check_strong_responsiveness(coffee_machine())
     looped = make_automaton(

@@ -24,7 +24,7 @@ from tadet.equivalence import (
 )
 from tadet.silent import remove_all_silent
 from tadet.solver import DifferenceSystem, ZERO_VAR
-from tadet.unfold import rename_clocks, unfold
+from tadet.unfold import Tree, rename_clocks, unfold
 
 from runs import timed_trace
 
@@ -296,7 +296,7 @@ def _move_bound(tree, rng):
     def move(a):
         return Atom(a.left, a.rel, a.bound + delta, a.right) if next(seen) == j else a
 
-    out = tree.copy()
+    out = Tree(tree.root, tree.nodes, list(tree.transitions), tree.renamed)
     t = out.transitions[i]
     out.transitions[i] = Transition(t.source, t.target, t.action, map_atoms(t.guard, move), t.resets)
     return out

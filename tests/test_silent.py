@@ -27,8 +27,9 @@ from tadet.silent import (
     stripped_unfolding,
     taken_guard,
 )
-from tadet.unfold import rename_clocks, unfold
+from tadet.unfold import Tree, rename_clocks, unfold
 
+from dags import unfolded
 from guards import equivalent
 from runs import timed_trace
 
@@ -377,3 +378,50 @@ def test_removal_on_a_deep_tree():
     for nid in reached:
         reached.extend(tr.target for tr in children[nid])
     assert sorted(reached) == sorted(t.nodes)
+
+
+def _text(tree):
+    return serialize_model(tree.to_automaton())
+
+
+@pytest.mark.parametrize("make,k", [
+    *[pytest.param(NAMED_MODELS[name], k, id=f"{name}-{k}")
+      for name in NAMED_MODELS for k in range(1, 6)],
+    *[pytest.param(lambda s=s: random_automaton(s), 2 + s % 3, id=f"random-{s}")
+      for s in range(60)],
+])
+def test_stripped_dag_unfolds_to_the_stripped_tree(make, k):
+    # both routes pay each edge's owed rewrites with one helper; the DAG,
+    # unfolded, is the stripped tree, edge order and guards included
+    a = make()
+    tree = remove_all_silent(rename_clocks(unfold(a, k)))
+    assert _text(unfolded(stripped_unfolding(a, k))) == _text(unfolded(tree))
+
+
+def test_removal_does_not_depend_on_edge_list_order():
+    # the removal walks the tree, not its edge list: on a reversed list it
+    # removes the same steps and keeps the list's order, bypasses after
+    # their predecessors; the digest was recorded on the round-based removal
+    t = rename_clocks(unfold(NAMED_MODELS["nondet-silent-a"](), 4))
+    reversed_tree = Tree(t.root, t.nodes, t.transitions[::-1], t.renamed)
+    text = _text(remove_all_silent(reversed_tree))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "80ce66b45dcb553cff68f0f85408a8c27e13ad826e6c5b50641a769479dd4859")
+
+
+def test_fault_below_a_never_firing_silent_step_is_rejected_on_both_routes():
+    # eps into q3 can never fire (x < 0 after a reset), so b is dropped;
+    # b's guard still owes the rewrite of the eps into q2, which reads z
+    # inside a disjunction, and both routes pay it before dropping the edge
+    a = _chain(
+        _edge("q0", "q1", "a", Atom(XC, "<=", 9)),
+        _edge("q1", "q2", None, Atom(XC, ">=", 1), reset=ZC),
+        Transition("q2", "q3", None, Atom(XC, "<", 0)),
+        Transition("q3", "q4", "b",
+                   conj(Atom(XC, "<", 5), disj(Atom(ZC, "<", 1), Atom(ZC, ">", 3)))),
+        accepting=["q4"],
+    )
+    with pytest.raises(UnsupportedInputError, match="disjunction"):
+        remove_all_silent(rename_clocks(unfold(a, 2)))
+    with pytest.raises(UnsupportedInputError, match="disjunction"):
+        stripped_unfolding(a, 2)
