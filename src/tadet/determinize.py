@@ -32,6 +32,7 @@ from .core import (
     StructuralError,
     Transition,
     conj,
+    conjunction_atoms,
     disj,
     guard_clocks,
     level_clock,
@@ -61,8 +62,32 @@ def rebase_guard(g: Guard, anchor: Clock) -> Guard:
 
 
 # an edge of a pending (merged) location: action, guard, original tree node
-# whose subtree hangs below it
-_Edge = tuple[Optional[str], Guard, int]
+# whose subtree hangs below it, and the guard's bare zone if the merge
+# pushed it and it holds no disjunction ("| None", not Optional[...]: typing
+# caches its subscriptions, and the cache would keep this module alive)
+_Edge = tuple[Optional[str], Guard, int, solver.DifferenceSystem | None]
+
+
+def _bare_zone(g: Guard) -> Optional[solver.DifferenceSystem]:
+    """The closed zone of ``g``'s atoms alone, without ``x >= 0``; None if
+    ``g`` holds a disjunction or is unsatisfiable."""
+    if conjunction_atoms(g) is None:
+        return None
+    return next(solver.feasible_systems(g, solver.DifferenceSystem(guard_clocks(g))), None)
+
+
+def _carry(
+    zone: solver.DifferenceSystem, anchor: Clock, atoms: list[Atom]
+) -> Optional[solver.DifferenceSystem]:
+    """The bare zone of ``atoms`` met with the bare zone ``zone`` rebased on
+    ``anchor``, if some point with every clock >= 0 meets it, else None.
+
+    The rebased zone stays closed, so each atom folds in by an O(n^2)
+    tightening and no closure is searched afresh."""
+    out = zone.rebased(anchor, {c for a in atoms for c in (a.left, a.right) if c is not None})
+    for a in atoms:
+        out.add_atom(a)
+    return out if out.admits_nonneg() else None
 
 
 def _group_by_action(edges: list[_Edge]) -> list[tuple[str, list[_Edge]]]:
@@ -82,19 +107,18 @@ def _group_by_action(edges: list[_Edge]) -> list[tuple[str, list[_Edge]]]:
 def _reaches_outside(nacc: list[Guard], acc: list[Guard], zones) -> bool:
     """Whether some non-negative point over the guards' joint clocks
     satisfies a guard of ``nacc`` and none of ``acc``; ``zones(g, True)``
-    gives every feasible zone of ``g``.
+    gives every feasible zone of ``g``, over at least the clocks it reads.
 
-    The zones are put over the joint clocks (a clock that a guard does not
-    read is only >= 0) and the union of ``acc``'s is subtracted from each
-    of ``nacc``'s (:func:`tadet.solver.uncovered_piece`), so the
+    The zones are put over their joint variables (a clock that a zone does
+    not bound is only >= 0) and the union of ``acc``'s is subtracted from
+    each of ``nacc``'s (:func:`tadet.solver.uncovered_piece`), so the
     complement of ``acc`` is never searched as a formula.
     """
-    clocks = frozenset().union(*(guard_clocks(g) for g in nacc + acc))
-
-    def federation(guards: list[Guard]) -> list[solver.DifferenceSystem]:
-        return [z.over(clocks) for g in guards for z in zones(g, True)]
-
-    return solver.uncovered_piece(federation(nacc), federation(acc)) is not None
+    nfed, afed = ([z for g in guards for z in zones(g, True)] for guards in (nacc, acc))
+    clocks = frozenset().union(*(z.vars[1:] for z in nfed + afed))
+    return solver.uncovered_piece(
+        [z.over(clocks) for z in nfed], [z.over(clocks) for z in afed]
+    ) is not None
 
 
 def _merge(tree: Tree, share: bool) -> Tree:
@@ -115,6 +139,15 @@ def _merge(tree: Tree, share: bool) -> Tree:
     compared in order: every copy of an input subtree, in the tree or in
     the DAG that :func:`tadet.silent.stripped_unfolding` builds, has the
     same ordered out-edges.
+
+    Each pending edge that the merge pushes carries its guard's bare zone
+    (:func:`_bare_zone`) unless the guard holds a disjunction.  A child's
+    pushed guard ``conj(c.guard, rebase_guard(g, anchor))`` is decided on
+    the member's zone rebased on the anchor with the child's atoms folded
+    in (:func:`_carry`), a few O(n^2) tightenings instead of a search that
+    closes a fresh zone; a mixed group subtracts the carried zones closed
+    under ``x >= 0`` (:meth:`tadet.solver.DifferenceSystem.nonneg`).  Input
+    edges and guards with disjunctions are searched.
     """
     if not tree.renamed:
         raise StructuralError("determinization requires a renamed tree")
@@ -126,6 +159,7 @@ def _merge(tree: Tree, share: bool) -> Tree:
     edge_memo: dict = {}
     # the same guards are tested many times over; the memos live for this call
     sat = cache(solver.is_satisfiable)
+    bare = cache(_bare_zone)
 
     @cache
     def search(g: Guard) -> tuple[list[solver.DifferenceSystem], Iterator]:
@@ -158,11 +192,11 @@ def _merge(tree: Tree, share: bool) -> Tree:
 
     def content(edges: list[_Edge]):
         """Memo key of the pending ``edges``."""
-        return tuple((a, g, signature(t)) for a, g, t in edges)
+        return tuple((a, g, signature(t)) for a, g, t, _ in edges)
 
     def pending(t: int) -> tuple[list[_Edge], object]:
         """The out-edges of input node ``t`` and their content."""
-        edges = [(c.action, c.guard, c.target) for c in children[t]]
+        edges = [(c.action, c.guard, c.target, None) for c in children[t]]
         return edges, content(edges)
 
     def node(edges: list[_Edge], key, level: int, accepting: bool, sub=None) -> int:
@@ -206,9 +240,10 @@ def _merge(tree: Tree, share: bool) -> Tree:
         n0, e0 = len(out.nodes), len(out.transitions)
         result: list[tuple[str, Guard, int]] = []
         for action, group in _group_by_action(edges):
+            # a carried zone's guard was found feasible when it was pushed
             if len(group) == 1:
-                _, g, t = group[0]
-                if sat(g):
+                _, g, t, z = group[0]
+                if z is not None or sat(g):
                     nid = node(*pending(t), level + 1, tree.nodes[t].accepting)
                     result.append((action, g, nid))
                 continue
@@ -216,10 +251,15 @@ def _merge(tree: Tree, share: bool) -> Tree:
             anchor = level_clock(level + 1)
             acc_guards: list[Guard] = []
             nacc_guards: list[Guard] = []
+            carried: dict[int, solver.DifferenceSystem] = {}
             merged_child: list[_Edge] = []
-            for _, g, t in group:
-                if not zones(g):
-                    continue
+            for _, g, t, z in group:
+                if z is None:
+                    if not zones(g):
+                        continue
+                    z = bare(g)
+                else:
+                    carried[id(g)] = z
                 if tree.nodes[t].accepting:
                     acc_guards.append(g)
                 else:
@@ -227,8 +267,13 @@ def _merge(tree: Tree, share: bool) -> Tree:
                 push = rebase_guard(g, anchor)
                 for c in children[t]:
                     cg = conj(c.guard, push)
-                    if zones(cg):
-                        merged_child.append((c.action, cg, c.target))
+                    atoms = None if z is None else conjunction_atoms(c.guard)
+                    if atoms is not None:
+                        cz = _carry(z, anchor, atoms)
+                        if cz is not None:
+                            merged_child.append((c.action, cg, c.target, cz))
+                    elif zones(cg):
+                        merged_child.append((c.action, cg, c.target, None))
 
             child_key = content(merged_child)
             sub = expand(merged_child, level + 1, child_key)
@@ -239,7 +284,10 @@ def _merge(tree: Tree, share: bool) -> Tree:
                 result.append((action, g_acc, nid))
             # so is each non-accepting one; beside accepting guards, the edge
             # stays iff their zones leave some point of the others uncovered
-            if nacc_guards and (not acc_guards or _reaches_outside(nacc_guards, acc_guards, zones)):
+            if nacc_guards and (not acc_guards or _reaches_outside(
+                nacc_guards, acc_guards,
+                lambda g, every: [carried[id(g)].nonneg()] if id(g) in carried else zones(g, every),
+            )):
                 g_nacc = disj(*nacc_guards)
                 if acc_guards:
                     g_nacc = conj(g_nacc, solver.complement_guard(g_acc))

@@ -17,6 +17,7 @@ constraint with an O(n^2) update instead of a new O(n^3) closure
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -78,7 +79,9 @@ def complement_guard(g: Guard) -> Guard:
 # difference systems
 
 
-ZERO_VAR = Clock("__zero__")
+# level -2: a model clock has level -1 and a renamed one a level >= 0, so
+# no reader and no renaming makes this clock
+ZERO_VAR = Clock("__zero__", level=-2)
 
 
 class DifferenceSystem:
@@ -232,6 +235,42 @@ class DifferenceSystem:
             if c in self._index and c != ZERO_VAR:
                 self._constrain(0, self._index[c], RAW_ZERO)
 
+    def admits_nonneg(self) -> bool:
+        """Whether this system has a point with every clock >= 0.
+
+        The added edges ``0 - x <= 0`` all leave the zero var, so a negative
+        cycle through them runs ``0 -> x ~> 0`` and costs at least
+        ``m[x][0]``: the system admits them iff it is satisfiable and no
+        clock's bound ``x - 0`` lies below raw ``<= 0``.
+        """
+        return self.is_satisfiable() and all(row[0] is None or row[0] >= RAW_ZERO for row in self.m)
+
+    def nonneg(self) -> "DifferenceSystem":
+        """A copy of this closed system with every clock >= 0, closed in
+        O(n^2): a shortest path uses at most one added edge ``0 -> x``, so
+        the zero var's row becomes the least of its own and every clock's
+        row, and every other entry ``m[i][j]`` at most ``m[i][0] +
+        m[0][j]``."""
+        out = self.copy()
+        if not self.admits_nonneg():
+            out._sat = False
+            return out
+        m = out.m
+        zero = m[0]
+        for row in m[1:]:
+            for j, d in enumerate(row):
+                if d is not None and (zero[j] is None or d < zero[j]):
+                    zero[j] = d
+        for row in m[1:]:
+            di0 = row[0]
+            if di0 is not None:
+                for j, d0j in enumerate(zero):
+                    if d0j is not None:
+                        via = di0 + d0j - ((di0 | d0j) & 1)
+                        if row[j] is None or via < row[j]:
+                            row[j] = via
+        return out
+
     def close(self) -> None:
         """Floyd-Warshall closure; stops at the first negative cycle."""
         CALLS["close"] += 1
@@ -295,19 +334,44 @@ class DifferenceSystem:
             return self
         if not self._closed:
             self.close()
+        variables = [ZERO_VAR] + sorted(added.union(self.vars[1:]))
+        old = [self._index.get(v) for v in variables]
+        return self._remapped(variables, old, [0 if j is None else j for j in old])
+
+    def rebased(self, anchor: Clock, clocks: Iterable[Clock]) -> "DifferenceSystem":
+        """This closed system read relative to a later reset of ``anchor``,
+        over the sorted union of its clocks, ``anchor`` and ``clocks``: the
+        zero var's row and column become ``anchor``'s, as each unary atom
+        ``x ~ n`` becomes ``x - anchor ~ n`` (``determinize.rebase_guard``).
+        The fresh zero var and each added clock are unbounded, so the
+        matrix stays closed.
+        """
+        if anchor in self._index:
+            raise ValueError(f"the system already reads {anchor}")
+        variables = self.vars[:]
+        for v in {anchor, *clocks}.difference(self.vars):
+            insort(variables, v, 1)
+        old = [None] + [0 if v is anchor else self._index.get(v) for v in variables[1:]]
+        return self._remapped(variables, old, old)
+
+    def _remapped(
+        self, variables: list[Clock], rows: list[Optional[int]], cols: list[Optional[int]]
+    ) -> "DifferenceSystem":
+        """The system over ``variables`` whose k-th row is this closed
+        system's row ``rows[k]`` read at the columns ``cols``; a row or
+        column that is None is unbounded.  Marked closed: :meth:`over` and
+        :meth:`rebased` map a closed matrix onto a closed one."""
         out = DifferenceSystem.__new__(DifferenceSystem)
-        out.vars = [ZERO_VAR] + sorted(added.union(self.vars[1:]))
-        out._index = {v: i for i, v in enumerate(out.vars)}
-        old = [self._index.get(v) for v in out.vars]
-        cols = [0 if j is None else j for j in old]
+        out.vars = variables
+        out._index = {v: i for i, v in enumerate(variables)}
         out.m = []
-        for k, i in enumerate(old):
+        for k, i in enumerate(rows):
             if i is None:
-                row = [None] * len(old)
+                row = [None] * len(rows)
                 row[k] = RAW_ZERO
             else:
                 src = self.m[i]
-                row = [src[j] for j in cols]
+                row = [None if j is None else src[j] for j in cols]
             out.m.append(row)
         out._closed = True
         out._sat = self._sat

@@ -235,6 +235,34 @@ def test_guard_oriented_unfolds_to_the_on_the_fly_tree():
         assert tree_text(determinize_guard_oriented(t)) == tree_text(determinize_on_the_fly(t))
 
 
+def test_each_carried_verdict_matches_a_fresh_search(monkeypatch):
+    # a pushed guard conj(c.guard, rebase_guard(g, anchor)) gets an edge iff
+    # its carried zone admits x >= 0; the merge rebases g just before it
+    # pushes g's children, so the last rebased guard is the one pushed
+    pushes = []
+    verdicts = Counter()
+    carry = determinize._carry
+
+    def rebased(g, anchor):
+        pushes.append(rebase_guard(g, anchor))
+        return pushes[-1]
+
+    def checked(zone, anchor, atoms):
+        carried = carry(zone, anchor, atoms)
+        cg = conj(conj(*atoms), pushes[-1])
+        assert (carried is not None) == solver.is_satisfiable(cg), cg
+        verdicts[carried is not None] += 1
+        return carried
+
+    monkeypatch.setattr(determinize, "rebase_guard", rebased)
+    monkeypatch.setattr(determinize, "_carry", checked)
+    configurations = [(make, k) for make in NAMED_MODELS.values() for k in range(1, 7)]
+    configurations += [(lambda s=s: random_automaton(s), k) for s in range(100, 300) for k in (2, 3)]
+    for make, k in configurations:
+        determinize_guard_oriented(remove_all_silent(rename_clocks(unfold(make(), k))))
+    assert verdicts[True] and verdicts[False]
+
+
 def test_guard_oriented_pushes_each_pending_content_once(monkeypatch):
     # a repeated (level, pending content) is copied, not merged again, so
     # new rebases as many guards as otf, which builds it once

@@ -1,5 +1,6 @@
 """Difference-system solver: complements, satisfiability, witnesses."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import product
@@ -24,6 +25,8 @@ from tadet.solver import (
     is_satisfiable,
     nonneg_zone,
 )
+
+from tadet.modelio import parse_model
 
 from guards import equivalent, federations, implies
 from runs import eval_guard
@@ -443,3 +446,80 @@ def test_an_unsatisfiable_zone_admits_no_atom():
             for bound in range(-3, 4):
                 a = Atom(left, rel, bound, right)
                 assert not s.admits(a) and not admits_by_copy(s, a)
+
+
+# five clocks and one more for the anchor, named so that the anchor sorts
+# among them
+V, U = Clock("v"), Clock("u")
+SIX_CLOCKS = [U, V, W, X, Y, Z]
+
+
+def closure_of(variables, atoms):
+    s = DifferenceSystem(variables)
+    for a in atoms:
+        s.add_atom(a)
+    s.close()
+    return s
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.data())
+def test_nonneg_closure_equals_a_fresh_closure(data):
+    # the O(n^2) closure under x >= 0 of a closed zone, against the same
+    # atoms searched from nonneg_zone
+    clocks = SIX_CLOCKS[:data.draw(st.integers(1, 5))]
+    atoms = [atom_over(data.draw, clocks) for _ in range(data.draw(st.integers(0, 6)))]
+    bare = closure_of(clocks, atoms)
+    before = [row[:] for row in bare.m]
+    ref = nonneg_zone(clocks)
+    for a in atoms:
+        ref.add_atom(a)
+    ref.close()
+    got = bare.nonneg()
+    assert bare.m == before
+    assert got.is_satisfiable() == bare.admits_nonneg() == ref.is_satisfiable() == ref._sat == got._sat
+    if ref.is_satisfiable():
+        assert got.vars == ref.vars and got.m == ref.m
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.data())
+def test_rebased_zone_equals_the_closure_of_rebased_atoms(data):
+    # moving the zero var onto the anchor, against closing the rebased atoms;
+    # then the atoms of a guard below, folded in, against closing them all
+    order = data.draw(st.permutations(SIX_CLOCKS))
+    n = data.draw(st.integers(1, 5))
+    clocks, anchor = order[:n], order[n]
+    atoms = [atom_over(data.draw, clocks) for _ in range(data.draw(st.integers(0, 6)))]
+    bare = closure_of(clocks, atoms)
+    assume(bare.is_satisfiable())
+    rebased = [a if a.right is not None else Atom(a.left, a.rel, a.bound, anchor) for a in atoms]
+    below = [atom_over(data.draw, order[:n + 1 + data.draw(st.integers(0, 5 - n))])
+             for _ in range(data.draw(st.integers(0, 4)))]
+    below_clocks = {c for a in below for c in (a.left, a.right) if c is not None}
+    variables = {*clocks, *below_clocks, anchor}
+    got = bare.rebased(anchor, below_clocks)
+    ref = closure_of(variables, rebased)
+    assert got.vars == ref.vars and got.m == ref.m and got.is_satisfiable()
+    for a in below:
+        got.add_atom(a)
+    ref = closure_of(variables, rebased + below)
+    assert got.is_satisfiable() == ref.is_satisfiable()
+    assert got.admits_nonneg() == is_satisfiable(conj(*rebased, *below))
+    if ref.is_satisfiable():
+        assert got.m == ref.m
+
+
+def test_a_rebased_zone_refuses_its_own_anchor():
+    with pytest.raises(ValueError):
+        closure_of([X], [Atom(X, "<", 1)]).rebased(X, ())
+
+
+def test_a_model_clock_named_like_the_zero_var_is_an_ordinary_clock():
+    clock = parse_model(json.dumps({
+        "format": "ta/1", "clocks": ["__zero__"], "initial": "q0",
+        "locations": [{"id": "q0", "accepting": True}], "transitions": [],
+    })).clocks
+    assert clock == {Clock("__zero__")} and ZERO_VAR not in clock
+    assert is_satisfiable(Atom(Clock("__zero__"), ">", 5))
+    assert not is_satisfiable(Atom(Clock("__zero__"), "<", 0))
