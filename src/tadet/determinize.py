@@ -90,6 +90,14 @@ def _carry(
     return out if out.admits_nonneg() else None
 
 
+def _nonneg(zone: solver.DifferenceSystem) -> solver.DifferenceSystem:
+    """A copy of the closed ``zone`` with every clock >= 0; each bound
+    folds in by a tightening, so the copy stays closed."""
+    out = zone.copy()
+    out.add_nonneg(out.vars)
+    return out
+
+
 def _group_by_action(edges: list[_Edge]) -> list[tuple[str, list[_Edge]]]:
     order: list[str] = []
     groups: dict[str, list[_Edge]] = {}
@@ -145,9 +153,10 @@ def _merge(tree: Tree, share: bool) -> Tree:
     pushed guard ``conj(c.guard, rebase_guard(g, anchor))`` is decided on
     the member's zone rebased on the anchor with the child's atoms folded
     in (:func:`_carry`), a few O(n^2) tightenings instead of a search that
-    closes a fresh zone; a mixed group subtracts the carried zones closed
-    under ``x >= 0`` (:meth:`tadet.solver.DifferenceSystem.nonneg`).  Input
-    edges and guards with disjunctions are searched.
+    closes a fresh zone.  A member of a mixed group that came from an input
+    edge gets its bare zone there, and the group subtracts the zones closed
+    under ``x >= 0`` (:func:`_nonneg`).  A lone input edge keeps its ``sat``
+    check, and a guard with a disjunction is searched.
     """
     if not tree.renamed:
         raise StructuralError("determinization requires a renamed tree")
@@ -255,11 +264,15 @@ def _merge(tree: Tree, share: bool) -> Tree:
             merged_child: list[_Edge] = []
             for _, g, t, z in group:
                 if z is None:
+                    z = bare(g)
+                if z is None:
+                    # a disjunction or an unsatisfiable guard is searched
                     if not zones(g):
                         continue
-                    z = bare(g)
-                else:
+                elif z.admits_nonneg():
                     carried[id(g)] = z
+                else:
+                    continue
                 if tree.nodes[t].accepting:
                     acc_guards.append(g)
                 else:
@@ -286,7 +299,7 @@ def _merge(tree: Tree, share: bool) -> Tree:
             # stays iff their zones leave some point of the others uncovered
             if nacc_guards and (not acc_guards or _reaches_outside(
                 nacc_guards, acc_guards,
-                lambda g, every: [carried[id(g)].nonneg()] if id(g) in carried else zones(g, every),
+                lambda g, every: [_nonneg(carried[id(g)])] if id(g) in carried else zones(g, every),
             )):
                 g_nacc = disj(*nacc_guards)
                 if acc_guards:

@@ -245,32 +245,6 @@ class DifferenceSystem:
         """
         return self.is_satisfiable() and all(row[0] is None or row[0] >= RAW_ZERO for row in self.m)
 
-    def nonneg(self) -> "DifferenceSystem":
-        """A copy of this closed system with every clock >= 0, closed in
-        O(n^2): a shortest path uses at most one added edge ``0 -> x``, so
-        the zero var's row becomes the least of its own and every clock's
-        row, and every other entry ``m[i][j]`` at most ``m[i][0] +
-        m[0][j]``."""
-        out = self.copy()
-        if not self.admits_nonneg():
-            out._sat = False
-            return out
-        m = out.m
-        zero = m[0]
-        for row in m[1:]:
-            for j, d in enumerate(row):
-                if d is not None and (zero[j] is None or d < zero[j]):
-                    zero[j] = d
-        for row in m[1:]:
-            di0 = row[0]
-            if di0 is not None:
-                for j, d0j in enumerate(zero):
-                    if d0j is not None:
-                        via = di0 + d0j - ((di0 | d0j) & 1)
-                        if row[j] is None or via < row[j]:
-                            row[j] = via
-        return out
-
     def close(self) -> None:
         """Floyd-Warshall closure; stops at the first negative cycle."""
         CALLS["close"] += 1

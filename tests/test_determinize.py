@@ -223,6 +223,16 @@ def test_merge_drops_a_non_accepting_edge_inside_the_accepting_one():
     assert new.nodes[new.transitions[0].target].accepting
 
 
+def test_merge_reads_member_zones_over_nonnegative_clocks():
+    # x >= 0 covers x < 3 only where clocks can be
+    a = make_automaton(["q0", "q1", "q2"], "q0", ["q1"], [XC], [
+        Transition("q0", "q1", "a", Atom(XC, ">=", 0)),
+        Transition("q0", "q2", "a", Atom(XC, "<", 3)),
+    ])
+    new = determinize_guard_oriented(remove_all_silent(rename_clocks(unfold(a, 1))))
+    assert [(t.action, t.guard) for t in new.transitions] == [("a", Atom(level_clock(0), ">=", 0))]
+
+
 def test_guard_oriented_unfolds_to_the_on_the_fly_tree():
     # new copies where otf shares; both unfold to the same tree, byte for byte
     def tree_text(dag):
