@@ -22,8 +22,7 @@ built once per level, member set and zone, so its output is a DAG too.
 from __future__ import annotations
 
 from functools import cache
-from itertools import islice
-from typing import Iterator, Optional
+from typing import Optional
 
 from .core import (
     Atom,
@@ -61,41 +60,31 @@ def rebase_guard(g: Guard, anchor: Clock) -> Guard:
     return map_atoms(g, rebased)
 
 
+# a guard's bare zones: closed, over its atoms without x >= 0, each admitting
+# x >= 0; met with x >= 0, their union lies within the guard and holds each
+# of its points that a run can reach
+_Zones = list[solver.DifferenceSystem]
 # an edge of a pending (merged) location: action, guard, original tree node
-# whose subtree hangs below it, and the guard's bare zone if the merge
-# pushed it and it holds no disjunction ("| None", not Optional[...]: typing
-# caches its subscriptions, and the cache would keep this module alive)
-_Edge = tuple[Optional[str], Guard, int, solver.DifferenceSystem | None]
+# whose subtree hangs below it, and the guard's bare zones if the merge pushed
+# it ("| None", not Optional[...]: typing caches its subscriptions, and the
+# cache would keep this module alive)
+_Edge = tuple[Optional[str], Guard, int, _Zones | None]
 
 
-def _bare_zone(g: Guard) -> Optional[solver.DifferenceSystem]:
-    """The closed zone of ``g``'s atoms alone, without ``x >= 0``; None if
-    ``g`` holds a disjunction or is unsatisfiable."""
-    if conjunction_atoms(g) is None:
-        return None
-    return next(solver.feasible_systems(g, solver.DifferenceSystem(guard_clocks(g))), None)
+def _carry(zone: solver.DifferenceSystem, anchor: Clock, g: Guard) -> _Zones:
+    """The bare zones of ``g`` met with the bare ``zone`` rebased on
+    ``anchor``, those that some point with every clock >= 0 meets.
 
-
-def _carry(
-    zone: solver.DifferenceSystem, anchor: Clock, atoms: list[Atom]
-) -> Optional[solver.DifferenceSystem]:
-    """The bare zone of ``atoms`` met with the bare zone ``zone`` rebased on
-    ``anchor``, if some point with every clock >= 0 meets it, else None.
-
-    The rebased zone stays closed, so each atom folds in by an O(n^2)
-    tightening and no closure is searched afresh."""
-    out = zone.rebased(anchor, {c for a in atoms for c in (a.left, a.right) if c is not None})
+    The rebased zone stays closed, so each atom of a conjunction folds in
+    by an O(n^2) tightening and no closure is searched afresh; only a
+    guard with a disjunction is searched, from the rebased zone."""
+    out = zone.rebased(anchor, guard_clocks(g))
+    atoms = conjunction_atoms(g)
+    if atoms is None:
+        return [z for z in solver.feasible_systems(g, out) if z.admits_nonneg()]
     for a in atoms:
         out.add_atom(a)
-    return out if out.admits_nonneg() else None
-
-
-def _nonneg(zone: solver.DifferenceSystem) -> solver.DifferenceSystem:
-    """A copy of the closed ``zone`` with every clock >= 0; each bound
-    folds in by a tightening, so the copy stays closed."""
-    out = zone.copy()
-    out.add_nonneg(out.vars)
-    return out
+    return [out] if out.admits_nonneg() else []
 
 
 def _group_by_action(edges: list[_Edge]) -> list[tuple[str, list[_Edge]]]:
@@ -112,17 +101,20 @@ def _group_by_action(edges: list[_Edge]) -> list[tuple[str, list[_Edge]]]:
     return [(a, groups[a]) for a in order]
 
 
-def _reaches_outside(nacc: list[Guard], acc: list[Guard], zones) -> bool:
-    """Whether some non-negative point over the guards' joint clocks
-    satisfies a guard of ``nacc`` and none of ``acc``; ``zones(g, True)``
-    gives every feasible zone of ``g``, over at least the clocks it reads.
+def _reaches_outside(nacc: list[tuple[Guard, _Zones]], acc: list[tuple[Guard, _Zones]]) -> bool:
+    """Whether some non-negative point over the joint clocks of the members,
+    each a guard with its bare zones, meets a zone of ``nacc`` and none of
+    ``acc``'s.
 
-    The zones are put over their joint variables (a clock that a zone does
-    not bound is only >= 0) and the union of ``acc``'s is subtracted from
-    each of ``nacc``'s (:func:`tadet.solver.uncovered_piece`), so the
-    complement of ``acc`` is never searched as a formula.
+    Each zone, closed under ``x >= 0`` by tightenings, is put over the joint
+    variables (a clock that a zone does not bound is only >= 0), and the
+    union of ``acc``'s is subtracted from each of ``nacc``'s
+    (:func:`tadet.solver.uncovered_piece`), so the complement of ``acc`` is
+    never searched as a formula.
     """
-    nfed, afed = ([z for g in guards for z in zones(g, True)] for guards in (nacc, acc))
+    nfed, afed = ([z.copy() for _, zones in members for z in zones] for members in (nacc, acc))
+    for z in nfed + afed:
+        z.add_nonneg(z.vars)
     clocks = frozenset().union(*(z.vars[1:] for z in nfed + afed))
     return solver.uncovered_piece(
         [z.over(clocks) for z in nfed], [z.over(clocks) for z in afed]
@@ -148,15 +140,12 @@ def _merge(tree: Tree, share: bool) -> Tree:
     the DAG that :func:`tadet.silent.stripped_unfolding` builds, has the
     same ordered out-edges.
 
-    Each pending edge that the merge pushes carries its guard's bare zone
-    (:func:`_bare_zone`) unless the guard holds a disjunction.  A child's
-    pushed guard ``conj(c.guard, rebase_guard(g, anchor))`` is decided on
-    the member's zone rebased on the anchor with the child's atoms folded
-    in (:func:`_carry`), a few O(n^2) tightenings instead of a search that
-    closes a fresh zone.  A member of a mixed group that came from an input
-    edge gets its bare zone there, and the group subtracts the zones closed
-    under ``x >= 0`` (:func:`_nonneg`).  A lone input edge keeps its ``sat``
-    check, and a guard with a disjunction is searched.
+    Each member of a group is its guard with the guard's bare zones; an
+    empty list drops it, and an input edge's are searched once per call.
+    A child's pushed guard ``conj(c.guard, rebase_guard(g, anchor))`` gets
+    the union, over the member's zones, of :func:`_carry`: a few O(n^2)
+    tightenings for a conjunction, no closure searched afresh.  A mixed
+    group subtracts its members' zones (:func:`_reaches_outside`).
     """
     if not tree.renamed:
         raise StructuralError("determinization requires a renamed tree")
@@ -166,21 +155,15 @@ def _merge(tree: Tree, share: bool) -> Tree:
     # (level, content) -> its out-edges and the ranges of locations and
     # transitions that its first expansion appended
     edge_memo: dict = {}
-    # the same guards are tested many times over; the memos live for this call
+    # the same guards are tested many times over; the memos live for this
+    # call.  A lone input edge keeps is_satisfiable: the silent-deep rows make
+    # no other such call, and the traced layerbench run divides by their count
     sat = cache(solver.is_satisfiable)
-    bare = cache(_bare_zone)
 
     @cache
-    def search(g: Guard) -> tuple[list[solver.DifferenceSystem], Iterator]:
-        return [], solver.feasible_systems(g)
-
-    def zones(g: Guard, every: bool = False) -> list[solver.DifferenceSystem]:
-        """The feasible zones of the member guard ``g``, searched lazily: the
-        first for a check, all of them (``every``) for a subtraction."""
-        found, rest = search(g)
-        if every or not found:
-            found.extend(rest if every else islice(rest, 1))
-        return found
+    def bare(g: Guard) -> _Zones:
+        zones = solver.feasible_systems(g, solver.DifferenceSystem(guard_clocks(g)))
+        return [z for z in zones if z.admits_nonneg()]
 
     # structural signature of an input subtree, interned to small ints:
     # its acceptance and its ordered out-edges, each with its target's
@@ -249,60 +232,42 @@ def _merge(tree: Tree, share: bool) -> Tree:
         n0, e0 = len(out.nodes), len(out.transitions)
         result: list[tuple[str, Guard, int]] = []
         for action, group in _group_by_action(edges):
-            # a carried zone's guard was found feasible when it was pushed
+            # a pushed edge's zones were found feasible when it was pushed
             if len(group) == 1:
-                _, g, t, z = group[0]
-                if z is not None or sat(g):
+                _, g, t, zones = group[0]
+                if zones is not None or sat(g):
                     nid = node(*pending(t), level + 1, tree.nodes[t].accepting)
                     result.append((action, g, nid))
                 continue
 
             anchor = level_clock(level + 1)
-            acc_guards: list[Guard] = []
-            nacc_guards: list[Guard] = []
-            carried: dict[int, solver.DifferenceSystem] = {}
+            acc: list[tuple[Guard, _Zones]] = []
+            nacc: list[tuple[Guard, _Zones]] = []
             merged_child: list[_Edge] = []
-            for _, g, t, z in group:
-                if z is None:
-                    z = bare(g)
-                if z is None:
-                    # a disjunction or an unsatisfiable guard is searched
-                    if not zones(g):
-                        continue
-                elif z.admits_nonneg():
-                    carried[id(g)] = z
-                else:
+            for _, g, t, zones in group:
+                if zones is None:
+                    zones = bare(g)
+                if not zones:
                     continue
-                if tree.nodes[t].accepting:
-                    acc_guards.append(g)
-                else:
-                    nacc_guards.append(g)
+                (acc if tree.nodes[t].accepting else nacc).append((g, zones))
                 push = rebase_guard(g, anchor)
                 for c in children[t]:
-                    cg = conj(c.guard, push)
-                    atoms = None if z is None else conjunction_atoms(c.guard)
-                    if atoms is not None:
-                        cz = _carry(z, anchor, atoms)
-                        if cz is not None:
-                            merged_child.append((c.action, cg, c.target, cz))
-                    elif zones(cg):
-                        merged_child.append((c.action, cg, c.target, None))
+                    carried = [cz for z in zones for cz in _carry(z, anchor, c.guard)]
+                    if carried:
+                        merged_child.append((c.action, conj(c.guard, push), c.target, carried))
 
             child_key = content(merged_child)
             sub = expand(merged_child, level + 1, child_key)
             # each accepting guard is satisfiable, hence so is their disjunction
-            if acc_guards:
-                g_acc = disj(*acc_guards)
+            if acc:
+                g_acc = disj(*(g for g, _ in acc))
                 nid = node(merged_child, child_key, level + 1, True, sub)
                 result.append((action, g_acc, nid))
             # so is each non-accepting one; beside accepting guards, the edge
             # stays iff their zones leave some point of the others uncovered
-            if nacc_guards and (not acc_guards or _reaches_outside(
-                nacc_guards, acc_guards,
-                lambda g, every: [_nonneg(carried[id(g)])] if id(g) in carried else zones(g, every),
-            )):
-                g_nacc = disj(*nacc_guards)
-                if acc_guards:
+            if nacc and (not acc or _reaches_outside(nacc, acc)):
+                g_nacc = disj(*(g for g, _ in nacc))
+                if acc:
                     g_nacc = conj(g_nacc, solver.complement_guard(g_acc))
                 nid = node(merged_child, child_key, level + 1, False, sub)
                 result.append((action, g_nacc, nid))

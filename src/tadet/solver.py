@@ -135,13 +135,12 @@ class DifferenceSystem:
     def extend_reset(self, var: Clock) -> "DifferenceSystem":
         """A copy with one more variable, ``var``, equal to the zero var: a
         fresh clock just reset.  Its row and column copy the zero var's, so
-        a closed matrix stays closed."""
-        n = len(self.vars)
-        out = self.extend(var)
-        out.m[n] = out.m[0][:]
-        for row in out.m:
-            row[n] = row[0]
-        return out
+        the matrix stays closed; a matrix that is not closed is closed
+        first."""
+        if not self._closed:
+            self.close()
+        old = [*range(len(self.vars)), 0]
+        return self._remapped(self.vars + [var], old, old)
 
     def up(self) -> None:
         """Let time elapse: drop the upper bound on every variable's value.
@@ -285,13 +284,7 @@ class DifferenceSystem:
             self.close()
         gone = {self._index[v] for v in drop}
         keep = [i for i in range(len(self.vars)) if i not in gone]
-        out = DifferenceSystem.__new__(DifferenceSystem)
-        out.vars = [self.vars[i] for i in keep]
-        out._index = {v: i for i, v in enumerate(out.vars)}
-        out.m = [[self.m[i][j] for j in keep] for i in keep]
-        out._closed = True
-        out._sat = self._sat
-        return out
+        return self._remapped([self.vars[i] for i in keep], keep, keep)
 
     def over(self, clocks: Iterable[Clock]) -> "DifferenceSystem":
         """The system over the sorted union of its variables and ``clocks``,
@@ -333,8 +326,9 @@ class DifferenceSystem:
     ) -> "DifferenceSystem":
         """The system over ``variables`` whose k-th row is this closed
         system's row ``rows[k]`` read at the columns ``cols``; a row or
-        column that is None is unbounded.  Marked closed: :meth:`over` and
-        :meth:`rebased` map a closed matrix onto a closed one."""
+        column that is None is unbounded.  Marked closed: :meth:`over`,
+        :meth:`rebased`, :meth:`project_out` and :meth:`extend_reset` map a
+        closed matrix onto a closed one."""
         out = DifferenceSystem.__new__(DifferenceSystem)
         out.vars = variables
         out._index = {v: i for i, v in enumerate(variables)}
