@@ -165,7 +165,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ResourceLimitError as e:
         return _fail(EXIT_RESOURCE, "resource-limit", str(e))
     except RecursionError as e:
-        # the merge behind new and otf recurses along the unfolding's depth
+        # every stage runs from an explicit stack; a call that still runs
+        # out of Python's stack ends as a resource limit, not a traceback
         return _fail(EXIT_RESOURCE, "resource-limit", f"stack depth: {e}")
 
     if args.report:

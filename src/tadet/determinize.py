@@ -21,6 +21,7 @@ built once per level, member set and zone, so its output is a DAG too.
 
 from __future__ import annotations
 
+from collections.abc import ItemsView
 from functools import cache
 from typing import Optional
 
@@ -87,18 +88,14 @@ def _carry(zone: solver.DifferenceSystem, anchor: Clock, g: Guard) -> _Zones:
     return [out] if out.admits_nonneg() else []
 
 
-def _group_by_action(edges: list[_Edge]) -> list[tuple[str, list[_Edge]]]:
-    order: list[str] = []
+def _group_by_action(edges: list[_Edge]) -> ItemsView[str, list[_Edge]]:
+    """The ``edges`` grouped by action, in order of first appearance."""
     groups: dict[str, list[_Edge]] = {}
     for e in edges:
-        a = e[0]
-        if a is None:
+        if e[0] is None:
             raise StructuralError("determinization requires a silent-free tree")
-        if a not in groups:
-            order.append(a)
-            groups[a] = []
-        groups[a].append(e)
-    return [(a, groups[a]) for a in order]
+        groups.setdefault(e[0], []).append(e)
+    return groups.items()
 
 
 def _reaches_outside(nacc: list[tuple[Guard, _Zones]], acc: list[tuple[Guard, _Zones]]) -> bool:
@@ -165,35 +162,48 @@ def _merge(tree: Tree, share: bool) -> Tree:
         zones = solver.feasible_systems(g, solver.DifferenceSystem(guard_clocks(g)))
         return [z for z in zones if z.admits_nonneg()]
 
-    # structural signature of an input subtree, interned to small ints:
+    # structural signature of each input subtree, interned to small ints:
     # its acceptance and its ordered out-edges, each with its target's
-    # signature
+    # signature, from one bottom-up pass
     sig_ids: dict = {}
     sig: dict[int, int] = {}
-
-    def signature(nid: int) -> int:
-        if nid in sig:
-            return sig[nid]
+    for nid in tree.post_order(children):
         entry = (
             tree.nodes[nid].accepting,
-            tuple((t.action, t.guard, t.resets, signature(t.target)) for t in children[nid]),
+            tuple((t.action, t.guard, t.resets, sig[t.target]) for t in children[nid]),
         )
-        sid = sig_ids.setdefault(entry, len(sig_ids))
-        sig[nid] = sid
-        return sid
+        sig[nid] = sig_ids.setdefault(entry, len(sig_ids))
 
     def content(edges: list[_Edge]):
         """Memo key of the pending ``edges``."""
-        return tuple((a, g, signature(t)) for a, g, t, _ in edges)
+        return tuple((a, g, sig[t]) for a, g, t, _ in edges)
 
     def pending(t: int) -> tuple[list[_Edge], object]:
         """The out-edges of input node ``t`` and their content."""
         edges = [(c.action, c.guard, c.target, None) for c in children[t]]
         return edges, content(edges)
 
-    def node(edges: list[_Edge], key, level: int, accepting: bool, sub=None) -> int:
-        """A location at ``level`` with ``edges`` (content ``key``) pending;
-        ``sub``: its out-edges."""
+    # node and expand are steps: generators that yield each step they call
+    # and get back its result, so that run drives the merge from an explicit
+    # stack, however deep the input
+    def run(step):
+        """The result of ``step``, each step that it calls run in turn."""
+        stack, value = [step], None
+        while True:
+            try:
+                call = stack[-1].send(value)
+            except StopIteration as done:
+                stack.pop()
+                if not stack:
+                    return done.value
+                value = done.value
+            else:
+                stack.append(call)
+                value = None
+
+    def node(edges: list[_Edge], key, level: int, accepting: bool, sub=None):
+        """Step: a location at ``level`` with ``edges`` (content ``key``)
+        pending, its id; ``sub``: its out-edges."""
         if share:
             memo_key = (level, accepting, key)
             if memo_key in node_memo:
@@ -202,8 +212,10 @@ def _merge(tree: Tree, share: bool) -> Tree:
         out.nodes[nid] = TreeNode(None, level, accepting=accepting)
         if share:
             node_memo[memo_key] = nid
+        if sub is None:
+            sub = yield expand(edges, level, key)
         resets = frozenset((level_clock(level + 1),))
-        for (a, g, t) in expand(edges, level, key) if sub is None else sub:
+        for (a, g, t) in sub:
             out.transitions.append(Transition(nid, t, a, g, resets))
         return nid
 
@@ -222,9 +234,9 @@ def _merge(tree: Tree, share: bool) -> Tree:
         )
         return [(a, g, t + shift) for a, g, t in result]
 
-    def expand(edges: list[_Edge], level: int, key) -> list[tuple[str, Guard, int]]:
-        """Out-edges of the (merged) location at ``level`` with ``edges``
-        pending, whose content is ``key``."""
+    def expand(edges: list[_Edge], level: int, key):
+        """Step: the out-edges of the (merged) location at ``level`` with
+        ``edges`` pending, whose content is ``key``."""
         memo_key = (level, key)
         hit = edge_memo.get(memo_key)
         if hit is not None:
@@ -236,7 +248,7 @@ def _merge(tree: Tree, share: bool) -> Tree:
             if len(group) == 1:
                 _, g, t, zones = group[0]
                 if zones is not None or sat(g):
-                    nid = node(*pending(t), level + 1, tree.nodes[t].accepting)
+                    nid = yield node(*pending(t), level + 1, tree.nodes[t].accepting)
                     result.append((action, g, nid))
                 continue
 
@@ -257,11 +269,11 @@ def _merge(tree: Tree, share: bool) -> Tree:
                         merged_child.append((c.action, conj(c.guard, push), c.target, carried))
 
             child_key = content(merged_child)
-            sub = expand(merged_child, level + 1, child_key)
+            sub = yield expand(merged_child, level + 1, child_key)
             # each accepting guard is satisfiable, hence so is their disjunction
             if acc:
                 g_acc = disj(*(g for g, _ in acc))
-                nid = node(merged_child, child_key, level + 1, True, sub)
+                nid = yield node(merged_child, child_key, level + 1, True, sub)
                 result.append((action, g_acc, nid))
             # so is each non-accepting one; beside accepting guards, the edge
             # stays iff their zones leave some point of the others uncovered
@@ -269,15 +281,15 @@ def _merge(tree: Tree, share: bool) -> Tree:
                 g_nacc = disj(*(g for g, _ in nacc))
                 if acc:
                     g_nacc = conj(g_nacc, solver.complement_guard(g_acc))
-                nid = node(merged_child, child_key, level + 1, False, sub)
+                nid = yield node(merged_child, child_key, level + 1, False, sub)
                 result.append((action, g_nacc, nid))
         edge_memo[memo_key] = (result, n0, len(out.nodes), e0, len(out.transitions))
         return result
 
-    node(*pending(tree.root), 0, tree.nodes[tree.root].accepting)
+    run(node(*pending(tree.root), 0, tree.nodes[tree.root].accepting))
     # the nested functions reach each other through their closures; drop
     # them so that the memos are freed on return, not at the next collection
-    signature = node = expand = None
+    node = expand = None
     return out
 
 

@@ -13,27 +13,27 @@ difference bounds.  The enabling guard and Tables 2/3 tighten a table by
 sums of such bounds (:func:`tadet.core.raw_add`), and every rewritten
 guard is written back from one.
 
-Both routes make one walk down the tree.  A removal is carried down as a
-rewrite that the guards below still owe (``_Owed``), and each edge pays
-what it owes once (:func:`_pay`): :func:`remove_all_silent` on a renamed
-tree, and :func:`stripped_unfolding` straight from the model, which
-unfolds, renames and strips each node of the unfolding once, as a DAG.
+Both routes make one walk down the tree: :func:`remove_all_silent` on a
+renamed tree, and :func:`stripped_unfolding` straight from the model,
+which unfolds, renames and strips each node of the unfolding once, as a
+DAG.  Each removes a silent step by one call of :func:`_removal`, which
+gives the step's bypass guard and the rewrite that the guards below still
+owe (``_Owed``); each edge pays what it owes once (:func:`_pay`).
 
 Tree copies of a silent step share its guards.  One memo, kept for the
-call, maps the values that each step reads (the silent guard's bounds, and
-with the silent clock the bypass guard, the taken-guard conjunction and
-the Table 2/3 rewrite of a future guard) to the step's result.  So each
-distinct guard is built once per call, every copy holds the same object,
-and the caches that later stages keep per guard object (``guard_clocks``'
-set, the merge's search memo, ``serialize_model``'s text) hit across
-copies.  A guard that does not read the silent clock is passed without a
-lookup.  Only results are kept: a step that raises raises again on its
-next call.
+call, maps the values that each step reads (the silent guard's bound
+table and Table 2's rows, and with the silent clock the bypass guard, the
+taken-guard conjunction and the Table 2/3 rewrite of a future guard) to
+the step's result.  So each distinct guard is built once per call, every
+copy holds the same object, and the caches that later stages keep per
+guard object (``guard_clocks``' set, the merge's memos,
+``serialize_model``'s text) hit across copies.  A guard that does not
+read the silent clock is passed without a lookup.  Only results are kept:
+a step that raises raises again on its next call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .core import (
@@ -65,24 +65,22 @@ from .core import (
 from .unfold import Tree, TreeNode, _out_edges
 
 
-@dataclass
-class SilentContext:
-    """Everything Algorithm 1 needs about one first-from-root silent transition."""
-
-    silent_clock: Clock         # x_{s,0}, the clock reset on tau_{s,0}
-    guard: Guard                # g_{s,0}
-    target: int                 # q_{s,0}
-    predecessor: Optional[Transition]  # tau_s, observable edge into q_s (None at root)
-    reset_clock: Clock          # x_s: reset of tau_s, or x_0 at the root
-    # bound table (core.add_bounds) of g'_{s,0} = g_{s,0} & (0 <= x_s), one
-    # row per clock; None when the silent transition can never fire
-    bounds: Optional[BoundTable]
-    exact: Optional[Clock]  # the clock of the first '=' atom of g_{s,0}, if any
+# a row of a bound table, keyed as in core.add_bounds, its raw bounds
+# frozen so that rows can be part of a key.  Module-level aliases say
+# "X | None", not Optional[X]: typing caches its subscriptions, and the
+# cache would keep every imported copy of this module alive
+_Row = tuple[tuple[Clock, None], tuple[int | None, int | None]]
 
 
-def _silent_bounds(guard: Guard, x_s: Clock) -> tuple[Optional[BoundTable], Optional[Clock]]:
-    """``SilentContext.bounds`` and ``.exact`` of a silent guard ``guard``
-    whose predecessor resets ``x_s``."""
+def _silent_bounds(guard: Guard,
+                   x_s: Clock) -> tuple[Optional[BoundTable], Optional[tuple[_Row, ...]]]:
+    """The bound table (:func:`tadet.core.add_bounds`) of
+    g'_{s,0} = g_{s,0} & (0 <= x_s), one row per clock, for a silent guard
+    ``guard`` whose predecessor resets ``x_s``, and the rows onto which
+    Table 2 moves a future guard's bounds on the silent clock; both None
+    when the silent step can never fire.  With an exact silent guard
+    x_i = n_i the step fired at x_i = n_i, so x_i = x_{s,0} + n_i: only
+    x_i's row is moved onto."""
     g_aug = conj(guard, Atom(x_s, ">=", 0))
     atoms = conjunction_atoms(g_aug)
     if atoms is None:
@@ -95,29 +93,9 @@ def _silent_bounds(guard: Guard, x_s: Clock) -> tuple[Optional[BoundTable], Opti
     for a in atoms:
         if a.right is not None:
             raise UnsupportedInputError(f"silent guard must be unary, got {a}")
-    return bounds, next((a.left for a in atoms if a.rel == "="), None)
-
-
-def _context(silent: Transition, pred: Optional[Transition], memo: dict) -> SilentContext:
-    """The context of removing ``silent``, ``pred`` the edge into its
-    source; ``memo`` keeps :func:`_silent_bounds` by its arguments."""
-    if pred is not None and pred.is_silent:
-        raise StructuralError("not a first-from-root silent transition")
-    x_s = next(iter(pred.resets)) if pred is not None else X0
-    (x_s0,) = silent.resets
-    found = memo.get((silent.guard, x_s))
-    if found is None:
-        found = memo[silent.guard, x_s] = _silent_bounds(silent.guard, x_s)
-    bounds, exact = found
-    return SilentContext(
-        silent_clock=x_s0,
-        guard=silent.guard,
-        target=silent.target,
-        predecessor=pred,
-        reset_clock=x_s,
-        bounds=bounds,
-        exact=exact,
-    )
+    exact = next((a.left for a in atoms if a.rel == "="), None)
+    rows = bounds.items() if exact is None else [((exact, None), bounds[(exact, None)])]
+    return bounds, tuple((key, tuple(row)) for key, row in rows)
 
 
 # -- bounds bookkeeping ------------------------------------------------------
@@ -127,22 +105,20 @@ def _context(silent: Transition, pred: Optional[Transition], memo: dict) -> Sile
 # tightest result, which is all the table keeps.
 
 
-def enabling_guard(ctx: SilentContext) -> Guard:
+def enabling_guard(bounds: BoundTable, x_s: Clock) -> Guard:
     """Constraints under which the silent transition would still have been
     satisfiable at some non-negative delay after the bypass.
 
     The lower bound m on x_i and the upper bound n on x_j with i != j
     yield x_j - x_i < n - m (weak only when both bounds are weak); pairs
     involving x_s lose the x_s term since x_s is reset on the bypass.
+    ``bounds`` is the silent guard's table (:func:`_silent_bounds`).
     """
-    if ctx.bounds is None:
-        return FALSE
-    x_s = ctx.reset_clock
     out: BoundTable = {}
-    for (xi, _), (lo, _) in ctx.bounds.items():
+    for (xi, _), (lo, _) in bounds.items():
         if lo is None:
             continue
-        for (xj, _), (_, up) in ctx.bounds.items():
+        for (xj, _), (_, up) in bounds.items():
             if up is None or xj == xi:
                 continue
             diff = raw_add(up, lo)  # on x_j - x_i
@@ -155,11 +131,6 @@ def enabling_guard(ctx: SilentContext) -> Guard:
     return table_guard(out)
 
 
-def taken_guard(ctx: SilentContext) -> Guard:
-    """0 <= x_{s,0}: placed on every transition leaving the silent target."""
-    return Atom(ctx.silent_clock, ">=", 0)
-
-
 def _add_sums(bounds: BoundTable, key: tuple[Clock, None], row: list, on: list) -> None:
     """Tighten the row ``key`` of ``bounds``, side by side, by the sums of
     the raw pairs ``row`` and ``on`` where both are bounded."""
@@ -168,54 +139,31 @@ def _add_sums(bounds: BoundTable, key: tuple[Clock, None], row: list, on: list) 
             tighten(bounds, key, side, raw_add(row[side], on[side]))
 
 
-# a row of a bound table, keyed as in core.add_bounds, its raw bounds
-# frozen so that rows can be part of a key.  Module-level aliases say
-# "X | None", not Optional[X]: typing caches its subscriptions, and the
-# cache would keep every imported copy of this module alive
-_Row = tuple[tuple[Clock, None], tuple[int | None, int | None]]
-
-
-def _moved(ctx: SilentContext) -> tuple[_Row, ...]:
-    """The rows of the silent guard onto which Table 2 moves a future
-    guard's bounds on the silent clock.  With an exact silent guard
-    x_i = n_i the step fired at x_i = n_i, so x_i = x_{s,0} + n_i: only
-    x_i's row is used."""
-    if ctx.exact is not None:
-        return (((ctx.exact, None), tuple(ctx.bounds[(ctx.exact, None)])),)
-    return tuple((key, tuple(row)) for key, row in ctx.bounds.items())
-
-
 def _rewrite(g: Guard, x_s0: Clock, moved: tuple[_Row, ...], placed: tuple[_Row, ...],
-             resets: frozenset[Clock]) -> Optional[tuple[Guard, tuple[_Row, ...]]]:
-    """Tables 2 and 3 on one future guard ``g``, below a removed silent step
-    whose clock is ``x_s0``.
+             resets: frozenset[Clock]) -> tuple[Guard, tuple[_Row, ...]]:
+    """Tables 2 and 3 on one future guard ``g`` that reads ``x_s0``, the
+    clock of a removed silent step.
 
-    ``moved`` are the silent guard's rows (:func:`_moved`); ``placed``
+    ``moved`` are the silent guard's rows (:func:`_silent_bounds`); ``placed``
     holds, for each rewritten edge above on the path from the silent
     target, its reset's row key and its bounds on the silent clock, sides
-    swapped.  Returns None when ``g`` does not read ``x_s0``; else the
-    rewritten guard and ``placed`` for the edges below, which gains the row
-    of the edge's own reset (``resets``).
+    swapped.  Returns the rewritten guard and ``placed`` for the edges
+    below, which gains the row of the edge's own reset (``resets``).
 
     Only the top-level atoms of ``g`` are rewritten: any other part, a
     top-level disjunction included, must not read ``x_s0``.
     """
     parts = g.parts if isinstance(g, And) else (g,)
-    reads = False
     for p in parts:
         if not isinstance(p, Atom):
             if x_s0 in guard_clocks(p):
                 raise UnsupportedInputError(
                     f"future guard refers to {x_s0} inside a disjunction: {p}"
                 )
-        elif p.left == x_s0 or p.right == x_s0:
-            if p.right is not None:
-                raise UnsupportedInputError(
-                    f"future guard refers to {x_s0} diagonally: {p}"
-                )
-            reads = True
-    if not reads:
-        return None
+        elif p.right is not None and x_s0 in (p.left, p.right):
+            raise UnsupportedInputError(
+                f"future guard refers to {x_s0} diagonally: {p}"
+            )
     bounds = add_bounds({}, (p for p in parts if isinstance(p, Atom)))
     on = bounds.pop((x_s0, None))
     if empty_interval(*on):
@@ -241,8 +189,9 @@ def _reads(g: Guard, clock: Clock) -> bool:
 
 
 # A rewrite owed by one removed silent step: its silent clock, its Table 2
-# rows (``_moved``), the Table 3 rows of its path so far (``_rewrite``'s
-# ``placed``), and its taken guard while at its target, else None.
+# rows (``_silent_bounds``), the Table 3 rows of its path so far
+# (``_rewrite``'s ``placed``), and its taken guard 0 <= x_{s,0} while at
+# its target, else None.
 _Owed = tuple[Clock, tuple[_Row, ...], tuple[_Row, ...], Atom | None]
 
 
@@ -271,17 +220,33 @@ def _pay(g: Guard, resets: frozenset[Clock], owed: Iterable[_Owed],
     return g, below
 
 
-def _bypass(ctx: SilentContext, target, memo: dict) -> Transition:
-    """The bypass of a removed silent step: its predecessor's source, action
-    and reset, into ``target``, guarded by the predecessor's guard with the
-    enabling guard; ``memo`` keeps that guard by the silent clock and the
-    values that it reads."""
-    pred = ctx.predecessor
-    key = (ctx.silent_clock, pred.guard, ctx.guard, ctx.reset_clock)
+def _removal(guard: Guard, resets: frozenset[Clock], pred: Optional[Transition],
+             memo: dict) -> Optional[tuple[_Owed, Optional[Guard]]]:
+    """Algorithm 1 on one silent step, its guard ``guard`` and reset
+    ``resets``, ``pred`` the observable edge into its source (None at the
+    root).  None when the step can never fire; else the rewrite that the
+    guards below its target owe, and the guard of its bypass, the
+    predecessor's guard with the enabling guard (None at the root).
+
+    ``memo`` keeps the bound table and Table 2's rows by the silent guard
+    and x_s, and the bypass guard by the silent clock and the values that
+    it reads."""
+    x_s = next(iter(pred.resets)) if pred is not None else X0
+    found = memo.get((guard, x_s))
+    if found is None:
+        found = memo[guard, x_s] = _silent_bounds(guard, x_s)
+    bounds, moved = found
+    if bounds is None:
+        return None
+    (x_s0,) = resets
+    owed = (x_s0, moved, (), Atom(x_s0, ">=", 0))
+    if pred is None:
+        return owed, None
+    key = (x_s0, pred.guard, guard, x_s)
     g = memo.get(key)
     if g is None:
-        g = memo[key] = simplify_conjunction(conj(pred.guard, enabling_guard(ctx)))
-    return Transition(pred.source, target, pred.action, g, frozenset((ctx.reset_clock,)))
+        g = memo[key] = simplify_conjunction(conj(pred.guard, enabling_guard(bounds, x_s)))
+    return owed, g
 
 
 def remove_all_silent(t: Tree) -> Tree:
@@ -324,19 +289,20 @@ def remove_all_silent(t: Tree) -> Tree:
                     t.root if pred is None else n, e.target, e.action, g, e.resets)
                 stack.append((e.target, out, below))
                 continue
-            ctx = _context(Transition(n, e.target, None, g, e.resets), pred, memo)
-            if ctx.bounds is None:
+            step = _removal(g, e.resets, pred, memo)
+            if step is None:
                 dead = [(e.target, below)]
                 while dead:
                     m, owed_m = dead.pop()
                     dead += [(c.target, _pay(c.guard, c.resets, owed_m, memo)[1])
                              for c in children[m]]
                 continue
-            below.append((ctx.silent_clock, _moved(ctx), (), taken_guard(ctx)))
-            b = None if pred is None else _bypass(ctx, e.target, memo)
-            if b is not None:
+            own, bypass = step
+            b = None
+            if pred is not None:
+                b = Transition(pred.source, e.target, pred.action, bypass, pred.resets)
                 bypasses.setdefault(n, []).append(b)
-            stack.append((e.target, b, below))
+            stack.append((e.target, b, [*below, own]))
 
     out = Tree(root=t.root, renamed=True)
     for e in t.transitions:
@@ -391,9 +357,12 @@ def stripped_unfolding(a: TimedAutomaton, k: int) -> Tree:
     observable out-edge, followed by the bypasses that removing the silent
     steps below it puts after it, the bypasses of a later silent step
     first.  Each edge pays the rewrites that its node owes (:func:`_pay`)
-    as the unfolding grows.  At the root, the silent targets' out-edges
-    join the root's own, in the unfolding's depth-first order.  Every walk
-    is iterative.
+    as the unfolding grows, and each silent step is removed by
+    :func:`_removal`: its target becomes a node that also owes the step's
+    rewrite, and its bypass follows the edge into its source with the
+    bypass guard.  At the root, the silent targets' out-edges join the
+    root's own, in the unfolding's depth-first order.  Every walk is
+    iterative.
     """
     out_edges = _out_edges(a, k)
     clocks = sorted(a.clocks)
@@ -424,12 +393,6 @@ def stripped_unfolding(a: TimedAutomaton, k: int) -> Tree:
         expanded[node] = edges
         return edges
 
-    def owing(ctx: SilentContext) -> _Node:
-        """The silent target of ``ctx``, owing the rewrite of its removal."""
-        loc, level, index, held, owed = ctx.target
-        own = (ctx.silent_clock, _moved(ctx), (), taken_guard(ctx))
-        return (loc, level, index, held, (*owed, own))
-
     checked: set[_Node] = set()
 
     def pruned(node: _Node) -> None:
@@ -443,17 +406,21 @@ def stripped_unfolding(a: TimedAutomaton, k: int) -> Tree:
                 checked.add(n)
                 stack.extend(e.target for e in expand(n))
 
-    def removals(node: _Node, pred: Optional[Transition]) -> list[SilentContext]:
-        """The removal contexts of the node's silent steps that can fire, in
-        order, ``pred`` the edge into the node; the others are pruned."""
+    def removals(node: _Node, pred: Optional[Transition]) -> list[tuple[_Node, Optional[Guard]]]:
+        """The node's silent steps that can fire, in order, ``pred`` the
+        edge into the node, each as its target owing the rewrite of its
+        removal and its bypass guard (:func:`_removal`); the others are
+        pruned."""
         out = []
         for s in expand(node):
             if s.is_silent:
-                ctx = _context(s, pred, memo)
-                if ctx.bounds is None:
+                step = _removal(s.guard, s.resets, pred, memo)
+                if step is None:
                     pruned(s.target)
                 else:
-                    out.append(ctx)
+                    own, bypass = step
+                    loc, level, index, held, owed = s.target
+                    out.append(((loc, level, index, held, (*owed, own)), bypass))
         return out
 
     def bypassed(obs: list[Transition]) -> list[Transition]:
@@ -463,8 +430,8 @@ def stripped_unfolding(a: TimedAutomaton, k: int) -> Tree:
         while stack:
             e = stack.pop()
             out.append(e)
-            stack += [_bypass(ctx, owing(ctx), memo)
-                      for ctx in removals(e.target, e)]
+            stack += [Transition(e.source, target, e.action, g, e.resets)
+                      for target, g in removals(e.target, e)]
         return out
 
     root: _Node = (a.initial, 0, None, (X0,) * len(clocks), ())
@@ -475,7 +442,7 @@ def stripped_unfolding(a: TimedAutomaton, k: int) -> Tree:
     while stack:
         node = stack.pop()
         obs += [e for e in expand(node) if not e.is_silent]
-        stack += [owing(ctx) for ctx in removals(node, None)][::-1]
+        stack += [target for target, _ in removals(node, None)][::-1]
 
     tree = Tree(root=0, renamed=True)
     ids = {root: 0}

@@ -253,24 +253,30 @@ LOOP = {
 }
 
 
-@pytest.mark.parametrize("variant,code", [
-    pytest.param("std", EXIT_OK, id="std"),
-    pytest.param("new", EXIT_RESOURCE, id="new"),
-    pytest.param("otf", EXIT_RESOURCE, id="otf"),
-])
-def test_stack_depth_is_resource_limit(variant, code, tmp_path, capsys):
-    # the merge behind new and otf recurses along the unfolding; running
-    # out of stack is a resource limit, not a traceback.  Every stage of
-    # std is iterative, so std builds all 1100 levels
+@pytest.mark.parametrize("variant", ["std", "new", "otf"])
+def test_deep_loop_builds_every_level(variant, tmp_path, capsys):
+    # every stage of every variant runs from an explicit stack, so the
+    # unfolding's depth is not bounded by Python's
     path = tmp_path / "loop.json"
     path.write_text(json.dumps(LOOP))
     argv = ["--input", str(path), "--depth", "1100", "--variant", variant, "--emit", "json"]
-    assert main(argv) == code
+    assert main(argv) == EXIT_OK
+    assert len(parse_model(capsys.readouterr().out).locations) == 1101
+
+
+@pytest.mark.parametrize("variant", ["std", "new", "otf"])
+def test_stack_depth_is_resource_limit(variant, monkeypatch, capsys):
+    # running out of stack is a resource limit, not a traceback
+    import tadet.cli as cli
+
+    def too_deep(tree):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setitem(cli.DETERMINIZERS, variant, too_deep)
+    assert main(["--input", COFFEE, "--depth", "2", "--variant", variant]) == EXIT_RESOURCE
     out, err = capsys.readouterr()
-    if code == EXIT_OK:
-        assert len(parse_model(out).locations) == 1101
-    else:
-        assert json.loads(err)["error"]["code"] == "resource-limit"
+    error = json.loads(err)["error"]
+    assert out == "" and error["code"] == "resource-limit" and "stack depth" in error["message"]
 
 
 def test_deeply_nested_guard_is_parse_error(tmp_path, capsys):

@@ -21,11 +21,11 @@ from tadet.corpus import NAMED_MODELS, random_automaton
 from tadet.modelio import serialize_model
 from tadet.equivalence import language_equal, trace_in_language
 from tadet.silent import (
-    _context,
+    _removal,
+    _silent_bounds,
     enabling_guard,
     remove_all_silent,
     stripped_unfolding,
-    taken_guard,
 )
 from tadet.unfold import Tree, rename_clocks, unfold
 
@@ -67,25 +67,27 @@ def test_bypass_guard_on_coffee_machine():
     assert len(bypass) == 1
 
 
-def first_silent_context(tree):
-    """The removal context of the tree's first silent edge, whose
-    predecessor is the observable edge into its source."""
+def first_silent_edge(tree):
+    """The tree's first silent edge and its predecessor, the observable
+    edge into its source."""
     silent = next(tr for tr in tree.transitions if tr.is_silent)
     pred = next(tr for tr in tree.transitions if tr.target == silent.source)
-    return _context(silent, pred, {})
+    return silent, pred
 
 
 def test_enabling_guard_drops_silent_clock_terms():
     tree = rename_clocks(unfold(coffee_machine(), 4))
-    ctx = first_silent_context(tree)
-    eg = enabling_guard(ctx)
+    silent, pred = first_silent_edge(tree)
+    (x_s,) = pred.resets
+    bounds, _ = _silent_bounds(silent.guard, x_s)
+    eg = enabling_guard(bounds, x_s)
     assert equivalent(eg, Atom(X1, "<", 2))
 
 
 def test_taken_guard_names_the_silent_clock():
     tree = rename_clocks(unfold(coffee_machine(), 4))
-    ctx = first_silent_context(tree)
-    tg = taken_guard(ctx)
+    silent, pred = first_silent_edge(tree)
+    (_, _, _, tg), _ = _removal(silent.guard, silent.resets, pred, {})
     assert equivalent(tg, Atom(silent_clock(2, 0), ">=", 0))
 
 
