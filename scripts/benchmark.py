@@ -15,16 +15,19 @@ wall time and the solver call counts (``is_satisfiable``,
 ``feasible_systems``, ``close``) of every stage of every variant's report
 to PATH, each keyed ``<variant>/<stage>``; a quick row also has ``check``,
 the check-equiv stage's wall time, solver call counts and verdict, keyed
-``<variant>/check-equiv``:
+``<variant>/check-equiv``; and every configuration has ``emit``, each
+variant's time to write its output as "ta/1" JSON
+(``serialize_model(final.to_automaton())``), keyed ``<variant>/emit``:
 
-    python3 scripts/benchmark.py --full --json BENCH_27.json
+    python3 scripts/benchmark.py --full --json BENCH_33.json
 
 --compare OLD NEW reads two such files and runs nothing: for each
 configuration in both it prints each stage's time in NEW over its time in
-OLD, checks included, and it exits 1 if a stage that both files have
-differs in its location count or a configuration shares no stage:
+OLD, checks and emission included, and it exits 1 if a stage that both
+files have differs in its location count or a configuration shares no
+stage:
 
-    python3 scripts/benchmark.py --compare BENCH_25.json BENCH_27.json
+    python3 scripts/benchmark.py --compare BENCH_32.json BENCH_33.json
 """
 
 import argparse
@@ -32,6 +35,7 @@ import json
 import os
 import platform
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,6 +43,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from tadet.cli import DETERMINIZERS, run_pipeline  # noqa: E402
 from tadet.corpus import NAMED_MODELS  # noqa: E402
+from tadet.modelio import serialize_model  # noqa: E402
 
 QUICK = {
     "nondet-silent-a": [2, 5],
@@ -57,12 +62,15 @@ FULL = {
 def run_configuration(make, k: int, check: bool = False) -> dict:
     """Every variant's pipeline on one configuration: each construction
     stage's locations, seconds and solver call counts, keyed
-    ``<variant>/<stage>``; with ``check``, also each variant's check-equiv
-    stage under ``check``."""
-    conf: dict = {"locations": {}, "seconds": {}, "counters": {}}
+    ``<variant>/<stage>``; each variant's emission seconds under ``emit``;
+    with ``check``, also each variant's check-equiv stage under ``check``."""
+    conf: dict = {"locations": {}, "seconds": {}, "counters": {}, "emit": {}}
     checks = {}
     for variant in DETERMINIZERS:
         result = run_pipeline(make(), k, variant, check_equiv=check)
+        t0 = time.perf_counter()
+        serialize_model(result.final.to_automaton())
+        conf["emit"][f"{variant}/emit"] = round(time.perf_counter() - t0, 6)
         for stage in result.report["stages"]:
             key = f"{variant}/{stage['name']}"
             seconds = round(stage["millis"] / 1000, 6)
@@ -79,8 +87,9 @@ def run_configuration(make, k: int, check: bool = False) -> dict:
 
 
 def stage_seconds(conf: dict) -> dict:
-    """A configuration's stage times, its checks' included."""
-    return {**conf["seconds"], **{key: c["seconds"] for key, c in conf.get("check", {}).items()}}
+    """A configuration's stage times, its checks' and emissions' included."""
+    return {**conf["seconds"], **{key: c["seconds"] for key, c in conf.get("check", {}).items()},
+            **conf.get("emit", {})}
 
 
 def compare(old_path: Path, new_path: Path) -> int:
@@ -155,6 +164,12 @@ def main() -> int:
         print("|---|---|" + "---|" * len(columns))
         for c in configurations:
             print(f"| {c['model']} | {c['k']} | " + " | ".join(cell(c[field][s]) for s in columns) + " |")
+    print("\n## emit (ms)\n")
+    print("| model | k | " + " | ".join(variants) + " |")
+    print("|---|---|" + "---|" * len(variants))
+    for c in configurations:
+        cells = (f"{c['emit'][f'{v}/emit'] * 1000:.2f}" for v in variants)
+        print(f"| {c['model']} | {c['k']} | " + " | ".join(cells) + " |")
     print("\n## check-equiv (ms)\n")
     print("| model | k | " + " | ".join(variants) + " |")
     print("|---|---|" + "---|" * len(variants))

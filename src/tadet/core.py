@@ -143,6 +143,7 @@ class Atom(Guard):
     rel: str
     bound: int
     right: Optional[Clock] = None
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.rel not in RELS:
@@ -152,15 +153,47 @@ class Atom(Guard):
         if self.right is not None and self.right == self.left:
             raise ValueError("diagonal atom needs two distinct clocks")
 
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.left, self.rel, self.bound, self.right))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        return Atom, (self.left, self.rel, self.bound, self.right)
+
     def __str__(self) -> str:
         lhs = self.left.name if self.right is None else f"{self.left.name}-{self.right.name}"
         return f"{lhs}{self.rel}{self.bound}"
+
+
+# Atom, And and Or keep their hash once computed, the value that the
+# generated __hash__ gives.  Clocks hash by identity and strings by
+# PYTHONHASHSEED, so the kept hash is not pickled: an unpickled guard is
+# built afresh and hashes in the process that loads it.
+
+
+def _parts_hash(g) -> int:
+    h = g._hash
+    if h is None:
+        h = hash((g.parts,))
+        object.__setattr__(g, "_hash", h)
+    return h
+
+
+def _parts_reduce(g):
+    return type(g), (g.parts,)
 
 
 @dataclass(frozen=True, slots=True)
 class And(Guard):
     parts: tuple[Guard, ...]
     _clocks: Optional[frozenset[Clock]] = field(default=None, init=False, repr=False, compare=False)
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+
+    __hash__ = _parts_hash
+    __reduce__ = _parts_reduce
 
     def __str__(self) -> str:
         return "(" + " & ".join(str(p) for p in self.parts) + ")"
@@ -170,6 +203,10 @@ class And(Guard):
 class Or(Guard):
     parts: tuple[Guard, ...]
     _clocks: Optional[frozenset[Clock]] = field(default=None, init=False, repr=False, compare=False)
+    _hash: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+
+    __hash__ = _parts_hash
+    __reduce__ = _parts_reduce
 
     def __str__(self) -> str:
         return "(" + " | ".join(str(p) for p in self.parts) + ")"

@@ -104,8 +104,10 @@ def _reaches_outside(nacc: list[tuple[Guard, _Zones]], acc: list[tuple[Guard, _Z
     ``acc``'s.
 
     Each zone, closed under ``x >= 0`` by tightenings, is put over the joint
-    variables (a clock that a zone does not bound is only >= 0), and the
-    union of ``acc``'s is subtracted from each of ``nacc``'s
+    variables (a clock that a zone does not bound is only >= 0).  Against a
+    single zone of ``acc`` a zone of ``nacc`` reaches outside iff it does not
+    lie within it, entrywise, since both are closed and satisfiable.
+    Otherwise the union of ``acc``'s is subtracted from each of ``nacc``'s
     (:func:`tadet.solver.uncovered_piece`), so the complement of ``acc`` is
     never searched as a formula.
     """
@@ -113,9 +115,10 @@ def _reaches_outside(nacc: list[tuple[Guard, _Zones]], acc: list[tuple[Guard, _Z
     for z in nfed + afed:
         z.add_nonneg(z.vars)
     clocks = frozenset().union(*(z.vars[1:] for z in nfed + afed))
-    return solver.uncovered_piece(
-        [z.over(clocks) for z in nfed], [z.over(clocks) for z in afed]
-    ) is not None
+    nfed, afed = [z.over(clocks) for z in nfed], [z.over(clocks) for z in afed]
+    if len(afed) == 1:
+        return not all(z.within(afed[0]) for z in nfed)
+    return solver.uncovered_piece(nfed, afed) is not None
 
 
 def _merge(tree: Tree, share: bool) -> Tree:
@@ -156,6 +159,8 @@ def _merge(tree: Tree, share: bool) -> Tree:
     # call.  A lone input edge keeps is_satisfiable: the silent-deep rows make
     # no other such call, and the traced layerbench run divides by their count
     sat = cache(solver.is_satisfiable)
+    # equal atoms complement to one shared object, which the writer writes once
+    complements: dict[Atom, Guard] = {}
 
     @cache
     def bare(g: Guard) -> _Zones:
@@ -280,7 +285,7 @@ def _merge(tree: Tree, share: bool) -> Tree:
             if nacc and (not acc or _reaches_outside(nacc, acc)):
                 g_nacc = disj(*(g for g, _ in nacc))
                 if acc:
-                    g_nacc = conj(g_nacc, solver.complement_guard(g_acc))
+                    g_nacc = conj(g_nacc, solver.complement_guard(g_acc, complements))
                 nid = yield node(merged_child, child_key, level + 1, False, sub)
                 result.append((action, g_nacc, nid))
         edge_memo[memo_key] = (result, n0, len(out.nodes), e0, len(out.transitions))
@@ -408,6 +413,7 @@ def determinize_standard(tree: Tree) -> Tree:
     out = Tree(root=0, renamed=True)
     start = solver.DifferenceSystem(())
     start.close()
+    complements: dict[Atom, Guard] = {}  # equal atoms complement to one object
     # the locations built so far, by what their subtrees depend on
     built: dict = {}
     # edges still to build, the next one last: source location, action,
@@ -446,7 +452,7 @@ def determinize_standard(tree: Tree) -> Tree:
         for action, group in _group_by_action(edges):
             m = len(group)
             guards = [g for _, g, _ in group]
-            comps = [solver.complement_guard(g) for g in guards]
+            comps = [solver.complement_guard(g, complements) for g in guards]
             for mask, leaf in _regions(guards, comps, zone):
                 guard = conj(
                     *(guards[i] for i in range(m) if mask >> i & 1),

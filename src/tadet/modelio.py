@@ -197,62 +197,103 @@ def serialize_model(a: TimedAutomaton) -> str:
 
     The text is what ``json.dumps(doc, indent=2)`` gives for the document,
     written directly: strings go through ``json.dumps``, so escaping is the
-    encoder's, and each guard node is written once per indentation (the
-    memo keys on object ids, which stay valid while ``a`` is alive).
+    encoder's.  The text is appended to one list of chunks, joined once.  A
+    guard node is written once per indentation and a transition's guard
+    once: where the same object comes again, the span of chunks that its
+    first writing appended is appended again (the memos key on object ids,
+    which stay valid while ``a`` is alive).
     """
     q = cache(json.dumps)
-    nodes: dict[tuple[int, int], str] = {}
+    out: list[str] = []
+    # the span of ``out`` that the first writing appended, of each guard
+    # node by (id, indent) and of each transition guard by id
+    node_spans: dict[tuple[int, int], tuple[int, int]] = {}
+    guard_spans: dict[int, tuple[int, int]] = {}
+
+    @cache
+    def newline(indent: int) -> str:
+        return "\n" + " " * indent
 
     def items(texts: list[str], indent: int) -> str:
         """A list of values already written, its brackets at ``indent``."""
         if not texts:
             return "[]"
-        pad = " " * (indent + 2)
-        return "[\n" + ",\n".join(pad + t for t in texts) + "\n" + " " * indent + "]"
+        pad = newline(indent + 2)
+        return "[" + pad + ("," + pad).join(texts) + newline(indent) + "]"
 
-    def node(g: Guard, indent: int) -> str:
-        out = nodes.get((id(g), indent))
-        if out is None:
-            pad = "\n" + " " * (indent + 2)
+    def nodes(parts: tuple[Guard, ...], indent: int) -> None:
+        """Append the list of guard nodes ``parts``, its brackets at ``indent``."""
+        if not parts:
+            out.append("[]")
+            return
+        inner = indent + 2
+        sep, pad = "," + newline(inner), "," + newline(inner + 2)
+        out.append("[" + newline(inner))
+        for i, g in enumerate(parts):
+            if i:
+                out.append(sep)
+            key = (id(g), inner)
+            span = node_spans.get(key)
+            if span is not None:
+                out.extend(out[span[0]:span[1]])
+                continue
+            start = len(out)
             if isinstance(g, Atom):
-                body = (f'"left": {q(g.left.name)},{pad}"rel": {q(g.rel)},'
-                        f'{pad}"const": {g.bound}')
-                if g.right is not None:
-                    body += f',{pad}"right": {q(g.right.name)}'
+                right = "" if g.right is None else f'{pad}"right": {q(g.right.name)}'
+                out.append(
+                    f'{{{newline(inner + 2)}"left": {q(g.left.name)}{pad}"rel": {q(g.rel)}'
+                    f'{pad}"const": {g.bound}{right}{newline(inner)}}}'
+                )
             elif isinstance(g, (And, Or)):
-                tag = "all" if isinstance(g, And) else "any"
-                body = f'"{tag}": ' + items([node(p, indent + 4) for p in g.parts], indent + 2)
+                out.append(f'{{{newline(inner + 2)}"{"all" if isinstance(g, And) else "any"}": ')
+                nodes(g.parts, inner + 2)
+                out.append(newline(inner) + "}")
             else:
                 raise ValueError(f"guard constant cannot nest: {g}")
-            out = nodes[(id(g), indent)] = "{" + pad + body + "\n" + " " * indent + "}"
-        return out
+            node_spans[key] = (start, len(out))
+        out.append(newline(indent) + "]")
 
-    def guard(g: Guard) -> str:
-        """A guard as the list of its conjuncts; every guard sits at indent 6."""
+    def guard(g: Guard) -> None:
+        """Append a guard as the list of its conjuncts; every guard sits at indent 6."""
+        key = id(g)
+        span = guard_spans.get(key)
+        if span is not None:
+            out.extend(out[span[0]:span[1]])
+            return
+        start = len(out)
         if isinstance(g, TrueGuard):
-            return "[]"
-        if isinstance(g, FalseGuard):
-            g = _EMPTY_OR
-        return items([node(p, 8) for p in (g.parts if isinstance(g, And) else (g,))], 6)
+            out.append("[]")
+        else:
+            if isinstance(g, FalseGuard):
+                g = _EMPTY_OR
+            nodes(g.parts if isinstance(g, And) else (g,), 6)
+        guard_spans[key] = (start, len(out))
+
+    @cache
+    def resets(clocks: frozenset[Clock]) -> str:
+        return items([q(c) for c in sorted(c.name for c in clocks)], 6)
 
     locations = [
         f'{{\n      "id": {q(str(loc))},'
         f'\n      "accepting": {"true" if loc in a.accepting else "false"}\n    }}'
         for loc in sorted(a.locations, key=str)
     ]
-    transitions = [
-        f'{{\n      "source": {q(str(t.source))},\n      "target": {q(str(t.target))},'
-        f'\n      "action": {q("eps" if t.is_silent else t.action)},'
-        f'\n      "guard": {guard(t.guard)},'
-        f'\n      "resets": {items([q(c) for c in sorted(c.name for c in t.resets)], 6)}\n    }}'
-        for t in a.transitions
-    ]
     clocks = items([q(c) for c in sorted(c.name for c in a.clocks)], 2)
-    return (
+    out.append(
         f'{{\n  "format": {q(FORMAT_TAG)},\n  "clocks": {clocks},'
         f'\n  "locations": {items(locations, 2)},\n  "initial": {q(str(a.initial))},'
-        f'\n  "transitions": {items(transitions, 2)}\n}}\n'
+        f'\n  "transitions": {"[" if a.transitions else "[]"}'
     )
+    for i, t in enumerate(a.transitions):
+        out.append(
+            f'{"," if i else ""}\n    {{\n      "source": {q(str(t.source))},'
+            f'\n      "target": {q(str(t.target))},'
+            f'\n      "action": {q("eps" if t.is_silent else t.action)},\n      "guard": '
+        )
+        guard(t.guard)
+        out.append(f',\n      "resets": {resets(t.resets)}\n    }}')
+    out.append("\n  ]\n}\n" if a.transitions else "\n}\n")
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -60,18 +60,26 @@ def complement_atom(a: Atom) -> Guard:
     return Atom(a.left, REL_COMPLEMENT[a.rel], a.bound, a.right)
 
 
-def complement_guard(g: Guard) -> Guard:
-    """De Morgan over the formula tree with complement_atom at the leaves."""
+def complement_guard(g: Guard, atoms: Optional[dict[Atom, Guard]] = None) -> Guard:
+    """De Morgan over the formula tree with complement_atom at the leaves.
+
+    ``atoms``, if given, memoizes complement_atom across a caller's calls,
+    so that equal atoms complement to one shared object."""
     if isinstance(g, TrueGuard):
         return FALSE
     if isinstance(g, FalseGuard):
         return TRUE
     if isinstance(g, Atom):
-        return complement_atom(g)
+        if atoms is None:
+            return complement_atom(g)
+        out = atoms.get(g)
+        if out is None:
+            out = atoms[g] = complement_atom(g)
+        return out
     if isinstance(g, And):
-        return disj(*(complement_guard(p) for p in g.parts))
+        return disj(*(complement_guard(p, atoms) for p in g.parts))
     if isinstance(g, Or):
-        return conj(*(complement_guard(p) for p in g.parts))
+        return conj(*(complement_guard(p, atoms) for p in g.parts))
     raise TypeError(f"not a guard: {g!r}")
 
 
@@ -382,6 +390,17 @@ class DifferenceSystem:
         out.sort(key=lambda c: (max(c[0], c[1]), min(c[0], c[1])))
         return out
 
+    def within(self, other: "DifferenceSystem") -> bool:
+        """Whether every entry of this matrix is at least as tight as the
+        same entry of ``other``, over the same variables: when this one is
+        closed and satisfiable, whether its zone lies within the other's
+        (Bengtsson & Yi 2004).  Equal rows, common when both sides walked
+        the same word, are passed by one list comparison."""
+        return all(
+            r1 == r2 or all(b is None or (a is not None and a <= b) for a, b in zip(r1, r2))
+            for r1, r2 in zip(self.m, other.m)
+        )
+
     def contains(self, point: Sequence[Fraction]) -> bool:
         """Whether the values ``point`` of the first variables, the zero
         var's (0) first, meet every entry among those variables.
@@ -614,7 +633,7 @@ def uncovered_piece(
         return cons
 
     for zone in fed1:
-        if any(_within(zone.m, z.m) for z in fed2):
+        if any(zone.within(z) for z in fed2):
             continue  # nothing of the zone is left to subtract
         # (piece, the zones of fed2 still to subtract from it)
         stack: list[tuple[DifferenceSystem, Sequence[int]]] = [(zone.copy(), range(len(fed2)))]
@@ -654,15 +673,3 @@ def difference_witness(
     :func:`uncovered_piece`, which takes the same arguments."""
     piece = uncovered_piece(fed1, fed2)
     return None if piece is None else piece.witness()
-
-
-def _within(m1: list[list[Optional[int]]], m2: list[list[Optional[int]]]) -> bool:
-    """Whether every entry of the matrix ``m1`` is at least as tight as the
-    same entry of ``m2``: when ``m1`` is closed and satisfiable, whether
-    its zone lies within the other.  Equal rows, common when both sides
-    walked the same word, are passed by one list comparison."""
-    return all(
-        r1 == r2 or all(b is None or (a is not None and a <= b) for a, b in zip(r1, r2))
-        for r1, r2 in zip(m1, m2)
-    )
-

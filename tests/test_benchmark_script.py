@@ -93,3 +93,21 @@ def test_a_checked_configuration_records_each_variants_check():
         assert type(check["seconds"]) is float
         assert sorted(check["counters"]) == ["close", "feasible_systems", "is_satisfiable"]
     assert all(not key.endswith("check-equiv") for key in conf["seconds"])
+
+
+def test_every_variant_records_its_emit_time(tmp_path):
+    spec = importlib.util.spec_from_file_location("benchmark", SCRIPT)
+    benchmark = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(benchmark)
+    conf = benchmark.run_configuration(benchmark.NAMED_MODELS["nondet-silent-b"], 2)
+    assert sorted(conf["emit"]) == [f"{v}/emit" for v in ("new", "otf", "std")]
+    assert all(type(t) is float and t >= 0 for t in conf["emit"].values())
+    assert all(not key.endswith("/emit") for key in conf["seconds"])
+    # --compare prints each emission's ratio beside the stages'
+    old, new = record(5, 2.0), record(5, 1.0)
+    old["configurations"][0]["emit"] = {"new/emit": 0.5}
+    new["configurations"][0]["emit"] = {"new/emit": 0.25}
+    run = compare(tmp_path, old, new)
+    assert run.returncode == 0, run.stdout
+    assert "| unfold | otf | new/emit |" in run.stdout
+    assert "| m | 2 | 1.00 | 0.50 | 0.50 |" in run.stdout

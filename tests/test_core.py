@@ -3,7 +3,10 @@
 import ast
 import copy
 import importlib
+import os
 import pickle
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -142,6 +145,43 @@ def test_pickle_and_deepcopy_give_back_the_interned_clock():
         h = copy_of(g)
         assert h == g and hash(h) == hash(g)
         assert guard_clocks(h) == frozenset((X, silent_clock(1, 0), level_clock(2)))
+
+
+# a nested guard, built alike in this process and in a child process
+NESTED_GUARD = """conj(
+    Atom(Clock("x"), "<", 2),
+    disj(
+        Atom(silent_clock(1, 0), ">", 1),
+        conj(Atom(Clock("x"), "=", 3, level_clock(2)), Atom(Clock("y"), ">=", 0)),
+    ),
+)"""
+LOAD_NESTED_GUARD = f"""
+import pickle, sys
+from tadet.core import Atom, Clock, conj, disj, level_clock, silent_clock
+loaded = pickle.loads(sys.stdin.buffer.read())
+built = {NESTED_GUARD}
+assert loaded == built
+assert hash(loaded) == hash(built)
+assert {{built: "found"}}.get(loaded) == "found"
+print(hash("x"))
+"""
+
+
+def test_unpickled_guard_hashes_in_the_loading_process():
+    # the kept hash is not pickled: Clock hashes by identity and str by
+    # PYTHONHASHSEED, so a hash made here means nothing in another process
+    g = eval(NESTED_GUARD)
+    hash(g)  # fill the kept hashes before pickling
+    assert all(p._hash is not None for p in (g, *g.parts, *g.parts[1].parts))
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    src = Path(importlib.import_module("tadet").__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+    child = subprocess.run(
+        [sys.executable, "-B", "-c", LOAD_NESTED_GUARD],
+        input=pickle.dumps(g), capture_output=True, env=env, timeout=60,
+    )
+    assert child.returncode == 0, child.stderr.decode()
+    assert int(child.stdout) != hash("x")  # the child hashed strings differently
 
 
 @given(guards())

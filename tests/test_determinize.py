@@ -208,7 +208,15 @@ def test_non_accepting_decision_matches_the_complement_search(monkeypatch):
     ([Atom(X2, "<=", 1, X1)], [Atom(X1, ">", 0)], True),
     # two non-accepting guards, each inside an accepting TRUE
     ([Atom(X1, ">", 0), Atom(X1, "=", 0)], [TRUE], False),
-], ids=["inside", "covered-by-two", "several-zones", "joint-clocks", "true"])
+    # one accepting zone: the first non-accepting zone lies inside, the second sticks out
+    ([Atom(X1, "<", 3), Atom(X1, ">", 4)], [Atom(X1, "<", 5)], True),
+    # one accepting zone holding both non-accepting ones
+    ([Atom(X1, "<", 3), Atom(X1, "=", 4)], [Atom(X1, "<", 5)], False),
+    # one accepting zone over fewer clocks: put over x1 too, it holds the
+    # other; read without x1, its x2 row would be compared with x1's
+    ([conj(Atom(X1, "<", 10), Atom(X2, "<", 3))], [Atom(X2, "<", 5)], False),
+], ids=["inside", "covered-by-two", "several-zones", "joint-clocks", "true",
+        "one-zone-sticks-out", "one-zone-holds-both", "one-zone-fewer-clocks"])
 def test_non_accepting_decision_hand_rows(nacc, acc, keep):
     assert _reaches_outside(members(nacc), members(acc)) == keep == complement_search(nacc, acc)
 

@@ -139,6 +139,10 @@ def _pipeline_outputs():
     for seed in range(12, 24):
         yield f"random-{seed}", random_automaton(seed)
         yield f"random-{seed}-3-otf", pipeline_on_the_fly(random_automaton(seed), 3).to_automaton()
+    # deep outputs, where most guards are written again from their spans
+    removed = remove_all_silent(rename_clocks(unfold(NAMED_MODELS["nondet-silent-a"](), 9)))
+    yield "nondet-silent-a-9-new", determinize_guard_oriented(removed).to_automaton()
+    yield "nondet-silent-b-6-otf", pipeline_on_the_fly(NAMED_MODELS["nondet-silent-b"](), 6).to_automaton()
 
 
 def test_writer_matches_reference_on_models_and_outputs():
@@ -159,6 +163,8 @@ def test_writer_matches_reference_on_hand_built_cases():
         disj(Atom(y, ">=", 1), conj(Atom(x, "=", 2, y), Atom(z, ">", 0))),
     )
     shared = Atom(z, "<=", 4)
+    # one conjunction object: two transitions' guard, and a node in a disjunction
+    pair = conj(Atom(x, ">", 1), Atom(y, "<", 5, z))
     a = make_automaton(
         locations=["q0", quoted, slashed, accented],
         initial="q0",
@@ -170,6 +176,9 @@ def test_writer_matches_reference_on_hand_built_cases():
             Transition(slashed, accented, "b\\c", disj(shared, Atom(x, ">", 1, z))),
             Transition(accented, "q0", "\u00e9", shared, frozenset((y,))),
             Transition("q0", "q0", "d", TRUE),
+            Transition("q0", slashed, "e", pair),
+            Transition(slashed, "q0", "e", disj(Atom(z, "=", 0), pair), frozenset((z,))),
+            Transition(accented, quoted, "f", pair, frozenset((x,))),
         ],
     )
     assert serialize_model(a) == reference_text(a)
